@@ -45,7 +45,7 @@ class DualPrices:
     __slots__ = ("_left_num", "_right_num", "_den")
 
     def __init__(self, left_num: Iterable[int], right_num: Iterable[int], den: int = 1):
-        if not isinstance(den, int) or den <= 0:
+        if not isinstance(den, int) or isinstance(den, bool) or den <= 0:
             raise ValueError("denominator must be a positive integer")
         left = tuple(left_num)
         right = tuple(right_num)

@@ -16,6 +16,13 @@ Two independent routes to an optimal primal-dual pair:
 Feasibility is established up front with a maximum-cardinality matching,
 so an infeasible instance fails fast with an explicit uncovered vertex
 instead of a diverging price war.
+
+Cost of the exact solver: each of the n searches costs time proportional
+to what it touched -- the vertices it reached, the edges it scanned and
+its heap operations -- because the potential update and the reset of the
+search state visit the reached vertices only. One O(n) pass at the end
+turns the stored potentials into prices. Both solvers read edge endpoints
+and weights from flat per-edge lists built once per call.
 """
 
 from __future__ import annotations
@@ -72,6 +79,15 @@ def _require_square_feasible(graph: WeightedBipartiteGraph) -> None:
             f"{graph.original_vertex('right', free_right)} stay uncovered")
 
 
+def _edge_columns(graph: WeightedBipartiteGraph) -> tuple[list[int], list[int], list[int]]:
+    """Left endpoint, right endpoint and weight of every edge, as three flat
+    lists indexed by edge: the solvers' inner loops read these instead of
+    calling ``endpoints``/``weight`` per edge."""
+    edges = graph.edges
+    return ([u for u, _v, _w in edges], [v for _u, v, _w in edges],
+            [w for _u, _v, w in edges])
+
+
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     """Minimum-weight perfect matching with integral optimal prices.
 
@@ -89,23 +105,36 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     if n == 0:
         return SolveResult(Matching(graph, []), DualPrices([], [], 1), stats)
 
-    endpoints = graph.endpoints
-    weight = graph.weight
+    left_edges = graph.left_edges
+    left_of, right_of, wt = _edge_columns(graph)
 
+    # Potentials are kept as base values plus one shared offset:
+    #     left potential of u  = left_base[u] - offset
+    #     right potential of v = right_base[v] + offset
+    # The offset cancels in every reduced cost w - left - right, so the
+    # search reads the bases alone, and a pass that shifts every vertex by
+    # the target distance only has to adjust the bases of the vertices its
+    # search reached at a smaller distance.
     # Initial feasible potentials: row minimums absorb negative weights.
-    left_pot = [min(weight(e) for e in graph.left_edges(u)) for u in range(n)]
-    right_pot = [0] * n
+    left_base = [min(wt[e] for e in left_edges(u)) for u in range(n)]
+    right_base = [0] * n
+    offset = 0
     mate_left: list[int | None] = [None] * n
     mate_right: list[int | None] = [None] * n
 
-    INF = None
+    # Search state, allocated once. Each pass resets exactly the entries it
+    # touched; reach_edge needs no reset, since an augmenting path only
+    # follows right vertices its own search reached.
+    dist_left: list[int | None] = [None] * n
+    dist_right: list[int | None] = [None] * n
+    reach_edge: list[int] = [-1] * n  # edge that settled each right vertex
+    done_left = [False] * n
+    done_right = [False] * n
+
     for source in range(n):
-        dist_left: list[int | None] = [INF] * n
-        dist_right: list[int | None] = [INF] * n
-        reach_edge: list[int | None] = [None] * n  # edge that settled each right vertex
-        done_left = [False] * n
-        done_right = [False] * n
         dist_left[source] = 0
+        touched_left = [source]
+        touched_right: list[int] = []
         heap: list[tuple[int, int, int, int]] = [(0, 0, 0, source)]
         target = -1
         target_dist = 0
@@ -116,18 +145,23 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                 if done_left[x] or d > dist_left[x]:  # stale entry
                     continue
                 done_left[x] = True
-                base = d - left_pot[x]
-                for e in graph.left_edges(x):
-                    if e == mate_left[x]:
+                base = d - left_base[x]
+                matched = mate_left[x]
+                for e in left_edges(x):
+                    if e == matched:
                         continue
-                    v = endpoints(e)[1]
+                    v = right_of[e]
                     if done_right[v]:
                         continue
-                    nd = base + weight(e) - right_pot[v]
-                    if dist_right[v] is INF or nd < dist_right[v]:
-                        dist_right[v] = nd
-                        reach_edge[v] = e
-                        heappush(heap, (nd, 1, v, v))
+                    nd = base + wt[e] - right_base[v]
+                    dv = dist_right[v]
+                    if dv is None:
+                        touched_right.append(v)
+                    elif nd >= dv:
+                        continue
+                    dist_right[v] = nd
+                    reach_edge[v] = e
+                    heappush(heap, (nd, 1, v, v))
             else:
                 if done_right[x] or d > dist_right[x]:
                     continue
@@ -137,37 +171,53 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                     target = x
                     target_dist = d
                     break
-                u = endpoints(m)[0]
+                u = left_of[m]
                 # Matched edges are tight, so the step costs nothing.
-                if dist_left[u] is INF or d < dist_left[u]:
-                    dist_left[u] = d
-                    heappush(heap, (d, 0, u, u))
+                du = dist_left[u]
+                if du is None:
+                    touched_left.append(u)
+                elif d >= du:
+                    continue
+                dist_left[u] = d
+                heappush(heap, (d, 0, u, u))
         else:
             raise AssertionError("augmenting path search exhausted a feasible graph")
 
         # Shift potentials so all residual costs stay non-negative and the
-        # augmenting path becomes tight end to end.
-        for u in range(n):
+        # augmenting path becomes tight end to end: every left potential
+        # drops by min(dist, target_dist) and every right one rises by it.
+        # The offset applies target_dist to all; reached vertices closer
+        # than the target take back the difference. Then reset the search
+        # state this pass touched.
+        offset += target_dist
+        for u in touched_left:
             du = dist_left[u]
-            left_pot[u] -= min(du, target_dist) if du is not INF else target_dist
-        for v in range(n):
+            if du < target_dist:
+                left_base[u] += target_dist - du
+            dist_left[u] = None
+            done_left[u] = False
+        for v in touched_right:
             dv = dist_right[v]
-            right_pot[v] += min(dv, target_dist) if dv is not INF else target_dist
+            if dv < target_dist:
+                right_base[v] -= target_dist - dv
+            dist_right[v] = None
+            done_right[v] = False
 
         # Flip matched/unmatched along the augmenting path.
         v = target
         while v != -1:
             e = reach_edge[v]
-            u = endpoints(e)[0]
+            u = left_of[e]
             old = mate_left[u]
             mate_left[u] = e
             mate_right[v] = e
-            v = endpoints(old)[1] if old is not None else -1
+            v = right_of[old] if old is not None else -1
         stats.iterations += 1
 
-    matched = [e for e in mate_left if e is not None]
-    prices = DualPrices(left_pot, right_pot, 1)
-    return SolveResult(Matching(graph, matched), prices, stats)
+    matched_edges = [e for e in mate_left if e is not None]
+    prices = DualPrices([b - offset for b in left_base],
+                        [b + offset for b in right_base], 1)
+    return SolveResult(Matching(graph, matched_edges), prices, stats)
 
 
 def solve_auction(graph: WeightedBipartiteGraph,
@@ -201,9 +251,10 @@ def solve_auction(graph: WeightedBipartiteGraph,
     scale = math.lcm(n + 1, eps.denominator)
     eps_scaled = int(eps * scale)
 
-    endpoints = graph.endpoints
+    left_edges = graph.left_edges
+    _left_of, right_of, wt = _edge_columns(graph)
     # Benefits: auction maximizes, we minimize.
-    benefit = [-w * scale for (_u, _v, w) in graph.edges]
+    benefit = [-w * scale for w in wt]
     big = 2 * scale * max(graph.max_abs_weight, 1) * (n + 1)
 
     price = [0] * n  # auction price per right vertex, scaled integers
@@ -227,8 +278,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
             best_e = -1
             best_val: int | None = None
             second_val: int | None = None
-            for e in graph.left_edges(u):
-                val = benefit[e] - price[endpoints(e)[1]]
+            for e in left_edges(u):
+                val = benefit[e] - price[right_of[e]]
                 if best_val is None or val > best_val:
                     second_val = best_val
                     best_val = val
@@ -237,7 +288,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
                     second_val = val
             if second_val is None:
                 second_val = best_val - big  # lone option: bid high to lock it
-            v = endpoints(best_e)[1]
+            v = right_of[best_e]
             price[v] += best_val - second_val + eps_now
             previous = owner[v]
             if previous is not None:
@@ -251,8 +302,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
     left_num = [0] * n
     for u in range(n):
         e = assigned[u]
-        v = endpoints(e)[1]
-        left_num[u] = graph.weight(e) * scale - right_num[v]
+        left_num[u] = wt[e] * scale - right_num[right_of[e]]
     matching = Matching(graph, [e for e in assigned if e is not None])
     return SolveResult(matching, DualPrices(left_num, right_num, scale), stats)
 

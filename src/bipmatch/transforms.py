@@ -182,6 +182,19 @@ def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     return HALF_DOUBLING
 
 
+def _checked_strategy(graph: WeightedBipartiteGraph, strategy: str) -> str:
+    """Resolve AUTO and check that the strategy applies to the graph, with
+    at most one maximum-cardinality matching run."""
+    if strategy == AUTO:
+        # Picks a strategy that needs coverage only when coverage holds.
+        return choose_strategy(graph)
+    if strategy != FULL_DOUBLING and not _covers_right_side(graph):
+        raise CoverageRequired(
+            f"strategy {strategy!r} needs a matching covering the right side; "
+            f"use {FULL_DOUBLING!r} for this instance")
+    return strategy
+
+
 def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
                      k: int = 0) -> Matching:
     """A maximum-cardinality matching of minimum weight.
@@ -191,13 +204,7 @@ def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
     the right side (CoverageRequired otherwise); full doubling works on
     any graph.
     """
-    if strategy == AUTO:
-        strategy = choose_strategy(graph)
-    if strategy != FULL_DOUBLING and not _covers_right_side(graph):
-        raise CoverageRequired(
-            f"strategy {strategy!r} needs a matching covering the right side; "
-            f"use {FULL_DOUBLING!r} for this instance")
-    transformed = _transform(graph, strategy, k)
+    transformed = _transform(graph, _checked_strategy(graph, strategy), k)
     result = solve_exact(transformed.graph)
     return restrict_back(transformed, result.matching)
 
@@ -206,13 +213,7 @@ def optimal_edges_general(graph: WeightedBipartiteGraph, strategy: str = AUTO,
                           k: int = 0) -> EdgeSet:
     """All edges occurring in some optimum matching: the optimal edges of
     the transformed instance, intersected with the original edges."""
-    if strategy == AUTO:
-        strategy = choose_strategy(graph)
-    if strategy != FULL_DOUBLING and not _covers_right_side(graph):
-        raise CoverageRequired(
-            f"strategy {strategy!r} needs a matching covering the right side; "
-            f"use {FULL_DOUBLING!r} for this instance")
-    transformed = _transform(graph, strategy, k)
+    transformed = _transform(graph, _checked_strategy(graph, strategy), k)
     result = solve_exact(transformed.graph)
     lifted = optimal_edges(transformed.graph, result.prices)
     return EdgeSet(graph, transformed.original_edge_indices(lifted.indices))

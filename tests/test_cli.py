@@ -225,6 +225,18 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    def test_bool_denominator_exit_2(self, capsys, fig1_path, tmp_path):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps(
+            {"cardinality": 3, "weight": 3, "edges": [[1, 1], [2, 2], [3, 3]]}))
+        prices = tmp_path / "p.json"
+        prices.write_text(json.dumps({"den": True, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, out, err = run(capsys, "check", fig1_path,
+                             "--matching", str(matching), "--prices", str(prices))
+        assert code == 2
+        assert out == ""
+        assert "denominator" in err
+
     def test_missing_prices_exit_2(self, capsys, fig1_path, tmp_path):
         matching = tmp_path / "m.json"
         matching.write_text(json.dumps(

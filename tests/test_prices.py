@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipmatch import (DualPrices, Matching, WeightedBipartiteGraph,
+from bipmatch import (DualPrices, Matching, ParseError, WeightedBipartiteGraph,
                       brute_force_min_weight_pms, check_complementary_slackness,
                       check_dual_feasible, check_eps_optimal, dual_objective,
                       floor_shift_equal, matching_weight, prices_from_json,
@@ -36,6 +36,18 @@ class TestDualPrices:
         blob = prices_to_json(fig1, fig1_p1)
         assert blob == {"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}
         assert prices_from_json(fig1, blob) == fig1_p1
+
+    @pytest.mark.parametrize("blob", [
+        {"den": True, "pi": [-2, 0, 1], "p": [3, 1, 0]},
+        {"den": 1, "pi": [True, 0, 1], "p": [3, 1, 0]},
+    ])
+    def test_json_rejects_booleans(self, fig1, blob):
+        with pytest.raises(ParseError):
+            prices_from_json(fig1, blob)
+
+    def test_bool_denominator_rejected(self):
+        with pytest.raises(ValueError, match="denominator"):
+            DualPrices([1], [2], True)
 
     def test_json_swapped_orientation(self):
         g = WeightedBipartiteGraph(1, 2, [(0, 0, 4), (0, 1, 6)])

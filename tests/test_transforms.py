@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import bipmatch.solvers
+import bipmatch.transforms
 from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, CoverageRequired,
                       Matching, WeightedBipartiteGraph, artificial_vertices,
                       choose_strategy, first_doubling, max_cardinality_matching,
@@ -163,6 +165,25 @@ class TestOptimumMatching:
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2)])
         assert choose_strategy(g) == FULL_DOUBLING
         assert optimum_matching(g, AUTO).cardinality == 1
+
+    @pytest.mark.parametrize("strategy, expected", [
+        (AUTO, 2), (PADDING, 2), (HALF_DOUBLING, 2), (FULL_DOUBLING, 1)])
+    def test_one_coverage_check_per_call(self, monkeypatch, strategy, expected):
+        # One Hopcroft-Karp run decides the strategy and coverage; the
+        # exact solver's own feasibility check is the other.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return max_cardinality_matching(*args, **kwargs)
+
+        for module in (bipmatch.transforms, bipmatch.solvers):
+            monkeypatch.setattr(module, "max_cardinality_matching", counting)
+        g = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
+        for run in (optimum_matching, optimal_edges_general):
+            calls.clear()
+            run(g, strategy)
+            assert len(calls) == expected
 
     def test_unknown_strategy(self, fig1):
         with pytest.raises(ValueError, match="unknown strategy"):
