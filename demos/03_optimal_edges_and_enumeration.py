@@ -7,8 +7,9 @@ branch-and-split walk streams the matchings themselves, one at a time,
 without ever materializing the whole (possibly exponential) family.
 """
 
-from bipmatch import (EnumerationSink, WeightedBipartiteGraph,
-                      enumerate_min_weight_pms, iter_min_weight_perfect_matchings,
+from itertools import islice
+
+from bipmatch import (WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
                       optimal_edges, solve_exact)
 
 # A 4x4 instance with four optimal assignments (two interchangeable
@@ -30,13 +31,11 @@ for e in usable:
     u, v = graph.endpoints(e)
     print(f"  (u{u}, v{v}) weight {graph.weight(e)}")
 
-# Stream the optimal assignments through a sink with a cap.
+# Stream the optimal assignments, capped with islice.
 print("first three optimal assignments:")
-sink = EnumerationSink(
-    callback=lambda m: print(" ", sorted(graph.endpoints(e) for e in m)),
-    limit=3)
-enumerate_min_weight_pms(graph, prices, sink)
+for m in islice(iter_min_weight_perfect_matchings(graph, prices), 3):
+    print(" ", sorted(graph.endpoints(e) for e in m))
 
-# Or consume them as a plain generator.
+# Or consume the whole stream.
 total = sum(1 for _ in iter_min_weight_perfect_matchings(graph, prices))
 print("total optimal assignments:", total)

@@ -8,9 +8,7 @@ unbalanced or infeasible instances.
 """
 
 from .allowed import EdgeSet, allowed_edges, optimal_edges
-from .enumeration import (EnumerationSink, enumerate_min_weight_pms,
-                          enumerate_perfect_matchings, iter_min_weight_perfect_matchings,
-                          iter_perfect_matchings)
+from .enumeration import iter_min_weight_perfect_matchings, iter_perfect_matchings
 from .errors import (CoverageRequired, Error, Infeasible, InfeasibleDual, NotSquare,
                      ParseError)
 from .graph import (MAX_ABS_WEIGHT, Matching, VertexRef, WeightedBipartiteGraph,
@@ -37,7 +35,6 @@ __all__ = [
     "DualPrices",
     "EdgeOrigin",
     "EdgeSet",
-    "EnumerationSink",
     "Error",
     "FULL_DOUBLING",
     "HALF_DOUBLING",
@@ -67,8 +64,6 @@ __all__ = [
     "check_eps_optimal",
     "choose_strategy",
     "dual_objective",
-    "enumerate_min_weight_pms",
-    "enumerate_perfect_matchings",
     "first_doubling",
     "floor_shift_equal",
     "iter_min_weight_perfect_matchings",

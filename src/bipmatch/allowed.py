@@ -131,9 +131,9 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
 
 
 def _allowed_subset(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                    matching: Matching) -> list[int]:
-    """Edges of the subset lying in some perfect matching, given one."""
-    comp = _scc_labels(graph, edge_indices, matching)
+                    matching: Matching, comp: list[int]) -> list[int]:
+    """Edges of the subset lying in some perfect matching, given one and
+    the component labels ``_scc_labels`` computed for it."""
     n = graph.n_left
     keep = []
     for e in edge_indices:
@@ -157,7 +157,8 @@ def allowed_edges(graph: WeightedBipartiteGraph,
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {matching.cardinality} "
             f"on sides of size {graph.n_left} and {graph.n_right}")
-    return EdgeSet(graph, _allowed_subset(graph, subset, matching))
+    comp = _scc_labels(graph, subset, matching)
+    return EdgeSet(graph, _allowed_subset(graph, subset, matching, comp))
 
 
 def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import transforms
 from .allowed import optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings
-from .errors import (CoverageRequired, Error, Infeasible, InfeasibleDual,
-                     NotSquare, ParseError)
+from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
 from .graph import Matching, WeightedBipartiteGraph, matching_from_json, parse_instance
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, check_complementary_slackness, check_dual_feasible,
@@ -162,15 +162,11 @@ def _cmd_enumerate(args) -> int:
         raise ParseError("--limit must be non-negative")
     graph = _load_instance(args.instance)
     prices = _obtain_prices(graph, args.prices)
-    count = 0
-    for matching in iter_min_weight_perfect_matchings(graph, prices):
-        if args.limit is not None and count >= args.limit:
-            break
+    for matching in islice(iter_min_weight_perfect_matchings(graph, prices), args.limit):
         if args.format == "json":
             print(json.dumps(matching.to_json(), sort_keys=True))
         else:
             print(_matching_text(matching))
-        count += 1
     return EXIT_OK
 
 
@@ -214,14 +210,17 @@ def _cmd_check(args) -> int:
     else:
         raise ParseError("no prices given: pass --prices or a composed result file")
 
+    # A valid certificate takes one slack scan; only a failed one is
+    # scanned again to say what is wrong with it.
     problems = []
-    violations = check_dual_feasible(graph, prices)
-    if violations:
-        problems.append(f"{len(violations)} dual-infeasible edge(s)")
-    if not matching.is_perfect:
-        problems.append("matching is not perfect")
-    elif not violations and not check_complementary_slackness(graph, matching, prices):
-        problems.append("a matched edge is not tight")
+    if not (matching.is_perfect and check_complementary_slackness(graph, matching, prices)):
+        violations = check_dual_feasible(graph, prices)
+        if violations:
+            problems.append(f"{len(violations)} dual-infeasible edge(s)")
+        if not matching.is_perfect:
+            problems.append("matching is not perfect")
+        elif not violations:
+            problems.append("a matched edge is not tight")
     ok = not problems
     payload = {
         "valid": ok,
@@ -257,16 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (Infeasible, NotSquare, CoverageRequired) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ParseError, InfeasibleDual) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except Error as exc:
+    except (Error, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

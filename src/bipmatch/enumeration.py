@@ -9,44 +9,20 @@ once. Composed with the tight subgraph this streams the minimum-weight
 perfect matchings.
 
 Output order is deterministic for a fixed edge order; results stream
-through a sink (or generator) so exponentially many matchings never need
-to be held at once.
+from a generator (cap it with itertools.islice) so exponentially many
+matchings never need to be held at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .allowed import _scc_labels
+from .allowed import _allowed_subset, _scc_labels
 from .errors import Infeasible
 from .graph import Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
 from .tight import build_gcs
-
-
-class EnumerationSink:
-    """Receives matchings one at a time; optionally stops after ``limit``."""
-
-    def __init__(self, callback: Callable[[Matching], None] | None = None,
-                 limit: int | None = None):
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be non-negative")
-        self.callback = callback
-        self.limit = limit
-        self.count = 0
-
-    def want_more(self) -> bool:
-        return self.limit is None or self.count < self.limit
-
-    def offer(self, matching: Matching) -> bool:
-        """Deliver one matching; returns False once the limit is reached."""
-        if not self.want_more():
-            return False
-        self.count += 1
-        if self.callback is not None:
-            self.callback(matching)
-        return self.want_more()
 
 
 def iter_perfect_matchings(graph: WeightedBipartiteGraph,
@@ -89,9 +65,7 @@ def iter_perfect_matchings(graph: WeightedBipartiteGraph,
             continue
 
         # Trim to edges in some perfect matching, then split on the pivot.
-        allowed = [e for e in edges
-                   if matching.left_edge(graph.endpoints(e)[0]) == e
-                   or comp[graph.endpoints(e)[0]] == comp[n + graph.endpoints(e)[1]]]
+        allowed = _allowed_subset(graph, edges, matching, comp)
         pu, pv = graph.endpoints(pivot)
         without = tuple(e for e in allowed if e != pivot)
         with_pivot = tuple(
@@ -99,16 +73,6 @@ def iter_perfect_matchings(graph: WeightedBipartiteGraph,
             if e != pivot and graph.endpoints(e)[0] != pu and graph.endpoints(e)[1] != pv)
         stack.append((without, forced))
         stack.append((with_pivot, forced + (pivot,)))
-
-
-def enumerate_perfect_matchings(graph: WeightedBipartiteGraph,
-                                sink: EnumerationSink,
-                                edge_indices: Iterable[int] | None = None) -> int:
-    """Drive the enumeration through a sink; returns the number emitted."""
-    for matching in iter_perfect_matchings(graph, edge_indices):
-        if not sink.offer(matching):
-            break
-    return sink.count
 
 
 def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph,
@@ -128,13 +92,3 @@ def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph,
         raise Infeasible(
             "tight subgraph has no perfect matching; either the instance is "
             "infeasible or the supplied prices are not optimal")
-
-
-def enumerate_min_weight_pms(graph: WeightedBipartiteGraph,
-                             prices: DualPrices,
-                             sink: EnumerationSink) -> int:
-    """Stream all minimum-weight perfect matchings into a sink."""
-    for matching in iter_min_weight_perfect_matchings(graph, prices):
-        if not sink.offer(matching):
-            break
-    return sink.count

@@ -24,9 +24,18 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 
-# Largest admissible |weight|. Keeps 2*s*W and every accumulated sum well
-# inside signed 64-bit range even after the doubling transformations.
+# Largest admissible |weight| of an input edge. Graphs derived from valid
+# input (the doubling's link edges, say) may exceed it; every computation
+# here is in Python ints, so nothing overflows.
 MAX_ABS_WEIGHT = 2**40
+
+
+def _check_weight(w) -> None:
+    """Reject a weight that is not an integer or exceeds MAX_ABS_WEIGHT."""
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise TypeError(f"edge weight must be an integer, got {w!r}")
+    if abs(w) > MAX_ABS_WEIGHT:
+        raise ValueError(f"|weight| {abs(w)} exceeds bound {MAX_ABS_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -63,40 +72,48 @@ class WeightedBipartiteGraph:
                  edges: Iterable[tuple[int, int, int]]):
         if n_left < 0 or n_right < 0:
             raise ValueError("side sizes must be non-negative")
-        swapped = n_left < n_right
-        if swapped:
-            n_left, n_right = n_right, n_left
-
+        checked: list[tuple[int, int, int]] = []
         seen: set[tuple[int, int]] = set()
-        stored: list[tuple[int, int, int]] = []
-        max_w = 0
         for u, v, w in edges:
-            if swapped:
-                u, v = v, u
             if not (0 <= u < n_left):
                 raise ValueError(f"left index {u} out of range [0, {n_left})")
             if not (0 <= v < n_right):
                 raise ValueError(f"right index {v} out of range [0, {n_right})")
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise TypeError(f"edge weight must be an integer, got {w!r}")
-            if abs(w) > MAX_ABS_WEIGHT:
-                raise ValueError(f"|weight| {abs(w)} exceeds bound {MAX_ABS_WEIGHT}")
+            _check_weight(w)
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            stored.append((u, v, w))
+            checked.append((u, v, w))
+        self._build(n_left, n_right, checked)
+
+    @classmethod
+    def _trusted(cls, n_left: int, n_right: int,
+                 edges: list[tuple[int, int, int]]) -> "WeightedBipartiteGraph":
+        """A graph from edges that are already known to be valid: parsed
+        input, or edges derived from a valid graph. Runs no checks."""
+        graph = cls.__new__(cls)
+        graph._build(n_left, n_right, edges)
+        return graph
+
+    def _build(self, n_left: int, n_right: int,
+               edges: list[tuple[int, int, int]]) -> None:
+        """Store the edges, flipping the sides when the right one is larger."""
+        swapped = n_left < n_right
+        if swapped:
+            n_left, n_right = n_right, n_left
+            edges = [(v, u, w) for u, v, w in edges]
+        adj_left: list[list[int]] = [[] for _ in range(n_left)]
+        adj_right: list[list[int]] = [[] for _ in range(n_right)]
+        max_w = 0
+        for e, (u, v, w) in enumerate(edges):
+            adj_left[u].append(e)
+            adj_right[v].append(e)
             if abs(w) > max_w:
                 max_w = abs(w)
 
-        adj_left: list[list[int]] = [[] for _ in range(n_left)]
-        adj_right: list[list[int]] = [[] for _ in range(n_right)]
-        for e, (u, v, _w) in enumerate(stored):
-            adj_left[u].append(e)
-            adj_right[v].append(e)
-
         self._n_left = n_left
         self._n_right = n_right
-        self._edges = tuple(stored)
+        self._edges = tuple(edges)
         self._adj_left = tuple(tuple(a) for a in adj_left)
         self._adj_right = tuple(tuple(a) for a in adj_right)
         self._max_abs_weight = max_w
@@ -148,12 +165,21 @@ class WeightedBipartiteGraph:
 
     def edge_index(self, u: int, v: int) -> int | None:
         """Index of the edge joining left u and right v, or None."""
+        if not 0 <= u < self._n_left:
+            return None
         for e in self._adj_left[u]:
             if self._edges[e][1] == v:
                 return e
         return None
 
     # -- original orientation ----------------------------------------------
+
+    def original_edge_index(self, i: int, j: int) -> int | None:
+        """Index of the edge with 1-based labels (i, j) in the input
+        orientation, or None when no such edge exists."""
+        if self._sides_swapped:
+            i, j = j, i
+        return self.edge_index(i - 1, j - 1)
 
     def original_pair(self, e: int) -> tuple[int, int]:
         """1-based (left, right) labels of edge e in the input orientation."""
@@ -291,12 +317,10 @@ def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
         raise ParseError("matching JSON must contain an 'edges' list")
     indices = []
     for pair in pairs:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(label) is int for label in pair)):
             raise ParseError(f"bad matching edge entry {pair!r}")
-        i, j = pair
-        if graph.sides_swapped:
-            i, j = j, i
-        e = graph.edge_index(i - 1, j - 1)
+        e = graph.original_edge_index(*pair)
         if e is None:
             raise ParseError(f"matching references unknown edge ({pair[0]}, {pair[1]})")
         indices.append(e)
@@ -358,7 +382,7 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
         raise ParseError("missing header line 'p bip <n> <s> <m>'")
     if len(raw_edges) != m:
         raise ParseError(f"header announced {m} edges but file contains {len(raw_edges)}")
-    return WeightedBipartiteGraph(n, s, raw_edges)
+    return WeightedBipartiteGraph._trusted(n, s, raw_edges)
 
 
 def serialize_instance(graph: WeightedBipartiteGraph) -> str:

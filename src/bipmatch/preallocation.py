@@ -66,7 +66,7 @@ class PreferenceSet:
 def parse_preferences(text: str, graph: WeightedBipartiteGraph) -> PreferenceSet:
     """Parse a preference file: lines "f <i> <j>" with 1-based original
     labels, plus "c" comments. Unknown edges are an error."""
-    pairs = []
+    indices = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -78,14 +78,12 @@ def parse_preferences(text: str, graph: WeightedBipartiteGraph) -> PreferenceSet
             i, j = int(fields[1]), int(fields[2])
         except ValueError:
             raise ParseError(f"non-integer preference field in {stripped!r}", lineno)
-        if graph.sides_swapped:
-            i, j = j, i
-        e = graph.edge_index(i - 1, j - 1)
+        e = graph.original_edge_index(i, j)
         if e is None:
             raise ParseError(f"preference names unknown edge ({fields[1]}, {fields[2]})",
                              lineno)
-        pairs.append((i - 1, j - 1))
-    return PreferenceSet.from_pairs(graph, pairs)
+        indices.append(e)
+    return PreferenceSet(graph, indices)
 
 
 def preallocate(graph: WeightedBipartiteGraph, prices: DualPrices,
@@ -108,7 +106,7 @@ def preallocate(graph: WeightedBipartiteGraph, prices: DualPrices,
     for e in tight.edge_indices:
         u, v = graph.endpoints(e)
         sub_edges.append((u, v, prefs.preference_weight(e)))
-    sub = WeightedBipartiteGraph(graph.n_left, graph.n_right, sub_edges)
+    sub = WeightedBipartiteGraph._trusted(graph.n_left, graph.n_right, sub_edges)
     result = solve_exact(sub)
     back = [tight.edge_indices[k] for k in result.matching.edge_indices]
     return Matching(graph, back)

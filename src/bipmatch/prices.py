@@ -134,6 +134,17 @@ def _require_shape(graph: WeightedBipartiteGraph, prices: DualPrices) -> None:
             f"match graph ({graph.n_left}, {graph.n_right})")
 
 
+def edge_slacks(graph: WeightedBipartiteGraph, prices: DualPrices) -> list[int]:
+    """The slack of every edge, in edge order, as integer numerators over
+    ``prices.den``: weight minus the price sum of its endpoints. Zero
+    marks a tight edge, a negative value a violated one."""
+    _require_shape(graph, prices)
+    left = prices.left_num
+    right = prices.right_num
+    den = prices.den
+    return [w * den - (left[u] + right[v]) for u, v, w in graph.edges]
+
+
 def check_dual_feasible(graph: WeightedBipartiteGraph,
                         prices: DualPrices) -> list[SlackViolation]:
     """All edges where left + right price exceeds the weight.
@@ -141,39 +152,18 @@ def check_dual_feasible(graph: WeightedBipartiteGraph,
     An empty list means the prices are dual feasible. Violations are
     collected exhaustively rather than fail-fast, for diagnostics.
     """
-    _require_shape(graph, prices)
-    left = prices.left_num
-    right = prices.right_num
     den = prices.den
-    violations = []
-    for e, (u, v, w) in enumerate(graph.edges):
-        num = left[u] + right[v]
-        target = w * den
-        if num > target:
-            violations.append(SlackViolation(e, Fraction(target - num, den)))
-    return violations
+    return [SlackViolation(e, Fraction(slack, den))
+            for e, slack in enumerate(edge_slacks(graph, prices)) if slack < 0]
 
 
 def check_complementary_slackness(graph: WeightedBipartiteGraph,
                                   matching: Matching,
                                   prices: DualPrices) -> bool:
     """True iff the prices are feasible and exactly tight on every matched
-    edge, i.e. the pair certifies a minimum-weight perfect matching."""
-    _require_shape(graph, prices)
-    if matching.graph is not graph:
-        raise ValueError("matching belongs to a different graph")
-    if not matching.is_perfect:
-        raise ValueError("complementary slackness is defined for perfect matchings")
-    if check_dual_feasible(graph, prices):
-        return False
-    left = prices.left_num
-    right = prices.right_num
-    den = prices.den
-    for e in matching.edge_indices:
-        u, v = graph.endpoints(e)
-        if left[u] + right[v] != graph.weight(e) * den:
-            return False
-    return True
+    edge, i.e. the pair certifies a minimum-weight perfect matching. This
+    is epsilon-optimality at epsilon 0."""
+    return check_eps_optimal(graph, matching, prices, 0)
 
 
 def check_eps_optimal(graph: WeightedBipartiteGraph,
@@ -182,28 +172,17 @@ def check_eps_optimal(graph: WeightedBipartiteGraph,
                       epsilon: RationalLike) -> bool:
     """True iff the prices overshoot each edge weight by at most epsilon and
     are exactly tight on every matched edge."""
-    _require_shape(graph, prices)
+    slacks = edge_slacks(graph, prices)
     if matching.graph is not graph:
         raise ValueError("matching belongs to a different graph")
     if not matching.is_perfect:
-        raise ValueError("epsilon-optimality is defined for perfect matchings")
+        raise ValueError("optimality certificates are defined for perfect matchings")
     eps = _as_fraction(epsilon, "epsilon")
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
-    left = prices.left_num
-    right = prices.right_num
-    den = prices.den
-    # Compare (num/den) <= w + eps via integers: num*eden <= (w*eden + enum)*den.
-    enum, eden = eps.numerator, eps.denominator
-    matched = set(matching.edge_indices)
-    for e, (u, v, w) in enumerate(graph.edges):
-        num = left[u] + right[v]
-        if e in matched:
-            if num != w * den:
-                return False
-        elif num * eden > (w * eden + enum) * den:
-            return False
-    return True
+    # Every slack/den >= -eps, in integers.
+    return (min(slacks, default=0) * eps.denominator >= -eps.numerator * prices.den
+            and all(slacks[e] == 0 for e in matching.edge_indices))
 
 
 def dual_objective(prices: DualPrices) -> Fraction:

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from .errors import InfeasibleDual
 from .graph import Matching, WeightedBipartiteGraph
-from .prices import DualPrices, _require_shape
+from .prices import DualPrices, edge_slacks
 
 ORACLE_MAX_SIDE = 8
 
@@ -60,55 +60,34 @@ class TightSubgraph:
 
     def to_json(self) -> dict:
         g = self._parent
-        left = self._prices.left_num
-        right = self._prices.right_num
         den = self._prices.den
-        tight = set(self._edge_indices)
-        kept = sorted(g.original_pair(e) for e in tight)
+        kept = sorted(g.original_pair(e) for e in self._edge_set)
         dropped = []
-        for e, (u, v, w) in enumerate(g.edges):
-            if e in tight:
+        for e, num in enumerate(edge_slacks(g, self._prices)):
+            if e in self._edge_set:
                 continue
-            slack = Fraction(w * den - left[u] - right[v], den)
+            slack = Fraction(num, den)
             i, j = g.original_pair(e)
-            entry = int(slack) if slack.denominator == 1 else f"{slack.numerator}/{slack.denominator}"
+            entry = slack.numerator if slack.denominator == 1 else str(slack)
             dropped.append([i, j, entry])
         dropped.sort(key=lambda item: (item[0], item[1]))
         return {"edges": [[i, j] for i, j in kept], "dropped": dropped}
 
 
 def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> TightSubgraph:
-    """Collect the tight edges in a single pass over the edge list.
+    """Collect the tight edges in a single pass over the edge slacks.
 
     Raises InfeasibleDual if any edge's price sum exceeds its weight:
     with an infeasible system, "tight" would not mean anything.
     """
-    _require_shape(graph, prices)
-    left = prices.left_num
-    right = prices.right_num
-    den = prices.den
-    tight = []
-    bad: list[int] = []
-    if den == 1:
-        for e, (u, v, w) in enumerate(graph.edges):
-            num = left[u] + right[v]
-            if num == w:
-                tight.append(e)
-            elif num > w:
-                bad.append(e)
-    else:
-        for e, (u, v, w) in enumerate(graph.edges):
-            num = left[u] + right[v]
-            target = w * den
-            if num == target:
-                tight.append(e)
-            elif num > target:
-                bad.append(e)
+    slacks = edge_slacks(graph, prices)
+    bad = [e for e, slack in enumerate(slacks) if slack < 0]
     if bad:
         u, v = graph.endpoints(bad[0])
         raise InfeasibleDual(
             f"{len(bad)} edge(s) violate dual feasibility, first at (u{u}, v{v})")
-    return TightSubgraph(graph, prices, tuple(tight))
+    return TightSubgraph(graph, prices,
+                         tuple([e for e, slack in enumerate(slacks) if slack == 0]))
 
 
 def brute_force_min_weight_pms(graph: WeightedBipartiteGraph) -> list[Matching]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .allowed import EdgeSet, optimal_edges
 from .errors import CoverageRequired
-from .graph import MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph
+from .graph import Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
 from .solvers import solve_exact
 
@@ -66,12 +66,34 @@ class TransformedInstance:
         return kept
 
 
+def _mirrored(graph: WeightedBipartiteGraph,
+              link_w: int) -> tuple[list[tuple[int, int, int]], list[EdgeOrigin]]:
+    """The edges shared by both doublings: the original edges, their
+    mirror copies, and a left link of weight link_w from each left vertex
+    to its copy.
+
+    Left side: original left vertices, then mirrored right copies.
+    Right side: original right vertices, then mirrored left copies.
+    """
+    n, s = graph.n_left, graph.n_right
+    edges = list(graph.edges)
+    origin = [EdgeOrigin("original", p) for p in range(graph.edge_count)]
+    for p, (u, v, w) in enumerate(graph.edges):
+        edges.append((n + v, s + u, w))
+        origin.append(EdgeOrigin("flipped", p))
+    for u in range(n):
+        edges.append((u, s + u, link_w))
+        origin.append(EdgeOrigin("link_left"))
+    return edges, origin
+
+
 def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
     """Mirror the graph and link each vertex to its copy with weight 2*s*W.
 
     The transformed graph is balanced with sides n+s and always has a
     perfect matching (the link edges alone form one), so it works even
-    when the input has no matching covering the right side.
+    when the input has no matching covering the right side. The link
+    weight may exceed MAX_ABS_WEIGHT; the solvers work in Python ints.
 
     When every weight is zero the link weight is clamped to 2*s*1: with
     zero-cost links the reduction loses its cardinality pressure (skipping
@@ -79,28 +101,11 @@ def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
     """
     n, s = graph.n_left, graph.n_right
     link_w = 2 * s * max(graph.max_abs_weight, 1)
-    if link_w > MAX_ABS_WEIGHT:
-        raise ValueError(
-            f"link weight 2*s*W = {link_w} exceeds the weight bound {MAX_ABS_WEIGHT}")
-
-    # Left side: original left vertices, then mirrored right copies.
-    # Right side: original right vertices, then mirrored left copies.
-    edges: list[tuple[int, int, int]] = []
-    origin: list[EdgeOrigin] = []
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((u, v, w))
-        origin.append(EdgeOrigin("original", p))
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((n + v, s + u, w))
-        origin.append(EdgeOrigin("flipped", p))
-    for u in range(n):
-        edges.append((u, s + u, link_w))
-        origin.append(EdgeOrigin("link_left"))
+    edges, origin = _mirrored(graph, link_w)
     for v in range(s):
         edges.append((n + v, v, link_w))
         origin.append(EdgeOrigin("link_right"))
-
-    doubled = WeightedBipartiteGraph(n + s, n + s, edges)
+    doubled = WeightedBipartiteGraph._trusted(n + s, n + s, edges)
     return TransformedInstance(FULL_DOUBLING, graph, doubled, tuple(origin))
 
 
@@ -110,38 +115,25 @@ def second_doubling(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedIns
     The transformed graph has a perfect matching exactly when the input
     has a matching covering its right side.
     """
+    _check_weight(k)
     n, s = graph.n_left, graph.n_right
-    edges: list[tuple[int, int, int]] = []
-    origin: list[EdgeOrigin] = []
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((u, v, w))
-        origin.append(EdgeOrigin("original", p))
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((n + v, s + u, w))
-        origin.append(EdgeOrigin("flipped", p))
-    for u in range(n):
-        edges.append((u, s + u, k))
-        origin.append(EdgeOrigin("link_left"))
-
-    halved = WeightedBipartiteGraph(n + s, n + s, edges)
+    edges, origin = _mirrored(graph, k)
+    halved = WeightedBipartiteGraph._trusted(n + s, n + s, edges)
     return TransformedInstance(HALF_DOUBLING, graph, halved, tuple(origin), k)
 
 
 def artificial_vertices(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedInstance:
     """Balance the graph by padding the right side with n-s artificial
     vertices joined to every left vertex at weight k."""
+    _check_weight(k)
     n, s = graph.n_left, graph.n_right
-    edges: list[tuple[int, int, int]] = []
-    origin: list[EdgeOrigin] = []
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((u, v, w))
-        origin.append(EdgeOrigin("original", p))
+    edges = list(graph.edges)
+    origin = [EdgeOrigin("original", p) for p in range(graph.edge_count)]
     for u in range(n):
         for v in range(s, n):
             edges.append((u, v, k))
             origin.append(EdgeOrigin("dummy"))
-
-    padded = WeightedBipartiteGraph(n, n, edges)
+    padded = WeightedBipartiteGraph._trusted(n, n, edges)
     return TransformedInstance(PADDING, graph, padded, tuple(origin), k)
 
 

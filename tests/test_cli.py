@@ -164,6 +164,21 @@ class TestPreallocate:
         code, _, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs))
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["f 0 1", "f 3 1", "f 1 0", "f 1 3", "f -1 2"])
+    def test_out_of_range_label_exit_2(self, capsys, tmp_path, line):
+        # Label 0 must not wrap around to the last vertex, nor may a label
+        # past the side size crash the run.
+        instance = tmp_path / "sym.bip"
+        instance.write_text(
+            "p bip 2 2 4\ne 1 1 5\ne 1 2 5\ne 2 1 5\ne 2 2 5\n")
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text(line + "\n")
+        code, out, err = run(capsys, "preallocate", str(instance),
+                             "--prefs", str(prefs))
+        assert code == 2
+        assert out == ""
+        assert "unknown edge" in err
+
 
 class TestOptimum:
     @pytest.mark.parametrize("transform", ["doubling", "half-doubling",
@@ -236,6 +251,37 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "denominator" in err
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 2], [1, 1], [2, 3]],   # label 0 must not wrap to the last left vertex
+        [[1, 1], [2, 2], [4, 3]],
+        [[1, 1], [2, 2], [3, 0]],
+    ])
+    def test_out_of_range_label_exit_2(self, capsys, fig1_path, tmp_path, edges):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"edges": edges}))
+        prices = tmp_path / "p.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, out, err = run(capsys, "check", fig1_path,
+                             "--matching", str(matching), "--prices", str(prices))
+        assert code == 2
+        assert out == ""
+        assert "unknown edge" in err
+
+    @pytest.mark.parametrize("edges", [
+        [[True, 1], [2, 2], [3, 3]],   # JSON true is not the label 1
+        [[1, 1], [2, 2], [3.0, 3]],
+    ])
+    def test_non_integer_label_exit_2(self, capsys, fig1_path, tmp_path, edges):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"edges": edges}))
+        prices = tmp_path / "p.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, out, err = run(capsys, "check", fig1_path,
+                             "--matching", str(matching), "--prices", str(prices))
+        assert code == 2
+        assert out == ""
+        assert "bad matching edge entry" in err
 
     def test_missing_prices_exit_2(self, capsys, fig1_path, tmp_path):
         matching = tmp_path / "m.json"

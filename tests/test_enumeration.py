@@ -1,14 +1,13 @@
 """Exhaustive, duplicate-free streaming of (optimal) perfect matchings."""
 
 import random
+from itertools import islice
 
 import pytest
 
-from bipmatch import (DualPrices, EnumerationSink, Infeasible, InfeasibleDual,
-                      WeightedBipartiteGraph, brute_force_min_weight_pms,
-                      enumerate_min_weight_pms, enumerate_perfect_matchings,
-                      iter_min_weight_perfect_matchings, iter_perfect_matchings,
-                      solve_exact)
+from bipmatch import (DualPrices, Infeasible, InfeasibleDual, WeightedBipartiteGraph,
+                      brute_force_min_weight_pms, iter_min_weight_perfect_matchings,
+                      iter_perfect_matchings, solve_exact)
 
 from conftest import M_OTHER, M_STAR, make_feasible_square
 
@@ -31,7 +30,7 @@ class TestPerfectMatchings:
     def test_infeasible_yields_nothing(self):
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 1)])
         assert list(iter_perfect_matchings(g)) == []
-        assert enumerate_perfect_matchings(g, EnumerationSink()) == 0
+        assert list(islice(iter_perfect_matchings(g), 5)) == []
 
     def test_unbalanced_yields_nothing(self):
         g = WeightedBipartiteGraph(2, 1, [(0, 0, 1), (1, 0, 1)])
@@ -48,21 +47,20 @@ class TestPerfectMatchings:
 
 
 class TestSink:
+    """Capping the stream with itertools.islice."""
+
     def test_counts_and_callbacks(self, fig1):
-        seen = []
-        sink = EnumerationSink(callback=seen.append)
-        assert enumerate_perfect_matchings(fig1, sink) == 2
+        seen = list(islice(iter_perfect_matchings(fig1), None))
         assert len(seen) == 2
 
     def test_limit_short_circuits(self):
         g = WeightedBipartiteGraph(4, 4, [(u, v, 1) for u in range(4) for v in range(4)])
         for limit in (0, 1, 5, 24, 99):
-            sink = EnumerationSink(limit=limit)
-            assert enumerate_perfect_matchings(g, sink) == min(limit, 24)
+            assert len(list(islice(iter_perfect_matchings(g), limit))) == min(limit, 24)
 
-    def test_negative_limit_rejected(self):
+    def test_negative_limit_rejected(self, fig1):
         with pytest.raises(ValueError):
-            EnumerationSink(limit=-1)
+            islice(iter_perfect_matchings(fig1), -1)
 
 
 class TestMinWeight:
@@ -113,5 +111,5 @@ class TestMinWeight:
             assert len(weights) == 1
 
     def test_sink_api_with_limit(self, fig1, fig1_p1):
-        sink = EnumerationSink(limit=10)
-        assert enumerate_min_weight_pms(fig1, fig1_p1, sink) == 1
+        found = islice(iter_min_weight_perfect_matchings(fig1, fig1_p1), 10)
+        assert len(list(found)) == 1

@@ -45,6 +45,17 @@ class TestBuildGcs:
         assert blob["edges"] == [[1, 1], [2, 2], [3, 2], [3, 3]]
         assert blob["dropped"] == [[1, 2, 2], [2, 3, 2]]
 
+    def test_json_fractional_slacks(self):
+        # Prices in halves: slacks print as reduced fractions, and as plain
+        # integers where the fraction reduces to one. Sides swapped, so the
+        # labels come back in the input orientation.
+        g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
+                                          (1, 2, 5)])
+        prices = DualPrices([1, 1, 1], [1, 0], den=2)
+        blob = build_gcs(g, prices).to_json()
+        assert blob["edges"] == [[1, 1]]
+        assert blob["dropped"] == [[1, 2, 2], [2, 1, "3/2"], [2, 2, "1/2"], [2, 3, "9/2"]]
+
 
 class TestBruteForce:
     def test_fig1_unique_optimum(self, fig1):

@@ -49,10 +49,18 @@ class TestFirstDoubling:
             t = first_doubling(g)
             assert max_cardinality_matching(t.graph).is_perfect
 
-    def test_link_weight_overflow(self):
-        g = WeightedBipartiteGraph(1, 1, [(0, 0, 2**40)])
-        with pytest.raises(ValueError, match="exceeds"):
-            first_doubling(g)
+    def test_link_weight_beyond_input_bound_solves(self):
+        # Link weights 2*s*W may exceed MAX_ABS_WEIGHT; the doubled graph is
+        # still solved exactly and agrees with padding.
+        g = WeightedBipartiteGraph(3, 2, [(0, 0, 2**40), (1, 0, -2**40),
+                                          (1, 1, 2**40), (2, 1, 7)])
+        t = first_doubling(g)
+        assert t.graph.max_abs_weight == 2 * 2 * 2**40
+        doubled = optimum_matching(g, FULL_DOUBLING)
+        padded = optimum_matching(g, PADDING)
+        assert doubled.cardinality == padded.cardinality == 2
+        assert doubled.weight() == padded.weight() == 7 - 2**40
+        assert doubled.weight() == brute_force_optimum(g)[1]
 
     def test_mirror_weights(self, fig1):
         t = first_doubling(fig1)
