@@ -23,7 +23,7 @@ from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
 from .tight import ORACLE_MAX_SIDE, TightSubgraph, brute_force_min_weight_pms, build_gcs
 from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
-                         EdgeOrigin, TransformedInstance, artificial_vertices,
+                         TransformedInstance, artificial_vertices,
                          choose_strategy, first_doubling, optimal_edges_general,
                          optimum_matching, restrict_back, second_doubling)
 
@@ -33,7 +33,6 @@ __all__ = [
     "AUTO",
     "CoverageRequired",
     "DualPrices",
-    "EdgeOrigin",
     "EdgeSet",
     "Error",
     "FULL_DOUBLING",

@@ -2,7 +2,7 @@
 
 One verb per pipeline, JSON on stdout by default (deterministic: sorted
 keys, one object per line), diagnostics on stderr. Exit codes: 0 success,
-1 infeasible instance (or failed check), 2 bad input.
+1 infeasible instance (or failed check), 2 bad input, 3 internal error.
 
     bipmatch solve instance.bip [--solver exact|auction|rounding]
     bipmatch duals instance.bip [--solver ...]
@@ -25,7 +25,8 @@ from . import transforms
 from .allowed import optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings
 from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
-from .graph import Matching, WeightedBipartiteGraph, matching_from_json, parse_instance
+from .graph import (MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph, matching_from_json,
+                    parse_instance)
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, check_complementary_slackness, check_dual_feasible,
                      dual_objective, prices_from_json, prices_to_json)
@@ -35,6 +36,7 @@ from .tight import build_gcs
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 _SOLVERS = {
     "exact": solve_exact,
@@ -85,7 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}")
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read(path))
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer over the digit limit, or too deep nesting.
+        raise ParseError(f"{what} file is not valid JSON: {exc}")
 
 
 def _load_instance(path: str) -> WeightedBipartiteGraph:
@@ -93,11 +106,7 @@ def _load_instance(path: str) -> WeightedBipartiteGraph:
 
 
 def _load_prices(graph: WeightedBipartiteGraph, path: str) -> DualPrices:
-    try:
-        data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"price file is not valid JSON: {exc}")
-    return prices_from_json(graph, data)
+    return prices_from_json(graph, _read_json(path, "price"))
 
 
 def _obtain_prices(graph: WeightedBipartiteGraph, path: str | None) -> DualPrices:
@@ -184,6 +193,8 @@ def _cmd_preallocate(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
+    if abs(args.k) > MAX_ABS_WEIGHT:
+        raise ParseError(f"--k {args.k} exceeds the weight bound {MAX_ABS_WEIGHT}")
     graph = _load_instance(args.instance)
     matching = transforms.optimum_matching(graph, args.transform, args.k)
     _emit(matching.to_json(), args.format, _matching_text(matching))
@@ -192,10 +203,7 @@ def _cmd_optimum(args) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_instance(args.instance)
-    try:
-        data = json.loads(_read(args.matching))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"matching file is not valid JSON: {exc}")
+    data = _read_json(args.matching, "matching")
     if isinstance(data, dict) and "matching" in data:
         matching_data = data["matching"]
         prices_data = data.get("prices")
@@ -256,9 +264,14 @@ def main(argv: list[str] | None = None) -> int:
     except (Infeasible, NotSquare, CoverageRequired) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (Error, OSError, ValueError, TypeError) as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        import traceback  # only on this path: it costs memory at every start
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -311,20 +311,22 @@ def matching_weight(graph: WeightedBipartiteGraph, matching: Matching) -> int:
 
 def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
     """Rebuild a matching from its JSON form (1-based original labels)."""
-    try:
-        pairs = data["edges"]
-    except (TypeError, KeyError):
+    pairs = data.get("edges") if isinstance(data, dict) else None
+    if not isinstance(pairs, (list, tuple)):
         raise ParseError("matching JSON must contain an 'edges' list")
-    indices = []
+    at_left: dict[int, int] = {}  # label -> the one edge naming it
+    at_right: dict[int, int] = {}
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(label) is int for label in pair)):
             raise ParseError(f"bad matching edge entry {pair!r}")
-        e = graph.original_edge_index(*pair)
+        i, j = pair
+        e = graph.original_edge_index(i, j)
         if e is None:
-            raise ParseError(f"matching references unknown edge ({pair[0]}, {pair[1]})")
-        indices.append(e)
-    return Matching(graph, indices)
+            raise ParseError(f"matching references unknown edge ({i}, {j})")
+        if at_left.setdefault(i, e) != e or at_right.setdefault(j, e) != e:
+            raise ParseError(f"matching edge ({i}, {j}) shares a vertex with another edge")
+    return Matching(graph, at_left.values())
 
 
 # -- instance file format ----------------------------------------------------

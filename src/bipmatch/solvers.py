@@ -13,9 +13,9 @@ Two independent routes to an optimal primal-dual pair:
   the price-rounding step, which restores an exact optimality certificate
   without touching the matching.
 
-Feasibility is established up front with a maximum-cardinality matching,
-so an infeasible instance fails fast with an explicit uncovered vertex
-instead of a diverging price war.
+``solve_exact`` is its own feasibility check: a search that empties its
+heap proves there is no perfect matching. ``solve_auction`` checks up
+front, since on an infeasible instance its prices would rise forever.
 
 Cost of the exact solver: each of the n searches costs time proportional
 to what it touched -- the vertices it reached, the edges it scanned and
@@ -65,10 +65,14 @@ class SolveResult:
         }
 
 
-def _require_square_feasible(graph: WeightedBipartiteGraph) -> None:
+def _require_square(graph: WeightedBipartiteGraph) -> None:
     if graph.n_left != graph.n_right:
         n, s = graph.original_sizes()
         raise NotSquare(f"perfect matching needs equal sides, got {n} and {s}")
+
+
+def _require_feasible(graph: WeightedBipartiteGraph) -> None:
+    """Raise Infeasible, naming uncovered vertices, if no perfect matching exists."""
     mcm = max_cardinality_matching(graph)
     if mcm.cardinality < graph.n_left:
         free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)
@@ -99,7 +103,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     Raises NotSquare for unequal sides and Infeasible when no perfect
     matching exists.
     """
-    _require_square_feasible(graph)
+    _require_square(graph)
     n = graph.n_left
     stats = SolveStats(phases=0, iterations=0)
     if n == 0:
@@ -115,8 +119,9 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # search reads the bases alone, and a pass that shifts every vertex by
     # the target distance only has to adjust the bases of the vertices its
     # search reached at a smaller distance.
-    # Initial feasible potentials: row minimums absorb negative weights.
-    left_base = [min(wt[e] for e in left_edges(u)) for u in range(n)]
+    # Initial feasible potentials: row minimums absorb negative weights. A
+    # left vertex without edges gets 0; its own search proves infeasibility.
+    left_base = [min((wt[e] for e in left_edges(u)), default=0) for u in range(n)]
     right_base = [0] * n
     offset = 0
     mate_left: list[int | None] = [None] * n
@@ -181,6 +186,8 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                 dist_left[u] = d
                 heappush(heap, (d, 0, u, u))
         else:
+            # No augmenting path from this source: no perfect matching.
+            _require_feasible(graph)
             raise AssertionError("augmenting path search exhausted a feasible graph")
 
         # Shift potentials so all residual costs stay non-negative and the
@@ -236,7 +243,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
     Larger eps_final values are accepted (the matching may then be
     suboptimal by up to n*eps_final); floats are rejected.
     """
-    _require_square_feasible(graph)
+    _require_square(graph)
+    _require_feasible(graph)
     n = graph.n_left
     stats = SolveStats()
     if n == 0:

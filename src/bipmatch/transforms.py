@@ -13,6 +13,10 @@ original graph:
 * padding: add artificial right vertices joined to every left vertex at
   constant cost k. Also needs a matching covering the right side, and
   stays small when the imbalance is small.
+
+Every derived graph lists the parent's m edges first, in parent order:
+derived edge e < m is parent edge e, and the later ones (mirror copies,
+links, padding) have no parent counterpart. Nothing else records origin.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .allowed import EdgeSet, optimal_edges
 from .errors import CoverageRequired
 from .graph import Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
-from .solvers import solve_exact
+from .solvers import SolveResult, solve_exact
 
 FULL_DOUBLING = "doubling"
 HALF_DOUBLING = "half-doubling"
@@ -38,53 +42,35 @@ SMALL_IMBALANCE_RATIO = 8
 
 
 @dataclass(frozen=True)
-class EdgeOrigin:
-    """Where a transformed edge came from: kind is one of "original",
-    "flipped", "link_left", "link_right", "dummy"; parent is the parent
-    edge index for original/flipped edges, None otherwise."""
-
-    kind: str
-    parent: int | None = None
-
-
-@dataclass(frozen=True)
 class TransformedInstance:
-    kind: str
+    """A balanced graph derived from ``parent``.
+
+    Derived edges 0..m-1 are the parent's m edges, in parent order, with
+    the same endpoints and weights; every later edge is new.
+    """
+
     parent: WeightedBipartiteGraph
     graph: WeightedBipartiteGraph
-    origin: tuple[EdgeOrigin, ...]
-    k: int | None = None
 
     def original_edge_indices(self, edges) -> list[int]:
-        """Map transformed edge indices back to parent indices, dropping
-        everything that is not an original edge."""
-        kept = []
-        for e in edges:
-            tag = self.origin[e]
-            if tag.kind == "original":
-                kept.append(tag.parent)
-        return kept
+        """The parent edges among the given derived edge indices."""
+        m = self.parent.edge_count
+        return [e for e in edges if e < m]
 
 
-def _mirrored(graph: WeightedBipartiteGraph,
-              link_w: int) -> tuple[list[tuple[int, int, int]], list[EdgeOrigin]]:
-    """The edges shared by both doublings: the original edges, their
-    mirror copies, and a left link of weight link_w from each left vertex
-    to its copy.
+def _mirrored(graph: WeightedBipartiteGraph, link_w: int) -> list[tuple[int, int, int]]:
+    """The edges shared by both doublings: the original edges (0..m-1),
+    their mirror copies (m..2m-1, mirror e weighing what edge e-m weighs),
+    and a left link of weight link_w from each left vertex to its copy.
 
     Left side: original left vertices, then mirrored right copies.
     Right side: original right vertices, then mirrored left copies.
     """
     n, s = graph.n_left, graph.n_right
     edges = list(graph.edges)
-    origin = [EdgeOrigin("original", p) for p in range(graph.edge_count)]
-    for p, (u, v, w) in enumerate(graph.edges):
-        edges.append((n + v, s + u, w))
-        origin.append(EdgeOrigin("flipped", p))
-    for u in range(n):
-        edges.append((u, s + u, link_w))
-        origin.append(EdgeOrigin("link_left"))
-    return edges, origin
+    edges.extend((n + v, s + u, w) for u, v, w in graph.edges)
+    edges.extend((u, s + u, link_w) for u in range(n))
+    return edges
 
 
 def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
@@ -101,12 +87,10 @@ def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
     """
     n, s = graph.n_left, graph.n_right
     link_w = 2 * s * max(graph.max_abs_weight, 1)
-    edges, origin = _mirrored(graph, link_w)
-    for v in range(s):
-        edges.append((n + v, v, link_w))
-        origin.append(EdgeOrigin("link_right"))
+    edges = _mirrored(graph, link_w)
+    edges.extend((n + v, v, link_w) for v in range(s))
     doubled = WeightedBipartiteGraph._trusted(n + s, n + s, edges)
-    return TransformedInstance(FULL_DOUBLING, graph, doubled, tuple(origin))
+    return TransformedInstance(graph, doubled)
 
 
 def second_doubling(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedInstance:
@@ -117,9 +101,8 @@ def second_doubling(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedIns
     """
     _check_weight(k)
     n, s = graph.n_left, graph.n_right
-    edges, origin = _mirrored(graph, k)
-    halved = WeightedBipartiteGraph._trusted(n + s, n + s, edges)
-    return TransformedInstance(HALF_DOUBLING, graph, halved, tuple(origin), k)
+    halved = WeightedBipartiteGraph._trusted(n + s, n + s, _mirrored(graph, k))
+    return TransformedInstance(graph, halved)
 
 
 def artificial_vertices(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedInstance:
@@ -128,17 +111,13 @@ def artificial_vertices(graph: WeightedBipartiteGraph, k: int = 0) -> Transforme
     _check_weight(k)
     n, s = graph.n_left, graph.n_right
     edges = list(graph.edges)
-    origin = [EdgeOrigin("original", p) for p in range(graph.edge_count)]
-    for u in range(n):
-        for v in range(s, n):
-            edges.append((u, v, k))
-            origin.append(EdgeOrigin("dummy"))
+    edges.extend((u, v, k) for u in range(n) for v in range(s, n))
     padded = WeightedBipartiteGraph._trusted(n, n, edges)
-    return TransformedInstance(PADDING, graph, padded, tuple(origin), k)
+    return TransformedInstance(graph, padded)
 
 
 def restrict_back(transformed: TransformedInstance, matching: Matching) -> Matching:
-    """Keep exactly the original-tagged edges of a perfect matching of the
+    """Keep exactly the parent edges of a perfect matching of the
     transformed graph, as a matching of the parent."""
     if matching.graph is not transformed.graph:
         raise ValueError("matching does not belong to the transformed graph")
@@ -146,17 +125,6 @@ def restrict_back(transformed: TransformedInstance, matching: Matching) -> Match
         raise ValueError("restriction needs a perfect matching of the transformed graph")
     return Matching(transformed.parent,
                     transformed.original_edge_indices(matching.edge_indices))
-
-
-def _transform(graph: WeightedBipartiteGraph, strategy: str, k: int) -> TransformedInstance:
-    if strategy == FULL_DOUBLING:
-        return first_doubling(graph)
-    if strategy == HALF_DOUBLING:
-        return second_doubling(graph, k)
-    if strategy == PADDING:
-        return artificial_vertices(graph, k)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of "
-                     f"{STRATEGIES + (AUTO,)}")
 
 
 def _covers_right_side(graph: WeightedBipartiteGraph) -> bool:
@@ -174,17 +142,28 @@ def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     return HALF_DOUBLING
 
 
-def _checked_strategy(graph: WeightedBipartiteGraph, strategy: str) -> str:
-    """Resolve AUTO and check that the strategy applies to the graph, with
-    at most one maximum-cardinality matching run."""
+def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
+                       k: int) -> tuple[TransformedInstance, SolveResult]:
+    """Resolve AUTO, check that the strategy applies to the graph with at
+    most one maximum-cardinality matching run, transform, and solve the
+    balanced instance exactly."""
     if strategy == AUTO:
         # Picks a strategy that needs coverage only when coverage holds.
-        return choose_strategy(graph)
-    if strategy != FULL_DOUBLING and not _covers_right_side(graph):
+        strategy = choose_strategy(graph)
+    elif strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
+                         f"{STRATEGIES + (AUTO,)}")
+    elif strategy != FULL_DOUBLING and not _covers_right_side(graph):
         raise CoverageRequired(
             f"strategy {strategy!r} needs a matching covering the right side; "
             f"use {FULL_DOUBLING!r} for this instance")
-    return strategy
+    if strategy == FULL_DOUBLING:
+        transformed = first_doubling(graph)
+    elif strategy == HALF_DOUBLING:
+        transformed = second_doubling(graph, k)
+    else:
+        transformed = artificial_vertices(graph, k)
+    return transformed, solve_exact(transformed.graph)
 
 
 def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
@@ -196,8 +175,7 @@ def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
     the right side (CoverageRequired otherwise); full doubling works on
     any graph.
     """
-    transformed = _transform(graph, _checked_strategy(graph, strategy), k)
-    result = solve_exact(transformed.graph)
+    transformed, result = _solve_transformed(graph, strategy, k)
     return restrict_back(transformed, result.matching)
 
 
@@ -205,7 +183,6 @@ def optimal_edges_general(graph: WeightedBipartiteGraph, strategy: str = AUTO,
                           k: int = 0) -> EdgeSet:
     """All edges occurring in some optimum matching: the optimal edges of
     the transformed instance, intersected with the original edges."""
-    transformed = _transform(graph, _checked_strategy(graph, strategy), k)
-    result = solve_exact(transformed.graph)
+    transformed, result = _solve_transformed(graph, strategy, k)
     lifted = optimal_edges(transformed.graph, result.prices)
     return EdgeSet(graph, transformed.original_edge_indices(lifted.indices))

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from bipmatch import DualPrices, Matching, WeightedBipartiteGraph
+import bipmatch.solvers
+import bipmatch.transforms
+from bipmatch import DualPrices, Matching, WeightedBipartiteGraph, max_cardinality_matching
 
 # Canonical 3x3 fixture used throughout: two optimal price systems with
 # different tight subgraphs but the same (unique) optimal matching.
@@ -38,6 +40,21 @@ def fig1_p1():
 @pytest.fixture
 def fig1_p2():
     return DualPrices([0, 0, 1], [1, 1, 0])
+
+
+@pytest.fixture
+def hk_calls(monkeypatch):
+    """Hopcroft-Karp runs made by the solvers and transforms while the test
+    runs, one list entry per run."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return max_cardinality_matching(*args, **kwargs)
+
+    for module in (bipmatch.transforms, bipmatch.solvers):
+        monkeypatch.setattr(module, "max_cardinality_matching", counting)
+    return calls
 
 
 def make_feasible_square(rng: random.Random, n_max: int = 7,

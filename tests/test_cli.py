@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import bipmatch.cli
 from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
@@ -289,3 +290,88 @@ class TestCheck:
             {"cardinality": 3, "weight": 3, "edges": [[1, 1], [2, 2], [3, 3]]}))
         code, _, _ = run(capsys, "check", fig1_path, "--matching", str(matching))
         assert code == 2
+
+
+class TestExitCodes:
+    """Exit 2 is for bad input only; any other failure is an internal error."""
+
+    SOLVED = {"cardinality": 3, "weight": 3, "edges": [[1, 1], [2, 2], [3, 3]]}
+
+    def _check(self, capsys, fig1_path, tmp_path, matching, prices_text=None):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(matching))
+        p = tmp_path / "p.json"
+        p.write_text(prices_text or json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        return run(capsys, "check", fig1_path, "--matching", str(m), "--prices", str(p))
+
+    @pytest.mark.parametrize("argv", [
+        ["preallocate", "BAD", "--prefs", "PREFS"],
+        ["preallocate", "FIG1", "--prefs", "BAD"],
+        ["check", "FIG1", "--matching", "BAD", "--prices", "PRICES"],
+        ["check", "FIG1", "--matching", "MATCHING", "--prices", "BAD"],
+    ])
+    def test_undecodable_file_exit_2(self, capsys, fig1_path, tmp_path, argv):
+        files = {"BAD": b"p bip 1 1 1\ne 1 1 \xff\n", "PREFS": b"f 1 1\n",
+                 "MATCHING": json.dumps(self.SOLVED).encode(),
+                 "PRICES": b'{"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}'}
+        paths = {"FIG1": fig1_path}
+        for name, content in files.items():
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(content)
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert "not UTF-8" in err
+
+    def test_k_beyond_weight_bound_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.bip"
+        path.write_text(WIDE_TEXT)
+        code, out, err = run(capsys, "optimum", str(path), "--transform", "artificial",
+                             "--k", str(2**40 + 1))
+        assert code == 2
+        assert out == ""
+        assert "--k" in err
+
+    def test_edges_not_a_list_exit_2(self, capsys, fig1_path, tmp_path):
+        code, out, err = self._check(capsys, fig1_path, tmp_path, {"edges": 7})
+        assert code == 2
+        assert out == ""
+        assert "'edges' list" in err
+
+    @pytest.mark.parametrize("edges, clash", [
+        ([[1, 1], [1, 2], [2, 2]], "(1, 2)"),   # left vertex 1 twice
+        ([[1, 1], [2, 2], [3, 2]], "(3, 2)"),   # right vertex 2 twice
+    ])
+    def test_vertex_named_twice_exit_2(self, capsys, fig1_path, tmp_path, edges, clash):
+        code, out, err = self._check(capsys, fig1_path, tmp_path, {"edges": edges})
+        assert code == 2
+        assert out == ""
+        assert f"{clash} shares a vertex" in err
+
+    def test_same_edge_listed_twice_is_one_edge(self, capsys, fig1_path, tmp_path):
+        code, out, _ = self._check(capsys, fig1_path, tmp_path,
+                                   {"edges": [[1, 1], [2, 2], [3, 3], [2, 2]]})
+        assert code == 0
+        assert json.loads(out)["valid"] is True
+
+    @pytest.mark.parametrize("prices_text", [
+        # Python refuses integers over 4300 digits with a plain ValueError.
+        '{"den": 1, "pi": [-2, 0, 1], "p": [3, 1, ' + "9" * 5000 + "]}",
+        # Deep nesting exhausts the decoder's recursion limit.
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_undecodable_json_exit_2(self, capsys, fig1_path, tmp_path, prices_text):
+        code, out, err = self._check(capsys, fig1_path, tmp_path, self.SOLVED, prices_text)
+        assert code == 2
+        assert out == ""
+        assert "not valid JSON" in err
+
+    def test_library_value_error_exit_3(self, capsys, monkeypatch, fig1_path):
+        def broken(graph):
+            raise ValueError("simulated library bug")
+
+        monkeypatch.setitem(bipmatch.cli._SOLVERS, "exact", broken)
+        code, out, err = run(capsys, "solve", fig1_path)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and "simulated library bug" in err

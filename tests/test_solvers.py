@@ -8,7 +8,8 @@ import pytest
 from bipmatch import (Infeasible, NotSquare, WeightedBipartiteGraph,
                       brute_force_min_weight_pms, check_complementary_slackness,
                       check_eps_optimal, dual_objective, matching_weight,
-                      solve_auction, solve_exact, solve_via_rounding)
+                      max_cardinality_matching, solve_auction, solve_exact,
+                      solve_via_rounding)
 
 from conftest import FIG1_EDGES, M_STAR, make_feasible_square
 
@@ -32,6 +33,45 @@ class TestSolveExact:
         g = WeightedBipartiteGraph(3, 3, edges)
         with pytest.raises(Infeasible, match="v0"):
             solve_exact(g)
+
+    @pytest.mark.parametrize("n, edges, uncovered", [
+        # u2 has no edges, so its row has no minimum to start from.
+        (3, [(0, 0, 1), (0, 1, 2), (1, 1, 3), (1, 2, -4)], "2 of 3; vertices u2 and v2"),
+        # v2 has no edges.
+        (3, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, -4), (2, 1, 5)],
+         "2 of 3; vertices u2 and v2"),
+        # u0 and u1 see only v0, though no vertex is isolated.
+        (3, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (2, 1, 4), (2, 2, 5)],
+         "2 of 3; vertices u1 and v2"),
+        (1, [], "0 of 1; vertices u0 and v0"),
+    ])
+    def test_infeasible_names_uncovered_vertices(self, hk_calls, n, edges, uncovered):
+        g = WeightedBipartiteGraph(n, n, edges)
+        with pytest.raises(Infeasible, match=f"maximum cardinality is {uncovered} stay"):
+            solve_exact(g)
+        assert len(hk_calls) == 1  # only once a search has failed
+
+    def test_infeasible_messages_match_auction(self):
+        rng = random.Random(4242)
+        infeasible = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            cells = [(u, v) for u in range(n) for v in range(n)]
+            chosen = rng.sample(cells, rng.randint(0, len(cells) // 2))
+            g = WeightedBipartiteGraph(n, n, [(u, v, rng.randint(-9, 9)) for u, v in chosen])
+            if max_cardinality_matching(g).is_perfect:
+                continue
+            infeasible += 1
+            with pytest.raises(Infeasible) as exact:
+                solve_exact(g)
+            with pytest.raises(Infeasible) as auction:
+                solve_auction(g)
+            assert str(exact.value) == str(auction.value)
+        assert infeasible > 100
+
+    def test_feasible_runs_no_hopcroft_karp(self, hk_calls, fig1):
+        solve_exact(fig1)
+        assert hk_calls == []
 
     def test_not_square(self):
         g = WeightedBipartiteGraph(2, 1, [(0, 0, 1), (1, 0, 1)])
@@ -108,6 +148,10 @@ class TestSolveAuction:
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 1)])
         with pytest.raises(Infeasible):
             solve_auction(g)
+
+    def test_checks_feasibility_up_front(self, hk_calls, fig1):
+        solve_auction(fig1)
+        assert len(hk_calls) == 1
 
     def test_scaling_phases_recorded(self, fig1):
         r = solve_auction(fig1)

@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-import bipmatch.solvers
-import bipmatch.transforms
 from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, CoverageRequired,
                       Matching, WeightedBipartiteGraph, artificial_vertices,
                       choose_strategy, first_doubling, max_cardinality_matching,
@@ -18,21 +16,25 @@ from conftest import (brute_force_optimum, brute_force_optimum_matchings,
 WIDE = [(0, 0, 5), (1, 0, 3)]  # two left vertices, one right vertex
 
 
+def _links(t):
+    """A doubling's link edges: all derived edges after the parent edges
+    (0..m-1) and their mirrors (m..2m-1)."""
+    return range(2 * t.parent.edge_count, t.graph.edge_count)
+
+
 class TestFirstDoubling:
     def test_fig1_shape(self, fig1):
         t = first_doubling(fig1)
         assert t.graph.n_left == t.graph.n_right == 6
         assert t.graph.edge_count == 2 * 6 + 3 + 3
-        link_weights = {t.graph.weight(e) for e, tag in enumerate(t.origin)
-                        if tag.kind in ("link_left", "link_right")}
+        link_weights = {t.graph.weight(e) for e in _links(t)}
         assert link_weights == {12}  # 2 * 3 * 2
 
     def test_single_edge(self):
         g = WeightedBipartiteGraph(1, 1, [(0, 0, 4)])
         t = first_doubling(g)
         assert t.graph.edge_count == 4
-        links = [t.graph.weight(e) for e, tag in enumerate(t.origin)
-                 if tag.kind.startswith("link")]
+        links = [t.graph.weight(e) for e in _links(t)]
         assert links == [8, 8]  # 2 * 1 * 4
 
     def test_edgeless_unbalanced(self):
@@ -64,9 +66,9 @@ class TestFirstDoubling:
 
     def test_mirror_weights(self, fig1):
         t = first_doubling(fig1)
-        for e, tag in enumerate(t.origin):
-            if tag.kind == "flipped":
-                assert t.graph.weight(e) == fig1.weight(tag.parent)
+        m = fig1.edge_count
+        for e in range(m, 2 * m):
+            assert t.graph.weight(e) == fig1.weight(e - m)
 
 
 class TestSecondDoubling:
@@ -77,8 +79,7 @@ class TestSecondDoubling:
 
     def test_k_weight(self, fig1):
         t = second_doubling(fig1, 7)
-        ks = [t.graph.weight(e) for e, tag in enumerate(t.origin)
-              if tag.kind == "link_left"]
+        ks = [t.graph.weight(e) for e in _links(t)]
         assert ks == [7, 7, 7]
 
     def test_isolated_right_vertex_gives_infeasible_transform(self):
@@ -99,7 +100,7 @@ class TestArtificialVertices:
     def test_balanced_graph_unchanged(self, fig1):
         t = artificial_vertices(fig1)
         assert t.graph.edge_count == fig1.edge_count
-        assert all(tag.kind == "original" for tag in t.origin)
+        assert t.original_edge_indices(range(t.graph.edge_count)) == list(range(6))
 
     def test_wide_instance(self):
         g = WeightedBipartiteGraph(2, 1, WIDE)
@@ -112,11 +113,35 @@ class TestArtificialVertices:
         assert m.weight() == 3
 
 
+class TestLayout:
+    def test_derived_edge_layout(self):
+        # Parent edges first in parent order, then (doublings) their mirrors
+        # in the same order, then the links or the padding edges.
+        rng = random.Random(3579)
+        for _ in range(80):
+            g = make_any_graph(rng)
+            n, s, m = g.n_left, g.n_right, g.edge_count
+            link_w = 2 * s * max(g.max_abs_weight, 1)
+            mirrors = tuple((n + v, s + u, w) for u, v, w in g.edges)
+            full, half, padded = first_doubling(g), second_doubling(g, 5), \
+                artificial_vertices(g, 5)
+            for t in (full, half, padded):
+                assert t.graph.edges[:m] == g.edges
+                assert t.original_edge_indices(range(t.graph.edge_count)) == list(range(m))
+            for t in (full, half):
+                assert t.graph.edges[m:2 * m] == mirrors
+            assert full.graph.edges[2 * m:] == \
+                tuple((u, s + u, link_w) for u in range(n)) \
+                + tuple((n + v, v, link_w) for v in range(s))
+            assert half.graph.edges[2 * m:] == tuple((u, s + u, 5) for u in range(n))
+            assert padded.graph.edges[m:] == \
+                tuple((u, v, 5) for u in range(n) for v in range(s, n))
+
+
 class TestRestrictBack:
     def test_links_only_restricts_to_empty(self, fig1):
         t = first_doubling(fig1)
-        links = [e for e, tag in enumerate(t.origin) if tag.kind.startswith("link")]
-        n = Matching(t.graph, links)
+        n = Matching(t.graph, _links(t))
         assert n.is_perfect
         assert restrict_back(t, n).cardinality == 0
 
@@ -175,23 +200,16 @@ class TestOptimumMatching:
         assert optimum_matching(g, AUTO).cardinality == 1
 
     @pytest.mark.parametrize("strategy, expected", [
-        (AUTO, 2), (PADDING, 2), (HALF_DOUBLING, 2), (FULL_DOUBLING, 1)])
-    def test_one_coverage_check_per_call(self, monkeypatch, strategy, expected):
-        # One Hopcroft-Karp run decides the strategy and coverage; the
-        # exact solver's own feasibility check is the other.
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return max_cardinality_matching(*args, **kwargs)
-
-        for module in (bipmatch.transforms, bipmatch.solvers):
-            monkeypatch.setattr(module, "max_cardinality_matching", counting)
+        (AUTO, 1), (PADDING, 1), (HALF_DOUBLING, 1), (FULL_DOUBLING, 0)])
+    def test_one_coverage_check_per_call(self, hk_calls, strategy, expected):
+        # One Hopcroft-Karp run decides the strategy and coverage, and full
+        # doubling needs none; the exact solver runs none on the feasible
+        # transformed graph.
         g = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
         for run in (optimum_matching, optimal_edges_general):
-            calls.clear()
+            hk_calls.clear()
             run(g, strategy)
-            assert len(calls) == expected
+            assert len(hk_calls) == expected
 
     def test_unknown_strategy(self, fig1):
         with pytest.raises(ValueError, match="unknown strategy"):
