@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import bipmatch.enumeration
 import bipmatch.solvers
 import bipmatch.transforms
 from bipmatch import DualPrices, Matching, WeightedBipartiteGraph, max_cardinality_matching
@@ -44,15 +45,15 @@ def fig1_p2():
 
 @pytest.fixture
 def hk_calls(monkeypatch):
-    """Hopcroft-Karp runs made by the solvers and transforms while the test
-    runs, one list entry per run."""
+    """Hopcroft-Karp runs made by the solvers, the transforms and the
+    enumeration branch frames while the test runs, one list entry per run."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return max_cardinality_matching(*args, **kwargs)
 
-    for module in (bipmatch.transforms, bipmatch.solvers):
+    for module in (bipmatch.transforms, bipmatch.solvers, bipmatch.enumeration):
         monkeypatch.setattr(module, "max_cardinality_matching", counting)
     return calls
 

@@ -40,6 +40,13 @@ class TestPerfectMatchings:
         g = WeightedBipartiteGraph(0, 0, [])
         assert [m.edge_indices for m in iter_perfect_matchings(g)] == [()]
 
+    def test_one_hopcroft_karp_run_per_branch_frame(self, hk_calls):
+        # K4,4: every branch frame with vertices left to match runs
+        # Hopcroft-Karp once, 47 frames for 24 matchings.
+        g = WeightedBipartiteGraph(4, 4, [(u, v, 1) for u in range(4) for v in range(4)])
+        assert len(list(iter_perfect_matchings(g))) == 24
+        assert len(hk_calls) == 47
+
     def test_deterministic_order(self, fig1):
         runs = [[m.edge_indices for m in iter_perfect_matchings(fig1)]
                 for _ in range(3)]
