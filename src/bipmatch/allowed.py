@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import Infeasible
-from .graph import Matching, WeightedBipartiteGraph
+from .graph import WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
 from .tight import build_gcs
@@ -26,11 +26,8 @@ class EdgeSet:
 
     def __init__(self, graph: WeightedBipartiteGraph, indices: Iterable[int]):
         self._graph = graph
-        self._indices = tuple(sorted(set(indices)))
+        self._indices = graph._edge_subset(indices)
         self._index_set = frozenset(self._indices)
-        for e in self._indices:
-            if not (0 <= e < graph.edge_count):
-                raise ValueError(f"edge index {e} out of range")
 
     @property
     def graph(self) -> WeightedBipartiteGraph:
@@ -66,81 +63,96 @@ class EdgeSet:
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                matching: Matching) -> list[int]:
+                mate_left: Sequence[int | None]) -> list[int]:
     """Strongly connected components of the matching-oriented graph.
 
-    Vertex ids: left u -> u, right v -> n_left + v. Matched edges are
-    oriented right-to-left, unmatched left-to-right. Iterative Tarjan, so
-    arbitrarily deep graphs cannot overflow the call stack.
+    ``mate_left`` gives the matched edge at each left vertex (None where
+    unmatched). Vertex ids: left u -> u, right v -> n_left + v. Matched
+    edges are oriented right-to-left, unmatched left-to-right. Two vertices
+    get the same label exactly when they share a component.
+
+    A matched right vertex has one way out, to its mate, so the search runs
+    on the left vertices alone: the unmatched edge (u, v) becomes the arc
+    from u to the mate of v. A matched right vertex shares its mate's
+    component when that component holds more than one left vertex (its
+    matched edge then lies on a cycle); every other right vertex is a
+    component of its own. Iterative Tarjan, so arbitrarily deep graphs
+    cannot overflow the call stack.
     """
     n = graph.n_left
-    total = n + graph.n_right
-    succ: list[list[int]] = [[] for _ in range(total)]
+    left_of, right_of = graph._left_of, graph._right_of
+    partner = [-1] * graph.n_right  # left mate of each right vertex
+    for u, e in enumerate(mate_left):
+        if e is not None:
+            partner[right_of[e]] = u
+    succ: list[list[int]] = [[] for _ in range(n)]
     for e in edge_indices:
-        u, v = graph.endpoints(e)
-        if matching.left_edge(u) == e:
-            succ[n + v].append(u)
-        else:
-            succ[u].append(n + v)
+        u = left_of[e]
+        if mate_left[u] != e:
+            w = partner[right_of[e]]
+            if w >= 0:
+                succ[u].append(w)
 
-    index = [-1] * total
-    lowlink = [0] * total
-    on_stack = [False] * total
-    comp = [-1] * total
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    on_cycle: list[bool] = []  # per component: more than one left vertex
     stack: list[int] = []
     counter = 0
-    n_comps = 0
 
-    for root in range(total):
+    for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            children = succ[node]
-            for k in range(pos, len(children)):
-                child = children[k]
+            node, children = work[-1]
+            for child in children:
                 if index[child] == -1:
-                    work.append((node, k + 1))
-                    work.append((child, 0))
-                    advanced = True
+                    index[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack[child] = True
+                    work.append((child, iter(succ[child])))
                     break
                 if on_stack[child] and index[child] < lowlink[node]:
                     lowlink[node] = index[child]
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                while True:
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+                if lowlink[node] == index[node]:
+                    label = len(on_cycle)
                     member = stack.pop()
                     on_stack[member] = False
-                    comp[member] = n_comps
-                    if member == node:
-                        break
-                n_comps += 1
-            if work:
-                parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
+                    comp[member] = label
+                    on_cycle.append(member != node)
+                    while member != node:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        comp[member] = label
+
+    n_comps = len(on_cycle)
+    for v, u in enumerate(partner):
+        comp.append(comp[u] if u >= 0 and on_cycle[comp[u]] else n_comps + v)
     return comp
 
 
 def _allowed_subset(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                    matching: Matching, comp: list[int]) -> list[int]:
-    """Edges of the subset lying in some perfect matching, given one and
-    the component labels ``_scc_labels`` computed for it."""
+                    mate_left: Sequence[int | None], comp: list[int]) -> list[int]:
+    """Edges of the subset lying in some perfect matching, given one (as
+    the matched edge at each left vertex) and the component labels
+    ``_scc_labels`` computed for it."""
     n = graph.n_left
-    keep = []
-    for e in edge_indices:
-        u, v = graph.endpoints(e)
-        if matching.left_edge(u) == e or comp[u] == comp[n + v]:
-            keep.append(e)
-    return keep
+    left_of, right_of = graph._left_of, graph._right_of
+    return [e for e in edge_indices
+            if mate_left[left_of[e]] == e or comp[left_of[e]] == comp[n + right_of[e]]]
 
 
 def allowed_edges(graph: WeightedBipartiteGraph,
@@ -148,17 +160,18 @@ def allowed_edges(graph: WeightedBipartiteGraph,
     """All edges that belong to at least one perfect matching.
 
     Raises Infeasible when the graph (or the given edge subset) admits no
-    perfect matching.
+    perfect matching, and ValueError for an index in ``edge_indices``
+    outside the graph.
     """
-    subset = tuple(range(graph.edge_count)) if edge_indices is None \
-        else tuple(sorted(set(edge_indices)))
+    subset = graph._edge_subset(edge_indices)
     matching = max_cardinality_matching(graph, subset)
     if not (matching.cardinality == graph.n_left == graph.n_right):
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {matching.cardinality} "
             f"on sides of size {graph.n_left} and {graph.n_right}")
-    comp = _scc_labels(graph, subset, matching)
-    return EdgeSet(graph, _allowed_subset(graph, subset, matching, comp))
+    mate_left = matching._mate_left
+    comp = _scc_labels(graph, subset, mate_left)
+    return EdgeSet(graph, _allowed_subset(graph, subset, mate_left, comp))
 
 
 def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:

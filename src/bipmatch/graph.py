@@ -65,8 +65,8 @@ class WeightedBipartiteGraph:
     edges.
     """
 
-    __slots__ = ("_n_left", "_n_right", "_edges", "_adj_left", "_adj_right",
-                 "_max_abs_weight", "_sides_swapped")
+    __slots__ = ("_n_left", "_n_right", "_edges", "_left_of", "_right_of",
+                 "_adj_left", "_adj_right", "_max_abs_weight", "_sides_swapped")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
@@ -97,7 +97,12 @@ class WeightedBipartiteGraph:
 
     def _build(self, n_left: int, n_right: int,
                edges: list[tuple[int, int, int]]) -> None:
-        """Store the edges, flipping the sides when the right one is larger."""
+        """Store the edges, flipping the sides when the right one is larger.
+
+        Besides the edge triples, the left and the right endpoint of every
+        edge are kept as two flat lists indexed by edge: the matching,
+        enumeration and solver loops read these columns directly.
+        """
         swapped = n_left < n_right
         if swapped:
             n_left, n_right = n_right, n_left
@@ -114,6 +119,8 @@ class WeightedBipartiteGraph:
         self._n_left = n_left
         self._n_right = n_right
         self._edges = tuple(edges)
+        self._left_of = [u for u, _v, _w in edges]
+        self._right_of = [v for _u, v, _w in edges]
         self._adj_left = tuple(tuple(a) for a in adj_left)
         self._adj_right = tuple(tuple(a) for a in adj_right)
         self._max_abs_weight = max_w
@@ -150,8 +157,7 @@ class WeightedBipartiteGraph:
         return self._edges
 
     def endpoints(self, e: int) -> tuple[int, int]:
-        u, v, _w = self._edges[e]
-        return u, v
+        return self._left_of[e], self._right_of[e]
 
     def weight(self, e: int) -> int:
         return self._edges[e][2]
@@ -168,9 +174,21 @@ class WeightedBipartiteGraph:
         if not 0 <= u < self._n_left:
             return None
         for e in self._adj_left[u]:
-            if self._edges[e][1] == v:
+            if self._right_of[e] == v:
                 return e
         return None
+
+    def _edge_subset(self, edge_indices: Iterable[int] | None) -> tuple[int, ...]:
+        """The distinct indices of an edge subset in increasing order; all
+        edges for None. Raises ValueError for an index outside the graph,
+        so a negative index never wraps round to another edge."""
+        if edge_indices is None:
+            return tuple(range(len(self._edges)))
+        subset = tuple(sorted(set(edge_indices)))
+        if subset and (subset[0] < 0 or subset[-1] >= len(self._edges)):
+            bad = subset[0] if subset[0] < 0 else subset[-1]
+            raise ValueError(f"edge index {bad} out of range")
+        return subset
 
     # -- original orientation ----------------------------------------------
 
@@ -221,11 +239,10 @@ class Matching:
     def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
         mate_left: list[int | None] = [None] * graph.n_left
         mate_right: list[int | None] = [None] * graph.n_right
-        indices = sorted(set(edge_indices))
+        indices = graph._edge_subset(edge_indices)
+        left_of, right_of = graph._left_of, graph._right_of
         for e in indices:
-            if not (0 <= e < graph.edge_count):
-                raise ValueError(f"edge index {e} out of range")
-            u, v = graph.endpoints(e)
+            u, v = left_of[e], right_of[e]
             if mate_left[u] is not None:
                 raise ValueError(f"left vertex u{u} appears in two matched edges")
             if mate_right[v] is not None:
@@ -233,9 +250,27 @@ class Matching:
             mate_left[u] = e
             mate_right[v] = e
         self._graph = graph
-        self._edge_indices = tuple(indices)
+        self._edge_indices = indices
         self._mate_left = tuple(mate_left)
         self._mate_right = tuple(mate_right)
+
+    @classmethod
+    def _trusted(cls, graph: WeightedBipartiteGraph,
+                 mate_left: list[int | None]) -> "Matching":
+        """A matching from the matched edge at each left vertex (None where
+        unmatched), already known to be vertex-disjoint edges of ``graph``.
+        Runs no checks."""
+        right_of = graph._right_of
+        mate_right: list[int | None] = [None] * graph.n_right
+        for e in mate_left:
+            if e is not None:
+                mate_right[right_of[e]] = e
+        matching = cls.__new__(cls)
+        matching._graph = graph
+        matching._edge_indices = tuple(sorted(e for e in mate_left if e is not None))
+        matching._mate_left = tuple(mate_left)
+        matching._mate_right = tuple(mate_right)
+        return matching
 
     @property
     def graph(self) -> WeightedBipartiteGraph:

@@ -5,6 +5,12 @@ is how tight subgraphs and enumeration branches reuse it without copying
 the graph. Results are deterministic for a fixed edge order: breadth-first
 layers scan left vertices in index order and adjacency lists in input
 order.
+
+The first phase runs as one greedy pass: each left vertex, in index order,
+takes the first free right vertex in its adjacency order. This is exactly
+what the layered search does while every vertex is free (all shortest
+augmenting paths are single edges), so the result is the same matching.
+Edge endpoints are read from the graph's flat per-edge columns.
 """
 
 from __future__ import annotations
@@ -21,21 +27,33 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
                              edge_indices: Iterable[int] | None = None) -> Matching:
     """Find a maximum-cardinality matching, optionally restricted to a
     subset of edge indices. The returned matching always refers to edges of
-    the parent graph."""
+    the parent graph.
+
+    Raises ValueError for an index in ``edge_indices`` outside the graph.
+    """
+    n_left = graph.n_left
+    left_of, right_of = graph._left_of, graph._right_of
     if edge_indices is None:
         adjacency: Sequence[Sequence[int]] = graph._adj_left
     else:
-        adj: list[list[int]] = [[] for _ in range(graph.n_left)]
-        for e in sorted(set(edge_indices)):
-            u, _v = graph.endpoints(e)
-            adj[u].append(e)
+        adj: list[list[int]] = [[] for _ in range(n_left)]
+        for e in graph._edge_subset(edge_indices):
+            adj[left_of[e]].append(e)
         adjacency = adj
 
-    n_left = graph.n_left
-    endpoints = graph.endpoints
     mate_left: list[int | None] = [None] * n_left      # matched edge at u
     mate_right: list[int | None] = [None] * graph.n_right
     dist = [_INF] * n_left
+
+    # Phase one: with every vertex free, each left vertex in index order
+    # takes the first free right vertex in its adjacency order.
+    for u in range(n_left):
+        for e in adjacency[u]:
+            v = right_of[e]
+            if mate_right[v] is None:
+                mate_left[u] = e
+                mate_right[v] = e
+                break
 
     def bfs() -> int:
         # Layer the graph from free left vertices; returns the length (in
@@ -53,13 +71,12 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
             if found != _INF and dist[u] >= found:
                 continue
             for e in adjacency[u]:
-                v = endpoints(e)[1]
-                match = mate_right[v]
+                match = mate_right[right_of[e]]
                 if match is None:
                     if found == _INF:
                         found = dist[u] + 1
                 else:
-                    w = endpoints(match)[0]
+                    w = left_of[match]
                     if dist[w] == _INF:
                         dist[w] = dist[u] + 1
                         queue.append(w)
@@ -76,17 +93,16 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
             adj_u = adjacency[u]
             for pos in range(start, len(adj_u)):
                 e = adj_u[pos]
-                v = endpoints(e)[1]
-                match = mate_right[v]
+                match = mate_right[right_of[e]]
                 if match is None:
                     if dist[u] + 1 != cap:
                         continue
                     path.append((u, e))
                     for pu, pe in path:
                         mate_left[pu] = pe
-                        mate_right[endpoints(pe)[1]] = pe
+                        mate_right[right_of[pe]] = pe
                     return True
-                w = endpoints(match)[0]
+                w = left_of[match]
                 if dist[w] == dist[u] + 1:
                     stack.append((u, pos + 1))
                     stack.append((w, 0))
@@ -107,4 +123,4 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
             if mate_left[u] is None:
                 dfs(u, cap)
 
-    return Matching(graph, [e for e in mate_left if e is not None])
+    return Matching._trusted(graph, mate_left)

@@ -86,10 +86,9 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
 def _edge_columns(graph: WeightedBipartiteGraph) -> tuple[list[int], list[int], list[int]]:
     """Left endpoint, right endpoint and weight of every edge, as three flat
     lists indexed by edge: the solvers' inner loops read these instead of
-    calling ``endpoints``/``weight`` per edge."""
-    edges = graph.edges
-    return ([u for u, _v, _w in edges], [v for _u, v, _w in edges],
-            [w for _u, _v, w in edges])
+    calling ``endpoints``/``weight`` per edge. The graph keeps the two
+    endpoint columns; only the weights are gathered per call."""
+    return graph._left_of, graph._right_of, [w for _u, _v, w in graph.edges]
 
 
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:

@@ -29,6 +29,11 @@ class TestAllowedEdges:
         with pytest.raises(Infeasible):
             allowed_edges(g)
 
+    @pytest.mark.parametrize("bad", [6, -2])
+    def test_subset_index_out_of_range(self, fig1, bad):
+        with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+            allowed_edges(fig1, [0, 2, 5, bad])
+
     def test_superset_of_any_maximum_matching(self):
         rng = random.Random(2718)
         for _ in range(100):

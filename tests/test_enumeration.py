@@ -47,6 +47,11 @@ class TestPerfectMatchings:
         assert len(list(iter_perfect_matchings(g))) == 24
         assert len(hk_calls) == 47
 
+    @pytest.mark.parametrize("bad", [6, -2])
+    def test_subset_index_out_of_range(self, fig1, bad):
+        with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+            next(iter_perfect_matchings(fig1, [0, 2, 5, bad]))
+
     def test_deterministic_order(self, fig1):
         runs = [[m.edge_indices for m in iter_perfect_matchings(fig1)]
                 for _ in range(3)]

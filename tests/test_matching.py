@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from bipmatch import Matching, WeightedBipartiteGraph, max_cardinality_matching
 
 from conftest import brute_force_optimum_matchings, make_any_graph
@@ -65,3 +67,11 @@ def test_long_augmenting_chain():
             edges.append((u, u + 1, 0))
     g = WeightedBipartiteGraph(n, n, edges)
     assert max_cardinality_matching(g).cardinality == n
+
+
+@pytest.mark.parametrize("bad", [6, -2])
+def test_subset_index_out_of_range(fig1, bad):
+    # -2 would otherwise wrap round to edge 4, which no matching here uses,
+    # so nothing downstream would notice
+    with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+        max_cardinality_matching(fig1, [0, bad, 2])
