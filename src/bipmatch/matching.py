@@ -45,8 +45,7 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
     mate_right: list[int | None] = [None] * graph.n_right
     dist = [_INF] * n_left
 
-    # Phase one: with every vertex free, each left vertex in index order
-    # takes the first free right vertex in its adjacency order.
+    # Phase one, as the greedy pass the module docstring describes.
     for u in range(n_left):
         for e in adjacency[u]:
             v = right_of[e]

@@ -55,8 +55,8 @@ def networkx_cardinality(graph: WeightedBipartiteGraph, subset) -> int:
 def test_cardinality_matches_networkx(case):
     graph, subset = case
     matching = max_cardinality_matching(graph, subset)
-    allowed = set(range(graph.edge_count) if subset is None else subset)
-    assert set(matching.edge_indices) <= allowed
+    given_edges = set(range(graph.edge_count) if subset is None else subset)
+    assert set(matching.edge_indices) <= given_edges
     assert matching.cardinality == networkx_cardinality(graph, subset)
 
 
