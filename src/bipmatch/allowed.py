@@ -78,6 +78,10 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     matched edge then lies on a cycle); every other right vertex is a
     component of its own. Iterative Tarjan, so arbitrarily deep graphs
     cannot overflow the call stack.
+
+    The graph must have no parallel edges: an unmatched copy of the matched
+    edge (u, v) would become the self-loop u -> u, which this reduction
+    does not count as a cycle, so that copy would be dropped.
     """
     n = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of

@@ -62,10 +62,10 @@ class WeightedBipartiteGraph:
     Edges keep the order in which they were given; every algorithm in this
     package identifies an edge by its index into that order, so subgraphs
     and matchings computed downstream always refer back to the original
-    edges.
+    edges. No two edges join the same pair of vertices.
     """
 
-    __slots__ = ("_n_left", "_n_right", "_edges", "_left_of", "_right_of",
+    __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
                  "_adj_left", "_adj_right", "_max_abs_weight", "_sides_swapped")
 
     def __init__(self, n_left: int, n_right: int,
@@ -90,7 +90,9 @@ class WeightedBipartiteGraph:
     def _trusted(cls, n_left: int, n_right: int,
                  edges: list[tuple[int, int, int]]) -> "WeightedBipartiteGraph":
         """A graph from edges that are already known to be valid: parsed
-        input, or edges derived from a valid graph. Runs no checks."""
+        input, or edges derived from a valid graph. Runs no checks, so the
+        caller must also rule out parallel edges: Tarjan in ``allowed.py``
+        relies on there being none."""
         graph = cls.__new__(cls)
         graph._build(n_left, n_right, edges)
         return graph
@@ -99,8 +101,8 @@ class WeightedBipartiteGraph:
                edges: list[tuple[int, int, int]]) -> None:
         """Store the edges, flipping the sides when the right one is larger.
 
-        Besides the edge triples, the left and the right endpoint of every
-        edge are kept as two flat lists indexed by edge: the matching,
+        An edge is stored once, as the entries at its index in three flat
+        columns: left endpoint, right endpoint and weight. The matching,
         enumeration and solver loops read these columns directly.
         """
         swapped = n_left < n_right
@@ -118,9 +120,9 @@ class WeightedBipartiteGraph:
 
         self._n_left = n_left
         self._n_right = n_right
-        self._edges = tuple(edges)
-        self._left_of = [u for u, _v, _w in edges]
-        self._right_of = [v for _u, v, _w in edges]
+        self._left_of = tuple([u for u, _v, _w in edges])
+        self._right_of = tuple([v for _u, v, _w in edges])
+        self._weight_of = tuple([w for _u, _v, w in edges])
         self._adj_left = tuple(tuple(a) for a in adj_left)
         self._adj_right = tuple(tuple(a) for a in adj_right)
         self._max_abs_weight = max_w
@@ -139,7 +141,7 @@ class WeightedBipartiteGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._left_of)
 
     @property
     def max_abs_weight(self) -> int:
@@ -153,14 +155,15 @@ class WeightedBipartiteGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All edges as (left, right, weight) triples, in input order."""
-        return self._edges
+        """All edges as (left, right, weight) triples, in input order,
+        built afresh from the columns on each access."""
+        return tuple(zip(self._left_of, self._right_of, self._weight_of))
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self._left_of[e], self._right_of[e]
 
     def weight(self, e: int) -> int:
-        return self._edges[e][2]
+        return self._weight_of[e]
 
     def left_edges(self, u: int) -> tuple[int, ...]:
         """Edge indices incident to left vertex u, in input order."""
@@ -183,9 +186,9 @@ class WeightedBipartiteGraph:
         edges for None. Raises ValueError for an index outside the graph,
         so a negative index never wraps round to another edge."""
         if edge_indices is None:
-            return tuple(range(len(self._edges)))
+            return tuple(range(len(self._left_of)))
         subset = tuple(sorted(set(edge_indices)))
-        if subset and (subset[0] < 0 or subset[-1] >= len(self._edges)):
+        if subset and (subset[0] < 0 or subset[-1] >= len(self._left_of)):
             bad = subset[0] if subset[0] < 0 else subset[-1]
             raise ValueError(f"edge index {bad} out of range")
         return subset
@@ -201,7 +204,7 @@ class WeightedBipartiteGraph:
 
     def original_pair(self, e: int) -> tuple[int, int]:
         """1-based (left, right) labels of edge e in the input orientation."""
-        u, v, _w = self._edges[e]
+        u, v = self._left_of[e], self._right_of[e]
         if self._sides_swapped:
             u, v = v, u
         return u + 1, v + 1
@@ -224,7 +227,9 @@ class WeightedBipartiteGraph:
         return (self._n_left == other._n_left
                 and self._n_right == other._n_right
                 and self._sides_swapped == other._sides_swapped
-                and self._edges == other._edges)
+                and self._left_of == other._left_of
+                and self._right_of == other._right_of
+                and self._weight_of == other._weight_of)
 
     def __repr__(self) -> str:
         return (f"WeightedBipartiteGraph(n_left={self._n_left}, "

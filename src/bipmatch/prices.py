@@ -142,7 +142,8 @@ def edge_slacks(graph: WeightedBipartiteGraph, prices: DualPrices) -> list[int]:
     left = prices.left_num
     right = prices.right_num
     den = prices.den
-    return [w * den - (left[u] + right[v]) for u, v, w in graph.edges]
+    return [w * den - (left[u] + right[v])
+            for u, v, w in zip(graph._left_of, graph._right_of, graph._weight_of)]
 
 
 def check_dual_feasible(graph: WeightedBipartiteGraph,

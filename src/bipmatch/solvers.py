@@ -83,14 +83,6 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
             f"{graph.original_vertex('right', free_right)} stay uncovered")
 
 
-def _edge_columns(graph: WeightedBipartiteGraph) -> tuple[list[int], list[int], list[int]]:
-    """Left endpoint, right endpoint and weight of every edge, as three flat
-    lists indexed by edge: the solvers' inner loops read these instead of
-    calling ``endpoints``/``weight`` per edge. The graph keeps the two
-    endpoint columns; only the weights are gathered per call."""
-    return graph._left_of, graph._right_of, [w for _u, _v, w in graph.edges]
-
-
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     """Minimum-weight perfect matching with integral optimal prices.
 
@@ -109,7 +101,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
         return SolveResult(Matching(graph, []), DualPrices([], [], 1), stats)
 
     left_edges = graph.left_edges
-    left_of, right_of, wt = _edge_columns(graph)
+    left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of
 
     # Potentials are kept as base values plus one shared offset:
     #     left potential of u  = left_base[u] - offset
@@ -259,7 +251,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
     eps_scaled = int(eps * scale)
 
     left_edges = graph.left_edges
-    _left_of, right_of, wt = _edge_columns(graph)
+    right_of, wt = graph._right_of, graph._weight_of
     # Benefits: auction maximizes, we minimize.
     benefit = [-w * scale for w in wt]
     big = 2 * scale * max(graph.max_abs_weight, 1) * (n + 1)

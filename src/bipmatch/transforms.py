@@ -67,8 +67,9 @@ def _mirrored(graph: WeightedBipartiteGraph, link_w: int) -> list[tuple[int, int
     Right side: original right vertices, then mirrored left copies.
     """
     n, s = graph.n_left, graph.n_right
-    edges = list(graph.edges)
-    edges.extend((n + v, s + u, w) for u, v, w in graph.edges)
+    original = graph.edges
+    edges = list(original)
+    edges.extend((n + v, s + u, w) for u, v, w in original)
     edges.extend((u, s + u, link_w) for u in range(n))
     return edges
 

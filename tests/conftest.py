@@ -9,15 +9,6 @@ import bipmatch.solvers
 import bipmatch.transforms
 from bipmatch import DualPrices, Matching, WeightedBipartiteGraph, max_cardinality_matching
 
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves
-    pass
-else:
-    # Selected in CI (--hypothesis-profile=ci): a failing property prints
-    # the blob that replays it. Each test keeps its own example count.
-    settings.register_profile("ci", print_blob=True)
-
 # Canonical 3x3 fixture used throughout: two optimal price systems with
 # different tight subgraphs but the same (unique) optimal matching.
 FIG1_EDGES = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
