@@ -84,6 +84,7 @@ class WeightedBipartiteGraph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             checked.append((u, v, w))
+        del seen  # free the pair set before the columns are built
         self._build(n_left, n_right, checked)
 
     @classmethod
@@ -424,6 +425,9 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
         raise ParseError("missing header line 'p bip <n> <s> <m>'")
     if len(raw_edges) != m:
         raise ParseError(f"header announced {m} edges but file contains {len(raw_edges)}")
+    # The pair set is the largest object here; free it before the graph's
+    # columns are built, so the two never take memory at the same time.
+    del seen
     return WeightedBipartiteGraph._trusted(n, s, raw_edges)
 
 
