@@ -12,16 +12,15 @@ from .enumeration import iter_min_weight_perfect_matchings, iter_perfect_matchin
 from .errors import (CoverageRequired, Error, Infeasible, InfeasibleDual, NotSquare,
                      ParseError)
 from .graph import (MAX_ABS_WEIGHT, Matching, VertexRef, WeightedBipartiteGraph,
-                    matching_from_json, matching_weight, parse_instance,
-                    serialize_instance)
+                    matching_from_json, parse_instance, serialize_instance)
 from .matching import max_cardinality_matching
 from .preallocation import PreferenceSet, parse_preferences, preallocate
 from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
                      check_dual_feasible, check_eps_optimal, dual_objective,
-                     floor_shift_equal, prices_from_json, prices_to_json,
-                     round_to_optimal, select_shift)
+                     prices_from_json, prices_to_json, round_to_optimal,
+                     select_shift)
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
-from .tight import ORACLE_MAX_SIDE, TightSubgraph, brute_force_min_weight_pms, build_gcs
+from .tight import TightSubgraph, build_gcs
 from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
                          TransformedInstance, artificial_vertices,
                          choose_strategy, first_doubling, optimal_edges_general,
@@ -42,7 +41,6 @@ __all__ = [
     "MAX_ABS_WEIGHT",
     "Matching",
     "NotSquare",
-    "ORACLE_MAX_SIDE",
     "PADDING",
     "ParseError",
     "PreferenceSet",
@@ -56,7 +54,6 @@ __all__ = [
     "WeightedBipartiteGraph",
     "allowed_edges",
     "artificial_vertices",
-    "brute_force_min_weight_pms",
     "build_gcs",
     "check_complementary_slackness",
     "check_dual_feasible",
@@ -64,11 +61,9 @@ __all__ = [
     "choose_strategy",
     "dual_objective",
     "first_doubling",
-    "floor_shift_equal",
     "iter_min_weight_perfect_matchings",
     "iter_perfect_matchings",
     "matching_from_json",
-    "matching_weight",
     "max_cardinality_matching",
     "optimal_edges",
     "optimal_edges_general",

@@ -66,13 +66,15 @@ class WeightedBipartiteGraph:
     """
 
     __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
-                 "_adj_left", "_adj_right", "_max_abs_weight", "_sides_swapped")
+                 "_adj_left", "_max_abs_weight", "_sides_swapped")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
         if n_left < 0 or n_right < 0:
             raise ValueError("side sizes must be non-negative")
-        checked: list[tuple[int, int, int]] = []
+        left: list[int] = []
+        right: list[int] = []
+        weight: list[int] = []
         seen: set[tuple[int, int]] = set()
         for u, v, w in edges:
             if not (0 <= u < n_left):
@@ -83,50 +85,48 @@ class WeightedBipartiteGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            checked.append((u, v, w))
+            left.append(u)
+            right.append(v)
+            weight.append(w)
         del seen  # free the pair set before the columns are built
-        self._build(n_left, n_right, checked)
+        self._build(n_left, n_right, left, right, weight)
 
     @classmethod
-    def _trusted(cls, n_left: int, n_right: int,
-                 edges: list[tuple[int, int, int]]) -> "WeightedBipartiteGraph":
-        """A graph from edges that are already known to be valid: parsed
-        input, or edges derived from a valid graph. Runs no checks, so the
-        caller must also rule out parallel edges: Tarjan in ``allowed.py``
-        relies on there being none."""
+    def _trusted(cls, n_left: int, n_right: int, left: list[int],
+                 right: list[int], weight: list[int]) -> "WeightedBipartiteGraph":
+        """A graph from edge columns already known to be valid: parsed
+        input, or edges derived from a valid graph. Edge e joins left
+        vertex ``left[e]`` to right vertex ``right[e]`` at ``weight[e]``.
+        Runs no checks, so the caller must also rule out parallel edges:
+        Tarjan in ``allowed.py`` relies on there being none."""
         graph = cls.__new__(cls)
-        graph._build(n_left, n_right, edges)
+        graph._build(n_left, n_right, left, right, weight)
         return graph
 
-    def _build(self, n_left: int, n_right: int,
-               edges: list[tuple[int, int, int]]) -> None:
-        """Store the edges, flipping the sides when the right one is larger.
+    def _build(self, n_left: int, n_right: int, left: list[int],
+               right: list[int], weight: list[int]) -> None:
+        """Store the three edge columns (left endpoint, right endpoint and
+        weight, indexed by edge), swapping the two endpoint columns when
+        the right side is larger, and index the edges by left vertex.
 
-        An edge is stored once, as the entries at its index in three flat
-        columns: left endpoint, right endpoint and weight. The matching,
-        enumeration and solver loops read these columns directly.
+        The matching, enumeration and solver loops read these columns
+        directly.
         """
         swapped = n_left < n_right
         if swapped:
             n_left, n_right = n_right, n_left
-            edges = [(v, u, w) for u, v, w in edges]
+            left, right = right, left
         adj_left: list[list[int]] = [[] for _ in range(n_left)]
-        adj_right: list[list[int]] = [[] for _ in range(n_right)]
-        max_w = 0
-        for e, (u, v, w) in enumerate(edges):
+        for e, u in enumerate(left):
             adj_left[u].append(e)
-            adj_right[v].append(e)
-            if abs(w) > max_w:
-                max_w = abs(w)
 
         self._n_left = n_left
         self._n_right = n_right
-        self._left_of = tuple([u for u, _v, _w in edges])
-        self._right_of = tuple([v for _u, v, _w in edges])
-        self._weight_of = tuple([w for _u, _v, w in edges])
+        self._left_of = tuple(left)
+        self._right_of = tuple(right)
+        self._weight_of = tuple(weight)
         self._adj_left = tuple(tuple(a) for a in adj_left)
-        self._adj_right = tuple(tuple(a) for a in adj_right)
-        self._max_abs_weight = max_w
+        self._max_abs_weight = max(map(abs, weight), default=0)
         self._sides_swapped = swapped
 
     # -- basic shape -------------------------------------------------------
@@ -156,8 +156,8 @@ class WeightedBipartiteGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All edges as (left, right, weight) triples, in input order,
-        built afresh from the columns on each access."""
+        """All edges as (left, right, weight) triples, in input order: the
+        public read-back of the three columns, zipped afresh on each access."""
         return tuple(zip(self._left_of, self._right_of, self._weight_of))
 
     def endpoints(self, e: int) -> tuple[int, int]:
@@ -169,9 +169,6 @@ class WeightedBipartiteGraph:
     def left_edges(self, u: int) -> tuple[int, ...]:
         """Edge indices incident to left vertex u, in input order."""
         return self._adj_left[u]
-
-    def right_edges(self, v: int) -> tuple[int, ...]:
-        return self._adj_right[v]
 
     def edge_index(self, u: int, v: int) -> int | None:
         """Index of the edge joining left u and right v, or None."""
@@ -240,7 +237,7 @@ class WeightedBipartiteGraph:
 class Matching:
     """A set of vertex-disjoint edges of a fixed parent graph."""
 
-    __slots__ = ("_graph", "_edge_indices", "_mate_left", "_mate_right")
+    __slots__ = ("_graph", "_edge_indices", "_mate_left")
 
     def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
         mate_left: list[int | None] = [None] * graph.n_left
@@ -258,7 +255,6 @@ class Matching:
         self._graph = graph
         self._edge_indices = indices
         self._mate_left = tuple(mate_left)
-        self._mate_right = tuple(mate_right)
 
     @classmethod
     def _trusted(cls, graph: WeightedBipartiteGraph,
@@ -266,16 +262,10 @@ class Matching:
         """A matching from the matched edge at each left vertex (None where
         unmatched), already known to be vertex-disjoint edges of ``graph``.
         Runs no checks."""
-        right_of = graph._right_of
-        mate_right: list[int | None] = [None] * graph.n_right
-        for e in mate_left:
-            if e is not None:
-                mate_right[right_of[e]] = e
         matching = cls.__new__(cls)
         matching._graph = graph
         matching._edge_indices = tuple(sorted(e for e in mate_left if e is not None))
         matching._mate_left = tuple(mate_left)
-        matching._mate_right = tuple(mate_right)
         return matching
 
     @property
@@ -298,17 +288,6 @@ class Matching:
     def left_edge(self, u: int) -> int | None:
         """Matched edge index at left vertex u, or None if unmatched."""
         return self._mate_left[u]
-
-    def right_edge(self, v: int) -> int | None:
-        return self._mate_right[v]
-
-    def left_partner(self, u: int) -> int | None:
-        e = self._mate_left[u]
-        return None if e is None else self._graph.endpoints(e)[1]
-
-    def right_partner(self, v: int) -> int | None:
-        e = self._mate_right[v]
-        return None if e is None else self._graph.endpoints(e)[0]
 
     def weight(self) -> int:
         return sum(self._graph.weight(e) for e in self._edge_indices)
@@ -343,13 +322,6 @@ class Matching:
         }
 
 
-def matching_weight(graph: WeightedBipartiteGraph, matching: Matching) -> int:
-    """Exact integer weight of a matching of ``graph``."""
-    if matching.graph is not graph:
-        raise ValueError("matching belongs to a different graph")
-    return matching.weight()
-
-
 def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
     """Rebuild a matching from its JSON form (1-based original labels)."""
     pairs = data.get("edges") if isinstance(data, dict) else None
@@ -380,7 +352,9 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
     beyond the admissible bound.
     """
     n = s = m = None
-    raw_edges: list[tuple[int, int, int]] = []
+    left: list[int] = []
+    right: list[int] = []
+    weight: list[int] = []
     seen: set[tuple[int, int]] = set()
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -417,18 +391,20 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
             if (i, j) in seen:
                 raise ParseError(f"duplicate edge ({i}, {j})", lineno)
             seen.add((i, j))
-            raw_edges.append((i - 1, j - 1, w))
+            left.append(i - 1)
+            right.append(j - 1)
+            weight.append(w)
         else:
             raise ParseError(f"unrecognized line {stripped!r}", lineno)
 
     if n is None:
         raise ParseError("missing header line 'p bip <n> <s> <m>'")
-    if len(raw_edges) != m:
-        raise ParseError(f"header announced {m} edges but file contains {len(raw_edges)}")
+    if len(left) != m:
+        raise ParseError(f"header announced {m} edges but file contains {len(left)}")
     # The pair set is the largest object here; free it before the graph's
     # columns are built, so the two never take memory at the same time.
     del seen
-    return WeightedBipartiteGraph._trusted(n, s, raw_edges)
+    return WeightedBipartiteGraph._trusted(n, s, left, right, weight)
 
 
 def serialize_instance(graph: WeightedBipartiteGraph) -> str:

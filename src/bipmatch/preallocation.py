@@ -101,12 +101,10 @@ def preallocate(graph: WeightedBipartiteGraph, prices: DualPrices,
     """
     if prefs.graph is not graph:
         raise ValueError("preference set belongs to a different graph")
-    tight = build_gcs(graph, prices)
-    sub_edges = []
-    for e in tight.edge_indices:
-        u, v = graph.endpoints(e)
-        sub_edges.append((u, v, prefs.preference_weight(e)))
-    sub = WeightedBipartiteGraph._trusted(graph.n_left, graph.n_right, sub_edges)
+    kept = build_gcs(graph, prices).edge_indices
+    sub = WeightedBipartiteGraph._trusted(
+        graph.n_left, graph.n_right, [graph._left_of[e] for e in kept],
+        [graph._right_of[e] for e in kept], [prefs.preference_weight(e) for e in kept])
     result = solve_exact(sub)
-    back = [tight.edge_indices[k] for k in result.matching.edge_indices]
+    back = [kept[k] for k in result.matching.edge_indices]
     return Matching(graph, back)

@@ -214,15 +214,6 @@ def select_shift(right_prices: Sequence[RationalLike], n: int) -> int:
                      f"more than {n} distinct price offsets supplied")
 
 
-def floor_shift_equal(value: RationalLike, n: int, t: int) -> bool:
-    """Whether floor(r + (t-1)/(n+1)) equals floor(r + t/(n+1))."""
-    if not 0 <= t <= n:
-        raise ValueError(f"t must lie in [0, {n}]")
-    r = _as_fraction(value)
-    step = Fraction(1, n + 1)
-    return math.floor(r + (t - 1) * step) == math.floor(r + t * step)
-
-
 def round_to_optimal(graph: WeightedBipartiteGraph,
                      matching: Matching,
                      prices: DualPrices) -> DualPrices:

@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from .errors import Infeasible, NotSquare
 from .graph import Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
-from .prices import DualPrices, RationalLike, _as_fraction, round_to_optimal
+from .prices import DualPrices, RationalLike, _as_fraction, prices_to_json, round_to_optimal
 
 
 @dataclass
@@ -58,7 +58,6 @@ class SolveResult:
     stats: SolveStats
 
     def to_json(self) -> dict:
-        from .prices import prices_to_json
         return {
             "matching": self.matching.to_json(),
             "prices": prices_to_json(self.matching.graph, self.prices),
@@ -76,7 +75,8 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
     mcm = max_cardinality_matching(graph)
     if mcm.cardinality < graph.n_left:
         free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)
-        free_right = next(v for v in range(graph.n_right) if mcm.right_edge(v) is None)
+        covered = {graph.endpoints(e)[1] for e in mcm}
+        free_right = next(v for v in range(graph.n_right) if v not in covered)
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {mcm.cardinality} of "
             f"{graph.n_left}; vertices {graph.original_vertex('left', free_left)} and "

@@ -9,13 +9,10 @@ preferences) be answered on an unweighted subgraph.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import InfeasibleDual
-from .graph import Matching, WeightedBipartiteGraph
+from .graph import WeightedBipartiteGraph
 from .prices import DualPrices, edge_slacks
-
-ORACLE_MAX_SIDE = 8
 
 
 class TightSubgraph:
@@ -88,46 +85,3 @@ def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> TightSubgrap
             f"{len(bad)} edge(s) violate dual feasibility, first at (u{u}, v{v})")
     return TightSubgraph(graph, prices,
                          tuple([e for e, slack in enumerate(slacks) if slack == 0]))
-
-
-def brute_force_min_weight_pms(graph: WeightedBipartiteGraph) -> list[Matching]:
-    """Exhaustive oracle: all minimum-weight perfect matchings.
-
-    Walks every assignment of left to right vertices, so it is held to
-    sides of at most ORACLE_MAX_SIDE vertices. Returns an empty list when
-    no perfect matching exists. Deterministic order (lexicographic in the
-    right-vertex assignment).
-    """
-    n, s = graph.n_left, graph.n_right
-    if max(n, s) > ORACLE_MAX_SIDE:
-        raise ValueError(f"brute-force oracle is limited to sides <= {ORACLE_MAX_SIDE}")
-    if n != s:
-        return []
-    if n == 0:
-        return [Matching(graph, [])]
-
-    lookup: dict[tuple[int, int], int] = {}
-    for e, (u, v, _w) in enumerate(graph.edges):
-        lookup[(u, v)] = e
-
-    best_weight: int | None = None
-    best: list[tuple[int, ...]] = []
-    for perm in permutations(range(n)):
-        edges = []
-        total = 0
-        ok = True
-        for u, v in enumerate(perm):
-            e = lookup.get((u, v))
-            if e is None:
-                ok = False
-                break
-            edges.append(e)
-            total += graph.weight(e)
-        if not ok:
-            continue
-        if best_weight is None or total < best_weight:
-            best_weight = total
-            best = [tuple(edges)]
-        elif total == best_weight:
-            best.append(tuple(edges))
-    return [Matching(graph, edges) for edges in best]

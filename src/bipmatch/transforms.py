@@ -58,20 +58,22 @@ class TransformedInstance:
         return [e for e in edges if e < m]
 
 
-def _mirrored(graph: WeightedBipartiteGraph, link_w: int) -> list[tuple[int, int, int]]:
-    """The edges shared by both doublings: the original edges (0..m-1),
-    their mirror copies (m..2m-1, mirror e weighing what edge e-m weighs),
-    and a left link of weight link_w from each left vertex to its copy.
+def _mirrored(graph: WeightedBipartiteGraph,
+              link_w: int) -> tuple[list[int], list[int], list[int]]:
+    """The (left, right, weight) edge columns shared by both doublings:
+    the original edges (0..m-1), their mirror copies (m..2m-1, mirror e
+    weighing what edge e-m weighs), and a left link of weight link_w from
+    each left vertex to its copy.
 
     Left side: original left vertices, then mirrored right copies.
     Right side: original right vertices, then mirrored left copies.
     """
     n, s = graph.n_left, graph.n_right
-    original = graph.edges
-    edges = list(original)
-    edges.extend((n + v, s + u, w) for u, v, w in original)
-    edges.extend((u, s + u, link_w) for u in range(n))
-    return edges
+    left_of, right_of, weight_of = graph._left_of, graph._right_of, graph._weight_of
+    left = [*left_of, *[n + v for v in right_of], *range(n)]
+    right = [*right_of, *[s + u for u in left_of], *range(s, s + n)]
+    weight = [*weight_of, *weight_of, *[link_w] * n]
+    return left, right, weight
 
 
 def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
@@ -88,9 +90,11 @@ def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
     """
     n, s = graph.n_left, graph.n_right
     link_w = 2 * s * max(graph.max_abs_weight, 1)
-    edges = _mirrored(graph, link_w)
-    edges.extend((n + v, v, link_w) for v in range(s))
-    doubled = WeightedBipartiteGraph._trusted(n + s, n + s, edges)
+    left, right, weight = _mirrored(graph, link_w)
+    left.extend(range(n, n + s))
+    right.extend(range(s))
+    weight.extend([link_w] * s)
+    doubled = WeightedBipartiteGraph._trusted(n + s, n + s, left, right, weight)
     return TransformedInstance(graph, doubled)
 
 
@@ -102,7 +106,7 @@ def second_doubling(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedIns
     """
     _check_weight(k)
     n, s = graph.n_left, graph.n_right
-    halved = WeightedBipartiteGraph._trusted(n + s, n + s, _mirrored(graph, k))
+    halved = WeightedBipartiteGraph._trusted(n + s, n + s, *_mirrored(graph, k))
     return TransformedInstance(graph, halved)
 
 
@@ -111,9 +115,10 @@ def artificial_vertices(graph: WeightedBipartiteGraph, k: int = 0) -> Transforme
     vertices joined to every left vertex at weight k."""
     _check_weight(k)
     n, s = graph.n_left, graph.n_right
-    edges = list(graph.edges)
-    edges.extend((u, v, k) for u in range(n) for v in range(s, n))
-    padded = WeightedBipartiteGraph._trusted(n, n, edges)
+    left = [*graph._left_of, *[u for u in range(n) for _v in range(s, n)]]
+    right = [*graph._right_of, *[v for _u in range(n) for v in range(s, n)]]
+    weight = [*graph._weight_of, *[k] * (n * (n - s))]
+    padded = WeightedBipartiteGraph._trusted(n, n, left, right, weight)
     return TransformedInstance(graph, padded)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -114,6 +115,38 @@ def brute_force_optimum_matchings(graph: WeightedBipartiteGraph) -> list[frozens
 
     rec(0, 0, [], 0)
     return list(results)
+
+
+# Largest side brute_force_min_weight_pms accepts: it walks all n! assignments.
+ORACLE_MAX_SIDE = 8
+
+
+def brute_force_min_weight_pms(graph: WeightedBipartiteGraph) -> list[Matching]:
+    """Exhaustive oracle: all minimum-weight perfect matchings.
+
+    Walks every assignment of left to right vertices, so it is held to
+    sides of at most ORACLE_MAX_SIDE vertices. Returns an empty list when
+    no perfect matching exists. Deterministic order (lexicographic in the
+    right-vertex assignment).
+    """
+    n, s = graph.n_left, graph.n_right
+    if max(n, s) > ORACLE_MAX_SIDE:
+        raise ValueError(f"brute-force oracle is limited to sides <= {ORACLE_MAX_SIDE}")
+    if n != s:
+        return []
+    best_weight = None
+    best: list[list[int]] = []
+    for perm in permutations(range(n)):
+        edges = [graph.edge_index(u, v) for u, v in enumerate(perm)]
+        if None in edges:
+            continue
+        total = sum(graph.weight(e) for e in edges)
+        if best_weight is None or total < best_weight:
+            best_weight = total
+            best = [edges]
+        elif total == best_weight:
+            best.append(edges)
+    return [Matching(graph, edges) for edges in best]
 
 
 def brute_force_optimum(graph: WeightedBipartiteGraph) -> tuple[int, int]:

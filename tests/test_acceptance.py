@@ -8,17 +8,15 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from bipmatch import (DualPrices, WeightedBipartiteGraph,
-                      artificial_vertices, brute_force_min_weight_pms, build_gcs,
-                      check_complementary_slackness, check_eps_optimal,
-                      first_doubling, iter_min_weight_perfect_matchings,
-                      iter_perfect_matchings, matching_weight, max_cardinality_matching,
-                      optimal_edges, optimum_matching, round_to_optimal, second_doubling,
-                      solve_auction, solve_exact)
+from bipmatch import (DualPrices, WeightedBipartiteGraph, artificial_vertices, build_gcs,
+                      check_complementary_slackness, check_eps_optimal, first_doubling,
+                      iter_min_weight_perfect_matchings, iter_perfect_matchings,
+                      max_cardinality_matching, optimal_edges, optimum_matching,
+                      round_to_optimal, second_doubling, solve_auction, solve_exact)
 from bipmatch.transforms import FULL_DOUBLING, HALF_DOUBLING, PADDING
 
-from conftest import (FIG1_EDGES, M_STAR, brute_force_optimum, make_any_graph,
-                      make_feasible_square)
+from conftest import (FIG1_EDGES, M_STAR, brute_force_min_weight_pms, brute_force_optimum,
+                      make_any_graph, make_feasible_square)
 
 
 @contextmanager
@@ -76,7 +74,7 @@ def test_criterion_3_rounding_pipeline():
             assert prices.is_integral
             assert check_complementary_slackness(g, approx.matching, prices)
             w_star = brute_force_min_weight_pms(g)[0].weight()
-            assert matching_weight(g, approx.matching) == w_star
+            assert approx.matching.weight() == w_star
 
 
 def test_criterion_4_eps_weight_bound():
@@ -89,7 +87,7 @@ def test_criterion_4_eps_weight_bound():
             pair = solve_auction(g, eps)
             assert check_eps_optimal(g, pair.matching, pair.prices, eps)
             w_star = brute_force_min_weight_pms(g)[0].weight()
-            assert matching_weight(g, pair.matching) <= w_star + n * eps
+            assert pair.matching.weight() <= w_star + n * eps
 
 
 def test_criterion_5_optimal_edges():

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from bipmatch import (DualPrices, Infeasible, WeightedBipartiteGraph, allowed_edges,
-                      brute_force_min_weight_pms, max_cardinality_matching,
-                      optimal_edges, solve_exact, solve_via_rounding)
+                      max_cardinality_matching, optimal_edges, solve_exact,
+                      solve_via_rounding)
 
-from conftest import make_feasible_square
+from conftest import brute_force_min_weight_pms, make_feasible_square
 
 
 class TestAllowedEdges:

@@ -6,10 +6,10 @@ from itertools import islice
 import pytest
 
 from bipmatch import (DualPrices, Infeasible, InfeasibleDual, WeightedBipartiteGraph,
-                      brute_force_min_weight_pms, iter_min_weight_perfect_matchings,
-                      iter_perfect_matchings, solve_exact)
+                      iter_min_weight_perfect_matchings, iter_perfect_matchings,
+                      solve_exact)
 
-from conftest import M_OTHER, M_STAR, make_feasible_square
+from conftest import M_OTHER, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
 
 class TestPerfectMatchings:

@@ -11,9 +11,10 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bipmatch import (Infeasible, WeightedBipartiteGraph,  # noqa: E402
-                      allowed_edges, brute_force_min_weight_pms,
+from bipmatch import (Infeasible, WeightedBipartiteGraph, allowed_edges,  # noqa: E402
                       max_cardinality_matching)
+
+from conftest import brute_force_min_weight_pms  # noqa: E402
 
 
 @st.composite

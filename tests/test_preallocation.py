@@ -5,10 +5,9 @@ import random
 import pytest
 
 from bipmatch import (DualPrices, Infeasible, ParseError, PreferenceSet,
-                      WeightedBipartiteGraph, brute_force_min_weight_pms,
-                      parse_preferences, preallocate, solve_exact)
+                      WeightedBipartiteGraph, parse_preferences, preallocate, solve_exact)
 
-from conftest import M_STAR, make_feasible_square
+from conftest import M_STAR, brute_force_min_weight_pms, make_feasible_square
 
 
 class TestPreferenceSet:

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from bipmatch import (DualPrices, Matching, ParseError, WeightedBipartiteGraph,
-                      brute_force_min_weight_pms, check_complementary_slackness,
-                      check_dual_feasible, check_eps_optimal, dual_objective,
-                      floor_shift_equal, matching_weight, prices_from_json,
-                      prices_to_json, round_to_optimal, select_shift, solve_auction,
-                      solve_exact)
+                      check_complementary_slackness, check_dual_feasible,
+                      check_eps_optimal, dual_objective, prices_from_json, prices_to_json,
+                      round_to_optimal, select_shift, solve_auction, solve_exact)
 
-from conftest import (M_OTHER, M_STAR, make_feasible_square, perturbed_eps_pair)
+from conftest import (M_OTHER, M_STAR, brute_force_min_weight_pms, make_feasible_square,
+                      perturbed_eps_pair)
 
 
 class TestDualPrices:
@@ -99,7 +98,7 @@ class TestComplementarySlackness:
             g = make_feasible_square(rng, n_max=6)
             r = solve_exact(g)
             assert check_complementary_slackness(g, r.matching, r.prices)
-            assert dual_objective(r.prices) == matching_weight(g, r.matching)
+            assert dual_objective(r.prices) == r.matching.weight()
 
 
 class TestEpsOptimal:
@@ -139,7 +138,7 @@ class TestEpsOptimal:
             r = solve_auction(g, eps)
             assert check_eps_optimal(g, r.matching, r.prices, eps)
             w_star = brute_force_min_weight_pms(g)[0].weight()
-            assert matching_weight(g, r.matching) <= w_star + n * eps
+            assert r.matching.weight() <= w_star + n * eps
 
 
 class TestDualObjective:
@@ -172,6 +171,15 @@ class TestSelectShift:
             prices = [Fraction(rng.randint(-30, 30), n + 1) for _ in range(n)]
             t = select_shift(prices, n)
             assert 0 <= t <= n
+
+
+def floor_shift_equal(value, n: int, t: int) -> bool:
+    """Whether floor(r + (t-1)/(n+1)) equals floor(r + t/(n+1))."""
+    if not 0 <= t <= n:
+        raise ValueError(f"t must lie in [0, {n}]")
+    r = Fraction(value)
+    step = Fraction(1, n + 1)
+    return math.floor(r + (t - 1) * step) == math.floor(r + t * step)
 
 
 class TestFloorShift:

@@ -6,19 +6,18 @@ from fractions import Fraction
 import pytest
 
 from bipmatch import (Infeasible, NotSquare, WeightedBipartiteGraph,
-                      brute_force_min_weight_pms, check_complementary_slackness,
-                      check_eps_optimal, dual_objective, matching_weight,
+                      check_complementary_slackness, check_eps_optimal, dual_objective,
                       max_cardinality_matching, solve_auction, solve_exact,
                       solve_via_rounding)
 
-from conftest import FIG1_EDGES, M_STAR, make_feasible_square
+from conftest import FIG1_EDGES, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
 
 class TestSolveExact:
     def test_fig1(self, fig1):
         r = solve_exact(fig1)
         assert r.matching.edge_indices == M_STAR
-        assert matching_weight(fig1, r.matching) == 3
+        assert r.matching.weight() == 3
         assert check_complementary_slackness(fig1, r.matching, r.prices)
 
     def test_single_negative_edge(self):
@@ -96,7 +95,7 @@ class TestSolveExact:
             g = make_feasible_square(rng, n_max=7)
             r = solve_exact(g)
             w_star = brute_force_min_weight_pms(g)[0].weight()
-            assert matching_weight(g, r.matching) == w_star
+            assert r.matching.weight() == w_star
             assert check_complementary_slackness(g, r.matching, r.prices)
 
     def test_large_weights(self):
@@ -110,7 +109,7 @@ class TestSolveExact:
 class TestSolveAuction:
     def test_fig1_quarter_eps(self, fig1):
         r = solve_auction(fig1, Fraction(1, 4))
-        assert matching_weight(fig1, r.matching) == 3
+        assert r.matching.weight() == 3
         assert check_eps_optimal(fig1, r.matching, r.prices, Fraction(1, 4))
 
     def test_single_edge_any_eps(self):
@@ -162,7 +161,7 @@ class TestSolveAuction:
 class TestSolveViaRounding:
     def test_fig1(self, fig1):
         r = solve_via_rounding(fig1)
-        assert matching_weight(fig1, r.matching) == 3
+        assert r.matching.weight() == 3
         assert r.prices.is_integral
         assert check_complementary_slackness(fig1, r.matching, r.prices)
 
@@ -179,7 +178,7 @@ class TestSolveViaRounding:
             r = solve_via_rounding(g)
             assert check_complementary_slackness(g, r.matching, r.prices)
             w_star = brute_force_min_weight_pms(g)[0].weight()
-            assert matching_weight(g, r.matching) == w_star
+            assert r.matching.weight() == w_star
 
 
 class TestWeakDuality:

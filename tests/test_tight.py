@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from bipmatch import (DualPrices, InfeasibleDual, WeightedBipartiteGraph,
-                      brute_force_min_weight_pms, build_gcs, iter_perfect_matchings,
-                      solve_exact, solve_via_rounding)
+from bipmatch import (DualPrices, InfeasibleDual, WeightedBipartiteGraph, build_gcs,
+                      iter_perfect_matchings, solve_exact, solve_via_rounding)
 
-from conftest import FIG1_EDGES, M_STAR, make_feasible_square
+from conftest import FIG1_EDGES, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
 
 class TestBuildGcs:
