@@ -2,9 +2,11 @@
 
 Each case hashes the exact edge-index tuples that a seeded run produces,
 so a change to which matchings come out, or in what order, fails here
-even when the set of matchings stays correct. The digests were recorded
-before the branch frames moved to flat edge columns. Print them again
-with ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
+even when the set of matchings stays correct. The digests of the tie
+graphs were recorded before the branch frames moved to flat edge
+columns, and those of the block-triangular graphs before the frames kept
+their components as separate blocks. Print them again with
+``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
 
@@ -32,6 +34,25 @@ ENUMERATION_DIGESTS = {
         "436a63d38247f19c6600d0c26bca3c90487fd971aa760126563ef155180b1923"),
     5: ("50bbf31ab2f333fed3d82aa43c716122c20ad3077e08386caa6086a4003ee9ef",
         "18617a728c4431d8827e550bba1a7f647d67fbef576efabe76d5fe143b3eacd1"),
+}
+
+BLOCK_DIGESTS = {
+    0: ("66fe48a7fe3672574c2d08e757606ce19718abccf1520ad3ff384ae041f933f7",
+        "ec878dd1d7711a8ac9c48bcea3eb56a429effaf2d85a7d4490c2da688ac83805"),
+    1: ("523a98cc0dd0787985b3c2f37ccc3bbe0532fd9dcdc0202260f2d18ec567eb34",
+        "7ac13b9d161099b0b28d55b0c7f147f38942b2b5a927e3a8ba32f74902b85ded"),
+    2: ("b4edd7577e91cb708ac29797f4e8c6e0527bc1c1577d9e0576e22026a73fb854",
+        "9bd3269eb6a3b0afc30a817d2619c3c279f4a9177131afc87d23f382d881612f"),
+    3: ("8a4dc293ed3d3c372119645c966583fe911ff8853fdd558f0017550768c3a77e",
+        "8f16dc0a2b2dfc801d00f9b8d0a4a42b7742e1e5b9c3148017e2e832b6d14181"),
+    4: ("6501cab6500831035c29855bafa6979f6b7674d22e622ba0b2f2059be1c4b3c9",
+        "fb46eb8f69a54431233b8fb542775b69454ef014d22f47881c66291b928a2ff0"),
+    5: ("e5a8f8bbf144f1334199118df93114cf1528ac290b9af997ea78240578f23cef",
+        "b683ee1a946b0e0c8a73046e554635d298b7e4ea9c5af0b3008ef9f496716628"),
+    6: ("23c333c86d5a12682d4d3610c7fb9d492790b66f0216877e920fdc84b0d7b150",
+        "c3b8ef55ec7ef7086da0b4f92097ad2b2d4cd9d8a4e5e6485d21dc7d1a9bf601"),
+    7: ("97805237952d444ff4e16868a0d12bb6e7d3617f953b3752a89a00acad193d4b",
+        "398e222079c8a6038326c39f62a9ed61b42c7ca5bf88353db37779d8f83f6805"),
 }
 
 HOPCROFT_KARP_DIGESTS = {
@@ -65,8 +86,38 @@ def tie_graph(seed: int) -> WeightedBipartiteGraph:
     return WeightedBipartiteGraph(n, n, edges)
 
 
-def enumeration_digests(seed: int) -> tuple[str, str]:
-    g = tie_graph(seed)
+def block_tie_graph(seed: int) -> WeightedBipartiteGraph:
+    """Square graph of 4-15 square diagonal blocks, sides 2-12, each with a
+    hidden perfect matching and extra edges inside, plus cross edges that
+    run only from a lower block's left side to a higher block's right
+    side. Every perfect matching stays inside the blocks, so no cross edge
+    lies in one. Weights in {0, 1, 2}; vertex labels and edge order
+    shuffled."""
+    rng = random.Random(seed)
+    sides = [rng.randint(2, 12) for _ in range(rng.randint(4, 15))]
+    starts = [sum(sides[:b]) for b in range(len(sides))]
+    cells = set()
+    for start, k in zip(starts, sides):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        cells |= {(start + u, start + perm[u]) for u in range(k)}
+        for _ in range(rng.randint(k, k * k // 2)):
+            cells.add((start + rng.randrange(k), start + rng.randrange(k)))
+    n = sum(sides)
+    for _ in range(rng.randint(0, n)):
+        low, high = sorted(rng.sample(range(len(sides)), 2))
+        cells.add((starts[low] + rng.randrange(sides[low]),
+                   starts[high] + rng.randrange(sides[high])))
+    left, right = list(range(n)), list(range(n))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = [(left[u], right[v], rng.choice((0, 0, 0, 1, 2))) for u, v in sorted(cells)]
+    rng.shuffle(edges)
+    return WeightedBipartiteGraph(n, n, edges)
+
+
+def enumeration_digests(seed: int, make=tie_graph) -> tuple[str, str]:
+    g = make(seed)
     every = islice(iter_perfect_matchings(g), LIMIT)
     optima = islice(iter_min_weight_perfect_matchings(g, solve_exact(g).prices), LIMIT)
     return (_digest(m.edge_indices for m in every),
@@ -96,6 +147,11 @@ def test_enumeration_order_pinned(seed):
     assert enumeration_digests(seed) == ENUMERATION_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(BLOCK_DIGESTS))
+def test_block_triangular_order_pinned(seed):
+    assert enumeration_digests(seed, block_tie_graph) == BLOCK_DIGESTS[seed]
+
+
 @pytest.mark.parametrize("seed", sorted(HOPCROFT_KARP_DIGESTS))
 def test_hopcroft_karp_matchings_pinned(seed):
     assert hopcroft_karp_digest(seed) == HOPCROFT_KARP_DIGESTS[seed]
@@ -105,6 +161,10 @@ if __name__ == "__main__":
     print("ENUMERATION_DIGESTS = {")
     for seed in sorted(ENUMERATION_DIGESTS):
         every, optima = enumeration_digests(seed)
+        print(f'    {seed}: ("{every}",\n        "{optima}"),')
+    print("}\n\nBLOCK_DIGESTS = {")
+    for seed in sorted(BLOCK_DIGESTS):
+        every, optima = enumeration_digests(seed, block_tie_graph)
         print(f'    {seed}: ("{every}",\n        "{optima}"),')
     print("}\n\nHOPCROFT_KARP_DIGESTS = {")
     for seed in sorted(HOPCROFT_KARP_DIGESTS):
