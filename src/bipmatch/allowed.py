@@ -66,8 +66,8 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                 mate_left: Sequence[int | None]) -> list[int]:
     """Strongly connected components of the matching-oriented graph.
 
-    ``mate_left`` gives the matched edge at each left vertex (None where
-    unmatched). Vertex ids: left u -> u, right v -> n_left + v. Matched
+    ``mate_left`` is a matching of the subset, as the matched edge at each
+    left vertex (None where unmatched). Vertex ids: left u -> u, right v -> n_left + v. Matched
     edges are oriented right-to-left, unmatched left-to-right. Two vertices
     get the same label exactly when they share a component.
 
@@ -79,17 +79,24 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     component of its own. Iterative Tarjan, so arbitrarily deep graphs
     cannot overflow the call stack.
 
+    Only left vertices with an edge in the subset are visited, in index
+    order; every other left vertex keeps the label -1, so the labels
+    describe the subset's vertices only (which is all the callers read).
+
     The graph must have no parallel edges: an unmatched copy of the matched
     edge (u, v) would become the self-loop u -> u, which this reduction
     does not count as a cycle, so that copy would be dropped.
     """
     n = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of
+    # Arcs out of each left vertex with an edge in the subset, in index order.
+    lefts = sorted(set(map(left_of.__getitem__, edge_indices)))
+    succ: dict[int, list[int]] = {u: [] for u in lefts}
     partner = [-1] * graph.n_right  # left mate of each right vertex
-    for u, e in enumerate(mate_left):
+    for u in succ:
+        e = mate_left[u]
         if e is not None:
             partner[right_of[e]] = u
-    succ: list[list[int]] = [[] for _ in range(n)]
     for e in edge_indices:
         u = left_of[e]
         if mate_left[u] != e:
@@ -105,7 +112,7 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     stack: list[int] = []
     counter = 0
 
-    for root in range(n):
+    for root in succ:
         if index[root] != -1:
             continue
         index[root] = lowlink[root] = counter
@@ -143,20 +150,12 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                         comp[member] = label
 
     n_comps = len(on_cycle)
-    for v, u in enumerate(partner):
-        comp.append(comp[u] if u >= 0 and on_cycle[comp[u]] else n_comps + v)
+    comp.extend(range(n_comps, n_comps + graph.n_right))
+    for u in succ:
+        e = mate_left[u]
+        if e is not None and on_cycle[comp[u]]:
+            comp[n + right_of[e]] = comp[u]
     return comp
-
-
-def _allowed_subset(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                    mate_left: Sequence[int | None], comp: list[int]) -> list[int]:
-    """Edges of the subset lying in some perfect matching, given one (as
-    the matched edge at each left vertex) and the component labels
-    ``_scc_labels`` computed for it."""
-    n = graph.n_left
-    left_of, right_of = graph._left_of, graph._right_of
-    return [e for e in edge_indices
-            if mate_left[left_of[e]] == e or comp[left_of[e]] == comp[n + right_of[e]]]
 
 
 def allowed_edges(graph: WeightedBipartiteGraph,
@@ -175,7 +174,10 @@ def allowed_edges(graph: WeightedBipartiteGraph,
             f"on sides of size {graph.n_left} and {graph.n_right}")
     mate_left = matching._mate_left
     comp = _scc_labels(graph, subset, mate_left)
-    return EdgeSet(graph, _allowed_subset(graph, subset, mate_left, comp))
+    n = graph.n_left
+    left_of, right_of = graph._left_of, graph._right_of
+    return EdgeSet(graph, [e for e in subset if mate_left[left_of[e]] == e
+                           or comp[left_of[e]] == comp[n + right_of[e]]])
 
 
 def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from itertools import islice
 
 from . import transforms
@@ -28,8 +29,8 @@ from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
 from .graph import (MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph, matching_from_json,
                     parse_instance)
 from .preallocation import parse_preferences, preallocate
-from .prices import (DualPrices, check_complementary_slackness, check_dual_feasible,
-                     dual_objective, prices_from_json, prices_to_json)
+from .prices import (DualPrices, check_complementary_slackness, dual_objective,
+                     edge_slacks, prices_from_json, prices_to_json)
 from .solvers import solve_auction, solve_exact, solve_via_rounding
 from .tight import build_gcs
 
@@ -219,16 +220,23 @@ def _cmd_check(args) -> int:
         raise ParseError("no prices given: pass --prices or a composed result file")
 
     # A valid certificate takes one slack scan; only a failed one is
-    # scanned again to say what is wrong with it.
+    # scanned again to say what is wrong with it. Edges are named by their
+    # 1-based input labels, the first in input order.
     problems = []
     if not (matching.is_perfect and check_complementary_slackness(graph, matching, prices)):
-        violations = check_dual_feasible(graph, prices)
-        if violations:
-            problems.append(f"{len(violations)} dual-infeasible edge(s)")
+        slacks = edge_slacks(graph, prices)
+
+        def named(e: int) -> str:
+            return f"{graph.original_pair(e)} with slack {Fraction(slacks[e], prices.den)}"
+
+        violated = [e for e, slack in enumerate(slacks) if slack < 0]
+        if violated:
+            problems.append(f"{len(violated)} dual-infeasible edge(s), first {named(violated[0])}")
         if not matching.is_perfect:
             problems.append("matching is not perfect")
-        elif not violations:
-            problems.append("a matched edge is not tight")
+        loose = next((e for e in matching if slacks[e]), None)
+        if loose is not None:
+            problems.append(f"matched edge {named(loose)} is not tight")
     ok = not problems
     payload = {
         "valid": ok,

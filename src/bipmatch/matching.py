@@ -2,9 +2,12 @@
 
 The solver works on a whole graph or on a subset of its edges; the latter
 is how tight subgraphs and enumeration branches reuse it without copying
-the graph. Results are deterministic for a fixed edge order: breadth-first
-layers scan left vertices in index order and adjacency lists in input
-order.
+the graph. On a subset it visits only the left vertices that have an edge
+in the subset, so its loops cost the subset's size rather than the
+graph's; a left vertex without one would never be matched anyway, so the
+result is the same. Results are deterministic for a fixed edge order:
+breadth-first layers scan left vertices in index order and adjacency
+lists in input order.
 
 The first phase runs as one greedy pass: each left vertex, in index order,
 takes the first free right vertex in its adjacency order. This is exactly
@@ -34,19 +37,24 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
     n_left = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of
     if edge_indices is None:
-        adjacency: Sequence[Sequence[int]] = graph._adj_left
+        adjacency = graph._adj_left
+        lefts: Sequence[int] = range(n_left)
     else:
-        adj: list[list[int]] = [[] for _ in range(n_left)]
+        adjacency = {}  # left vertex -> its edges in the subset, in edge order
         for e in graph._edge_subset(edge_indices):
-            adj[left_of[e]].append(e)
-        adjacency = adj
+            u = left_of[e]
+            if u in adjacency:
+                adjacency[u].append(e)
+            else:
+                adjacency[u] = [e]
+        lefts = sorted(adjacency)
 
     mate_left: list[int | None] = [None] * n_left      # matched edge at u
     mate_right: list[int | None] = [None] * graph.n_right
     dist = [_INF] * n_left
 
     # Phase one, as the greedy pass the module docstring describes.
-    for u in range(n_left):
+    for u in lefts:
         for e in adjacency[u]:
             v = right_of[e]
             if mate_right[v] is None:
@@ -58,7 +66,7 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
         # Layer the graph from free left vertices; returns the length (in
         # left-layers) at which the nearest free right vertex sits, or _INF.
         queue: deque[int] = deque()
-        for u in range(n_left):
+        for u in lefts:
             if mate_left[u] is None:
                 dist[u] = 0
                 queue.append(u)
@@ -118,7 +126,7 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
         cap = bfs()
         if cap == _INF:
             break
-        for u in range(n_left):
+        for u in lefts:
             if mate_left[u] is None:
                 dfs(u, cap)
 

@@ -239,7 +239,35 @@ class TestCheck:
         code, out, _ = run(capsys, "check", fig1_path,
                            "--matching", str(matching), "--prices", str(prices))
         assert code == 1
-        assert json.loads(out)["valid"] is False
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert payload["problems"] == ["matched edge (2, 3) with slack 2 is not tight"]
+
+    @pytest.mark.parametrize("edges, prices, problems", [
+        # Feasible prices, a matching that leaves vertex 3 on each side free.
+        ([[1, 1], [2, 2]], {"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]},
+         ["matching is not perfect"]),
+        # Edges (1, 1), (2, 2) and (2, 3) are violated; the first two are matched.
+        ([[1, 1], [2, 2], [3, 3]], {"den": 2, "pi": [1, 5, 2], "p": [4, 0, 0]},
+         ["3 dual-infeasible edge(s), first (1, 1) with slack -3/2",
+          "matched edge (1, 1) with slack -3/2 is not tight"]),
+        # Vertex 1 on each side free, and the matched edge (2, 3) is loose.
+        ([[2, 3], [3, 2]], {"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]},
+         ["matching is not perfect", "matched edge (2, 3) with slack 2 is not tight"]),
+    ])
+    def test_names_first_violating_edge(self, capsys, fig1_path, tmp_path,
+                                        edges, prices, problems):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"edges": edges}))
+        prices_path = tmp_path / "p.json"
+        prices_path.write_text(json.dumps(prices))
+        argv = ("check", fig1_path, "--matching", str(matching), "--prices", str(prices_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["problems"] == problems
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 1
+        assert out == "certificate INVALID: " + "; ".join(problems) + "\n"
 
     def test_bool_denominator_exit_2(self, capsys, fig1_path, tmp_path):
         matching = tmp_path / "m.json"

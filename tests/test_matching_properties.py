@@ -1,7 +1,10 @@
-"""Property tests for Hopcroft-Karp and the allowed-edge filter: the
-maximum cardinality agrees with networkx on graphs of any shape, and the
-allowed edges of a zero-weight graph are the union of its perfect
-matchings."""
+"""Property tests for Hopcroft-Karp, the allowed-edge filter and the
+enumeration: the maximum cardinality agrees with networkx on graphs of
+any shape; Hopcroft-Karp on two vertex-disjoint parts returns the union
+of its matchings on each part, which the enumeration's per-block cache
+relies on; the allowed edges of a zero-weight graph are the union of its
+perfect matchings; and the enumeration yields each perfect matching
+exactly once."""
 
 import pytest
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (Infeasible, WeightedBipartiteGraph, allowed_edges,  # noqa: E402
-                      max_cardinality_matching)
+                      iter_perfect_matchings, max_cardinality_matching)
 
 from conftest import brute_force_min_weight_pms  # noqa: E402
 
@@ -38,6 +41,70 @@ def graphs_with_subset(draw, max_side):
         subset = draw(st.none() | st.lists(st.integers(0, len(order) - 1),
                                            max_size=2 * len(order)))
     return graph, subset
+
+
+def _unsorted_with_repeats(draw, edges):
+    """All of ``edges`` or a random choice of them, with repeats, shuffled."""
+    if not edges:
+        return []
+    extra = st.lists(st.sampled_from(edges), max_size=len(edges))
+    kept = list(edges) if draw(st.integers(0, 2)) else draw(extra)
+    return draw(st.permutations(kept + draw(extra)))
+
+
+@st.composite
+def two_part_subsets(draw, max_side):
+    """A graph with each vertex in part 0 or part 1 (the parts interleave
+    in vertex index; most graphs are square, and most square ones hide a
+    perfect matching inside the parts), edges within and across the parts
+    in shuffled order, and one subset of edges per part, each unsorted and
+    with repeats."""
+    n = draw(st.integers(0, max_side))
+    s = n if draw(st.integers(0, 3)) else draw(st.integers(0, max_side))
+    left_part = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    right_part = draw(st.lists(st.integers(0, 1), min_size=s, max_size=s))
+    cells = set()
+    if n == s and draw(st.integers(0, 3)):
+        hidden = draw(st.permutations(range(n)))
+        cells = set(enumerate(hidden))
+        for u, v in cells:
+            right_part[v] = left_part[u]
+    pairs = [(u, v) for u in range(n) for v in range(s)]
+    inside = [(u, v) for u, v in pairs if left_part[u] == right_part[v]]
+    across = [(u, v) for u, v in pairs if left_part[u] != right_part[v]]
+    for some in (inside, across):
+        if some:
+            cells |= draw(st.sets(st.sampled_from(some), min_size=len(some) // 3,
+                                  max_size=len(some)))
+    order = draw(st.permutations(sorted(cells)))
+    graph = WeightedBipartiteGraph(n, s, [(u, v, 0) for u, v in order])
+    parts = tuple(_unsorted_with_repeats(
+        draw, [e for e, (u, v) in enumerate(order) if left_part[u] == right_part[v] == p])
+        for p in (0, 1))
+    return graph, parts
+
+
+def brute_force_perfect_matchings(graph: WeightedBipartiteGraph, subset) -> set:
+    """Every perfect matching of the subgraph, as frozensets of edge
+    indices, by exhaustive search over the left vertices."""
+    if graph.n_left != graph.n_right:
+        return set()
+    at_left = [[] for _ in range(graph.n_left)]
+    for e in sorted(set(subset)):
+        at_left[graph.endpoints(e)[0]].append(e)
+    found = set()
+
+    def extend(u, used, chosen):
+        if u == graph.n_left:
+            found.add(frozenset(chosen))
+            return
+        for e in at_left[u]:
+            v = graph.endpoints(e)[1]
+            if not (used >> v) & 1:
+                extend(u + 1, used | (1 << v), chosen + [e])
+
+    extend(0, 0, [])
+    return found
 
 
 def networkx_cardinality(graph: WeightedBipartiteGraph, subset) -> int:
@@ -75,3 +142,25 @@ def test_allowed_edges_are_union_of_perfect_matchings(case):
         return
     union = {kept[e] for m in perfect for e in m.edge_indices}
     assert set(allowed_edges(graph, subset).indices) == union
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_part_subsets(max_side=8), st.randoms(use_true_random=False))
+def test_hopcroft_karp_on_disjoint_parts_is_the_union(case, rng):
+    graph, (first, second) = case
+    both = first + second
+    rng.shuffle(both)
+    union = (max_cardinality_matching(graph, first).edge_indices
+             + max_cardinality_matching(graph, second).edge_indices)
+    assert max_cardinality_matching(graph, both).edge_indices == tuple(sorted(union))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_part_subsets(max_side=8), st.randoms(use_true_random=False))
+def test_enumeration_yields_each_perfect_matching_once(case, rng):
+    graph, (first, second) = case
+    subset = first + second
+    rng.shuffle(subset)
+    produced = [frozenset(m.edge_indices) for m in iter_perfect_matchings(graph, subset)]
+    assert len(produced) == len(set(produced))
+    assert set(produced) == brute_force_perfect_matchings(graph, subset)
