@@ -66,10 +66,11 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                 mate_left: Sequence[int | None]) -> list[int]:
     """Strongly connected components of the matching-oriented graph.
 
-    ``mate_left`` is a matching of the subset, as the matched edge at each
-    left vertex (None where unmatched). Vertex ids: left u -> u, right v -> n_left + v. Matched
-    edges are oriented right-to-left, unmatched left-to-right. Two vertices
-    get the same label exactly when they share a component.
+    ``mate_left`` is a matching of the subset, given as the matched edge at
+    each left vertex (None where unmatched). Vertex ids: left u -> u, right
+    v -> n_left + v. Matched edges are oriented right-to-left, unmatched
+    left-to-right. Two vertices get the same label exactly when they share
+    a component.
 
     A matched right vertex has one way out, to its mate, so the search runs
     on the left vertices alone: the unmatched edge (u, v) becomes the arc

@@ -85,26 +85,13 @@ def two_part_subsets(draw, max_side):
 
 
 def brute_force_perfect_matchings(graph: WeightedBipartiteGraph, subset) -> set:
-    """Every perfect matching of the subgraph, as frozensets of edge
-    indices, by exhaustive search over the left vertices."""
-    if graph.n_left != graph.n_right:
-        return set()
-    at_left = [[] for _ in range(graph.n_left)]
-    for e in sorted(set(subset)):
-        at_left[graph.endpoints(e)[0]].append(e)
-    found = set()
-
-    def extend(u, used, chosen):
-        if u == graph.n_left:
-            found.add(frozenset(chosen))
-            return
-        for e in at_left[u]:
-            v = graph.endpoints(e)[1]
-            if not (used >> v) & 1:
-                extend(u + 1, used | (1 << v), chosen + [e])
-
-    extend(0, 0, [])
-    return found
+    """Every perfect matching of the edge subset (all edges for None), as
+    frozensets of the graph's edge indices, from the exhaustive oracle run
+    on a zero-weight copy of the subgraph."""
+    kept = sorted(set(range(graph.edge_count) if subset is None else subset))
+    sub = WeightedBipartiteGraph(graph.n_left, graph.n_right,
+                                 [graph.endpoints(e) + (0,) for e in kept])
+    return {frozenset(kept[e] for e in m.edge_indices) for m in brute_force_min_weight_pms(sub)}
 
 
 def networkx_cardinality(graph: WeightedBipartiteGraph, subset) -> int:
@@ -132,16 +119,12 @@ def test_cardinality_matches_networkx(case):
 @given(graphs_with_subset(max_side=6))
 def test_allowed_edges_are_union_of_perfect_matchings(case):
     graph, subset = case
-    kept = sorted(set(range(graph.edge_count) if subset is None else subset))
-    sub = WeightedBipartiteGraph(graph.n_left, graph.n_right,
-                                 [graph.edges[e] for e in kept])
-    perfect = brute_force_min_weight_pms(sub)  # every one: all weights are 0
+    perfect = brute_force_perfect_matchings(graph, subset)
     if not perfect:
         with pytest.raises(Infeasible):
             allowed_edges(graph, subset)
         return
-    union = {kept[e] for m in perfect for e in m.edge_indices}
-    assert set(allowed_edges(graph, subset).indices) == union
+    assert set(allowed_edges(graph, subset).indices) == set().union(*perfect)
 
 
 @settings(max_examples=300, deadline=None)
