@@ -7,8 +7,7 @@ matchings, one containing as many preferred edges as possible; the cost
 never degrades, preferences only break ties.
 """
 
-from bipmatch import (PreferenceSet, WeightedBipartiteGraph, preallocate,
-                      solve_exact)
+from bipmatch import EdgeSet, WeightedBipartiteGraph, preallocate, solve_exact
 
 # All assignments cost 10 here: a pure tie-breaking situation.
 graph = WeightedBipartiteGraph(2, 2, [
@@ -18,7 +17,7 @@ graph = WeightedBipartiteGraph(2, 2, [
 prices = solve_exact(graph).prices
 
 for wanted in ([], [(0, 1)], [(0, 0), (1, 1)]):
-    prefs = PreferenceSet.from_pairs(graph, wanted)
+    prefs = EdgeSet(graph, [graph.edge_index(u, v) for u, v in wanted])
     m = preallocate(graph, prices, prefs)
     used = sorted(graph.endpoints(e) for e in m)
     kept = sum(1 for e in m if e in prefs)
@@ -27,6 +26,6 @@ for wanted in ([], [(0, 1)], [(0, 0), (1, 1)]):
 # An unsatisfiable preference changes nothing: the unique optimum wins.
 rigid = WeightedBipartiteGraph(2, 2, [(0, 0, 0), (0, 1, 9), (1, 0, 9), (1, 1, 0)])
 rigid_prices = solve_exact(rigid).prices
-m = preallocate(rigid, rigid_prices, PreferenceSet.from_pairs(rigid, [(0, 1)]))
+m = preallocate(rigid, rigid_prices, EdgeSet(rigid, [rigid.edge_index(0, 1)]))
 print("rigid instance ignores the preference:",
       sorted(rigid.endpoints(e) for e in m), "cost", m.weight())

@@ -7,20 +7,20 @@ preference-maximizing optimal matchings, and reductions that handle
 unbalanced or infeasible instances.
 """
 
-from .allowed import EdgeSet, allowed_edges, optimal_edges
+from .allowed import allowed_edges, optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings, iter_perfect_matchings
 from .errors import (CoverageRequired, Error, Infeasible, InfeasibleDual, NotSquare,
                      ParseError)
-from .graph import (MAX_ABS_WEIGHT, Matching, VertexRef, WeightedBipartiteGraph,
+from .graph import (MAX_ABS_WEIGHT, EdgeSet, Matching, WeightedBipartiteGraph,
                     matching_from_json, parse_instance, serialize_instance)
 from .matching import max_cardinality_matching
-from .preallocation import PreferenceSet, parse_preferences, preallocate
+from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
                      check_dual_feasible, check_eps_optimal, dual_objective,
                      prices_from_json, prices_to_json, round_to_optimal,
                      select_shift)
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
-from .tight import TightSubgraph, build_gcs
+from .tight import build_gcs, gcs_to_json
 from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
                          TransformedInstance, artificial_vertices,
                          choose_strategy, first_doubling, optimal_edges_general,
@@ -43,14 +43,11 @@ __all__ = [
     "NotSquare",
     "PADDING",
     "ParseError",
-    "PreferenceSet",
     "STRATEGIES",
     "SlackViolation",
     "SolveResult",
     "SolveStats",
-    "TightSubgraph",
     "TransformedInstance",
-    "VertexRef",
     "WeightedBipartiteGraph",
     "allowed_edges",
     "artificial_vertices",
@@ -61,6 +58,7 @@ __all__ = [
     "choose_strategy",
     "dual_objective",
     "first_doubling",
+    "gcs_to_json",
     "iter_min_weight_perfect_matchings",
     "iter_perfect_matchings",
     "matching_from_json",

@@ -5,7 +5,7 @@ right-to-left, the rest left-to-right): an edge then lies in some perfect
 matching exactly when it is matched or when its endpoints share a strongly
 connected component, i.e. it sits on an alternating cycle. Composed with
 the tight subgraph this yields the union of all minimum-weight perfect
-matchings.
+matchings. Both results are ``EdgeSet``s of the parent graph.
 """
 
 from __future__ import annotations
@@ -13,53 +13,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import Infeasible
-from .graph import WeightedBipartiteGraph
+from .graph import EdgeSet, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
 from .tight import build_gcs
-
-
-class EdgeSet:
-    """A sorted, deduplicated set of parent edge indices."""
-
-    __slots__ = ("_graph", "_indices", "_index_set")
-
-    def __init__(self, graph: WeightedBipartiteGraph, indices: Iterable[int]):
-        self._graph = graph
-        self._indices = graph._edge_subset(indices)
-        self._index_set = frozenset(self._indices)
-
-    @property
-    def graph(self) -> WeightedBipartiteGraph:
-        return self._graph
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [self._graph.endpoints(e) for e in self._indices]
-
-    def __contains__(self, e: int) -> bool:
-        return e in self._index_set
-
-    def __iter__(self):
-        return iter(self._indices)
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return self._graph is other._graph and self._indices == other._indices
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({self._indices})"
-
-    def to_json(self) -> dict:
-        pairs = sorted(self._graph.original_pair(e) for e in self._indices)
-        return {"edges": [[i, j] for i, j in pairs]}
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import transforms
@@ -30,9 +29,9 @@ from .graph import (MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph, matching_f
                     parse_instance)
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, check_complementary_slackness, dual_objective,
-                     edge_slacks, prices_from_json, prices_to_json)
+                     edge_slacks, edge_with_slack, prices_from_json, prices_to_json)
 from .solvers import solve_auction, solve_exact, solve_via_rounding
-from .tight import build_gcs
+from .tight import build_gcs, gcs_to_json
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -125,7 +124,7 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
 
 def _matching_text(matching: Matching) -> str:
     pairs = " ".join(f"({i},{j})" for i, j in
-                     sorted(matching.graph.original_pair(e) for e in matching))
+                     matching.graph.original_pairs(matching.edge_indices))
     return (f"cardinality {matching.cardinality}, weight {matching.weight()}: "
             f"{pairs}" if pairs else
             f"cardinality {matching.cardinality}, weight {matching.weight()}: (empty)")
@@ -153,7 +152,7 @@ def _cmd_gcs(args) -> int:
     graph = _load_instance(args.instance)
     prices = _obtain_prices(graph, args.prices)
     tight = build_gcs(graph, prices)
-    _emit(tight.to_json(), args.format,
+    _emit(gcs_to_json(tight, prices), args.format,
           f"{tight.edge_count} tight of {graph.edge_count} edges")
     return EXIT_OK
 
@@ -227,7 +226,7 @@ def _cmd_check(args) -> int:
         slacks = edge_slacks(graph, prices)
 
         def named(e: int) -> str:
-            return f"{graph.original_pair(e)} with slack {Fraction(slacks[e], prices.den)}"
+            return edge_with_slack(graph, e, slacks[e], prices.den)
 
         violated = [e for e, slack in enumerate(slacks) if slack < 0]
         if violated:

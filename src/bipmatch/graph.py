@@ -12,14 +12,17 @@ Instance file format (line oriented):
     p bip <n_left> <n_right> <n_edges>
     e <i> <j> <w>        # 1-based left index, 1-based right index, weight
 
+A ``Matching`` is a set of vertex-disjoint edges; an ``EdgeSet`` is any
+set of edges (the tight subgraph, the edges of some optimal matching, a
+preference set). Both name edges by index into the parent graph.
 Matchings serialize as JSON objects
-``{"cardinality": int, "weight": int, "edges": [[i, j], ...]}`` with
-1-based indices in the original orientation.
+``{"cardinality": int, "weight": int, "edges": [[i, j], ...]}`` and edge
+sets as ``{"edges": [[i, j], ...]}``, with 1-based labels in the original
+orientation, sorted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -36,24 +39,6 @@ def _check_weight(w) -> None:
         raise TypeError(f"edge weight must be an integer, got {w!r}")
     if abs(w) > MAX_ABS_WEIGHT:
         raise ValueError(f"|weight| {abs(w)} exceeds bound {MAX_ABS_WEIGHT}")
-
-
-@dataclass(frozen=True)
-class VertexRef:
-    """A vertex named by side ("left" or "right") and 0-based index."""
-
-    side: str
-    index: int
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.index < 0:
-            raise ValueError("vertex index must be non-negative")
-
-    def __str__(self) -> str:
-        prefix = "u" if self.side == "left" else "v"
-        return f"{prefix}{self.index}"
 
 
 class WeightedBipartiteGraph:
@@ -207,17 +192,19 @@ class WeightedBipartiteGraph:
             u, v = v, u
         return u + 1, v + 1
 
+    def original_pairs(self, edge_indices: Iterable[int]) -> list[list[int]]:
+        """Sorted 1-based [left, right] labels of the given edges in the
+        input orientation: the edge list of every JSON payload."""
+        left, right = self._left_of, self._right_of
+        if self._sides_swapped:
+            left, right = right, left
+        return sorted([left[e] + 1, right[e] + 1] for e in edge_indices)
+
     def original_sizes(self) -> tuple[int, int]:
         """(left, right) side sizes in the input orientation."""
         if self._sides_swapped:
             return self._n_right, self._n_left
         return self._n_left, self._n_right
-
-    def original_vertex(self, side: str, index: int) -> VertexRef:
-        """Input-orientation name of an internal vertex."""
-        if self._sides_swapped:
-            side = "right" if side == "left" else "left"
-        return VertexRef(side, index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedBipartiteGraph):
@@ -314,12 +301,60 @@ class Matching:
         return f"Matching(cardinality={self.cardinality}, edges={self._edge_indices})"
 
     def to_json(self) -> dict:
-        pairs = sorted(self._graph.original_pair(e) for e in self._edge_indices)
         return {
             "cardinality": self.cardinality,
             "weight": self.weight(),
-            "edges": [[i, j] for i, j in pairs],
+            "edges": self._graph.original_pairs(self._edge_indices),
         }
+
+
+class EdgeSet:
+    """A set of edges of a fixed parent graph, kept as its distinct edge
+    indices in increasing order. The tight subgraph, the edges in some
+    perfect or optimal matching, and a preference set are edge sets."""
+
+    __slots__ = ("_graph", "_edge_indices", "_members")
+
+    def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
+        self._graph = graph
+        self._edge_indices = graph._edge_subset(edge_indices)
+        self._members = frozenset(self._edge_indices)
+
+    @property
+    def graph(self) -> WeightedBipartiteGraph:
+        return self._graph
+
+    @property
+    def edge_indices(self) -> tuple[int, ...]:
+        return self._edge_indices
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edge_indices)
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The edges as internal (left, right) index pairs, in index order."""
+        return [self._graph.endpoints(e) for e in self._edge_indices]
+
+    def __contains__(self, e: int) -> bool:
+        return e in self._members
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._edge_indices)
+
+    def __len__(self) -> int:
+        return len(self._edge_indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return self._graph is other._graph and self._edge_indices == other._edge_indices
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({self._edge_indices})"
+
+    def to_json(self) -> dict:
+        return {"edges": self._graph.original_pairs(self._edge_indices)}
 
 
 def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:

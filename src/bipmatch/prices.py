@@ -146,6 +146,12 @@ def edge_slacks(graph: WeightedBipartiteGraph, prices: DualPrices) -> list[int]:
             for u, v, w in zip(graph._left_of, graph._right_of, graph._weight_of)]
 
 
+def edge_with_slack(graph: WeightedBipartiteGraph, e: int, slack: int, den: int) -> str:
+    """Edge e by its 1-based input labels with its slack, an integer
+    numerator over ``den``, as diagnostics name a violated or loose edge."""
+    return f"{graph.original_pair(e)} with slack {Fraction(slack, den)}"
+
+
 def check_dual_feasible(graph: WeightedBipartiteGraph,
                         prices: DualPrices) -> list[SlackViolation]:
     """All edges where left + right price exceeds the weight.
@@ -191,27 +197,35 @@ def dual_objective(prices: DualPrices) -> Fraction:
     return Fraction(sum(prices.left_num) + sum(prices.right_num), prices.den)
 
 
+def _first_free_shift(scaled_floors: Iterable[int], modulus: int) -> int:
+    """The shift rule in integers: the smallest t in {0, ..., modulus - 1}
+    with t != (-f) mod modulus for every f, where f is floor(modulus * r)
+    for a price r. That value is the one shift whose offset t/modulus,
+    shrunk by one step, would push r + t/modulus across an integer."""
+    forbidden = {-f % modulus for f in scaled_floors}
+    for t in range(modulus):
+        if t not in forbidden:
+            return t
+    raise ValueError(f"all {modulus} shift values are ruled out; "
+                     f"more than {modulus - 1} distinct price offsets supplied")
+
+
 def select_shift(right_prices: Sequence[RationalLike], n: int) -> int:
     """Choose the smallest shift t in {0, ..., n} whose fractional offset
     t/(n+1) cannot push any of the given prices across an integer when the
     offset shrinks by one step.
 
     A value t is ruled out by a price r when
-    t == ceil((n+1) * (ceil(r) - r)) mod (n+1); with at most n prices at
-    least one of the n+1 candidates survives.
+    t == ceil((n+1) * (ceil(r) - r)) mod (n+1), which equals
+    -floor((n+1) * r) mod (n+1); with at most n prices at least one of the
+    n+1 candidates survives.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     modulus = n + 1
-    forbidden = set()
-    for value in right_prices:
-        r = _as_fraction(value, "price")
-        forbidden.add(math.ceil(modulus * (math.ceil(r) - r)) % modulus)
-    for t in range(modulus):
-        if t not in forbidden:
-            return t
-    raise ValueError(f"all {modulus} shift values are ruled out; "
-                     f"more than {n} distinct price offsets supplied")
+    return _first_free_shift(
+        (math.floor(modulus * _as_fraction(value, "price")) for value in right_prices),
+        modulus)
 
 
 def round_to_optimal(graph: WeightedBipartiteGraph,
@@ -221,10 +235,11 @@ def round_to_optimal(graph: WeightedBipartiteGraph,
     denominators dividing n+1) into integral optimal prices for the same
     matching.
 
-    Right prices are floored after adding a shift t/(n+1) chosen by
-    select_shift; each left price is then recomputed from its matched edge
-    so the matching stays exactly tight. The matching itself is already
-    optimal and is not touched.
+    Right prices are floored after adding a shift t/(n+1) chosen by the
+    select_shift rule; each left price is then recomputed from its matched
+    edge so the matching stays exactly tight. The matching itself is
+    already optimal and is not touched. All of it runs on integer
+    numerators: a price x/den is R/(n+1) with R = x*(n+1)/den.
 
     Raises ValueError when the pair is not epsilon-optimal at 1/(n+1) or
     the prices use finer denominators than n+1 allows.
@@ -232,17 +247,18 @@ def round_to_optimal(graph: WeightedBipartiteGraph,
     _require_shape(graph, prices)
     n = graph.n_left
     modulus = n + 1
-    for f in prices.left_prices() + prices.right_prices():
-        if modulus % f.denominator != 0:
+    den = prices.den
+    for x in prices.left_num + prices.right_num:
+        if x * modulus % den:
+            f = Fraction(x, den)
             raise ValueError(
                 f"price {f} has denominator {f.denominator}, which does not divide {modulus}")
     if not check_eps_optimal(graph, matching, prices, Fraction(1, modulus)):
         raise ValueError(f"pair is not epsilon-optimal at epsilon = 1/{modulus}")
 
-    right_values = prices.right_prices()
-    t = select_shift(right_values, n)
-    step = Fraction(t, modulus)
-    new_right = [math.floor(r + step) for r in right_values]
+    scaled_right = [x * modulus // den for x in prices.right_num]  # exact
+    t = _first_free_shift(scaled_right, modulus)
+    new_right = [(r + t) // modulus for r in scaled_right]
     new_left = [0] * n
     for e in matching.edge_indices:
         u, v = graph.endpoints(e)

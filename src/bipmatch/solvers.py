@@ -71,7 +71,9 @@ def _require_square(graph: WeightedBipartiteGraph) -> None:
 
 
 def _require_feasible(graph: WeightedBipartiteGraph) -> None:
-    """Raise Infeasible, naming uncovered vertices, if no perfect matching exists."""
+    """Raise Infeasible, naming uncovered vertices, if no perfect matching
+    exists. The graph is square, so its sides are never swapped and the
+    0-based names u<i> and v<j> follow the input's orientation."""
     mcm = max_cardinality_matching(graph)
     if mcm.cardinality < graph.n_left:
         free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)
@@ -79,8 +81,7 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
         free_right = next(v for v in range(graph.n_right) if v not in covered)
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {mcm.cardinality} of "
-            f"{graph.n_left}; vertices {graph.original_vertex('left', free_left)} and "
-            f"{graph.original_vertex('right', free_right)} stay uncovered")
+            f"{graph.n_left}; vertices u{free_left} and v{free_right} stay uncovered")
 
 
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allowed import EdgeSet, optimal_edges
+from .allowed import optimal_edges
 from .errors import CoverageRequired
-from .graph import Matching, WeightedBipartiteGraph, _check_weight
+from .graph import EdgeSet, Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
 from .solvers import SolveResult, solve_exact
 
@@ -191,4 +191,4 @@ def optimal_edges_general(graph: WeightedBipartiteGraph, strategy: str = AUTO,
     the transformed instance, intersected with the original edges."""
     transformed, result = _solve_transformed(graph, strategy, k)
     lifted = optimal_edges(transformed.graph, result.prices)
-    return EdgeSet(graph, transformed.original_edge_indices(lifted.indices))
+    return EdgeSet(graph, transformed.original_edge_indices(lifted.edge_indices))

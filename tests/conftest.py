@@ -1,6 +1,8 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 import bipmatch.enumeration
 import bipmatch.solvers
 import bipmatch.transforms
-from bipmatch import DualPrices, Matching, WeightedBipartiteGraph, max_cardinality_matching
+from bipmatch import (DualPrices, Matching, WeightedBipartiteGraph, check_eps_optimal,
+                      max_cardinality_matching)
 
 # Canonical 3x3 fixture used throughout: two optimal price systems with
 # different tight subgraphs but the same (unique) optimal matching.
@@ -167,3 +170,42 @@ def perturbed_eps_pair(graph: WeightedBipartiteGraph, matching: Matching,
         u, v = graph.endpoints(e)
         left[u] -= deltas[v]
     return DualPrices.from_values(left, right)
+
+
+def reference_select_shift(right_prices, n: int) -> int:
+    """The shift rule on Fractions: t is ruled out by a price r when
+    t == ceil((n+1) * (ceil(r) - r)) mod (n+1); the smallest survivor."""
+    modulus = n + 1
+    forbidden = set()
+    for value in right_prices:
+        r = Fraction(value)
+        forbidden.add(math.ceil(modulus * (math.ceil(r) - r)) % modulus)
+    for t in range(modulus):
+        if t not in forbidden:
+            return t
+    raise ValueError(f"all {modulus} shift values are ruled out; "
+                     f"more than {n} distinct price offsets supplied")
+
+
+def reference_round_to_optimal(graph: WeightedBipartiteGraph, matching: Matching,
+                               prices: DualPrices) -> DualPrices:
+    """Price rounding on Fractions, the reference for the integer
+    ``round_to_optimal``: the same checks and messages, then each right
+    price floored after the shift t/(n+1) and each matched left price
+    recomputed from its edge."""
+    n = graph.n_left
+    modulus = n + 1
+    for f in prices.left_prices() + prices.right_prices():
+        if modulus % f.denominator != 0:
+            raise ValueError(
+                f"price {f} has denominator {f.denominator}, which does not divide {modulus}")
+    if not check_eps_optimal(graph, matching, prices, Fraction(1, modulus)):
+        raise ValueError(f"pair is not epsilon-optimal at epsilon = 1/{modulus}")
+    right_values = prices.right_prices()
+    step = Fraction(reference_select_shift(right_values, n), modulus)
+    new_right = [math.floor(r + step) for r in right_values]
+    new_left = [0] * n
+    for e in matching.edge_indices:
+        u, v = graph.endpoints(e)
+        new_left[u] = graph.weight(e) - new_right[v]
+    return DualPrices(new_left, new_right, 1)

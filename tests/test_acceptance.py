@@ -93,7 +93,7 @@ def test_criterion_4_eps_weight_bound():
 def test_criterion_5_optimal_edges():
     with criterion(5, "optimal edge set = union of brute-force optima, 500 instances"):
         g = fig1_graph()
-        assert optimal_edges(g, DualPrices([-2, 0, 1], [3, 1, 0])).indices == M_STAR
+        assert optimal_edges(g, DualPrices([-2, 0, 1], [3, 1, 0])).edge_indices == M_STAR
         rng = random.Random(50105)
         for _ in range(500):
             g = make_feasible_square(rng, n_max=7, weights=(-9, 9))
@@ -101,7 +101,7 @@ def test_criterion_5_optimal_edges():
             union = set()
             for m in brute_force_min_weight_pms(g):
                 union.update(m.edge_indices)
-            assert set(optimal_edges(g, prices).indices) == union
+            assert set(optimal_edges(g, prices).edge_indices) == union
 
 
 def test_criterion_6_enumeration():
@@ -128,18 +128,18 @@ def test_criterion_6_enumeration():
 
 def test_criterion_7_preallocation():
     with criterion(7, "preallocation is optimal and preference-maximal, 300 pairs"):
-        from bipmatch import PreferenceSet, preallocate
+        from bipmatch import EdgeSet, preallocate
         rng = random.Random(50107)
         for _ in range(300):
             g = make_feasible_square(rng, n_max=6, weights=(-9, 9))
             prices = solve_exact(g).prices
-            prefs = PreferenceSet(
+            prefs = EdgeSet(
                 g, rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
             m = preallocate(g, prices, prefs)
             optima = brute_force_min_weight_pms(g)
             assert m.weight() == optima[0].weight()
-            best = max(len(set(opt.edge_indices) & prefs.indices) for opt in optima)
-            assert len(set(m.edge_indices) & prefs.indices) == best
+            best = max(len(set(opt.edge_indices) & set(prefs)) for opt in optima)
+            assert len(set(m.edge_indices) & set(prefs)) == best
 
 
 def test_criterion_8_transforms():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bipmatch import (MAX_ABS_WEIGHT, Matching, ParseError, VertexRef,
+from bipmatch import (MAX_ABS_WEIGHT, EdgeSet, Matching, ParseError,
                       WeightedBipartiteGraph, matching_from_json, parse_instance,
                       serialize_instance)
 
@@ -169,13 +169,23 @@ class TestMatching:
             matching_from_json(fig1, {"edges": [[1, 3]]})
 
 
-class TestVertexRef:
-    def test_str(self):
-        assert str(VertexRef("left", 2)) == "u2"
-        assert str(VertexRef("right", 0)) == "v0"
+class TestEdgeSet:
+    def test_sorted_distinct_indices(self, fig1):
+        edges = EdgeSet(fig1, [5, 3, 5, 0])
+        assert edges.edge_indices == (0, 3, 5) == tuple(edges)
+        assert len(edges) == edges.edge_count == 3
+        assert 3 in edges and 1 not in edges
+        assert edges.pairs() == [(0, 0), (1, 2), (2, 2)]
+        assert edges == EdgeSet(fig1, (0, 3, 5))
+        assert edges != EdgeSet(WeightedBipartiteGraph(3, 3, FIG1_EDGES), (0, 3, 5))
 
-    def test_validation(self):
+    def test_out_of_range_index(self, fig1):
         with pytest.raises(ValueError):
-            VertexRef("middle", 0)
+            EdgeSet(fig1, [99])
         with pytest.raises(ValueError):
-            VertexRef("left", -1)
+            EdgeSet(fig1, [-1])
+
+    def test_json_in_input_orientation(self):
+        g = WeightedBipartiteGraph(2, 3, [(0, 2, 1), (1, 0, 1), (0, 0, 1)])
+        assert g.sides_swapped
+        assert EdgeSet(g, [0, 1, 2]).to_json() == {"edges": [[1, 1], [1, 3], [2, 1]]}

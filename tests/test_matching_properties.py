@@ -124,7 +124,7 @@ def test_allowed_edges_are_union_of_perfect_matchings(case):
         with pytest.raises(Infeasible):
             allowed_edges(graph, subset)
         return
-    assert set(allowed_edges(graph, subset).indices) == set().union(*perfect)
+    assert set(allowed_edges(graph, subset).edge_indices) == set().union(*perfect)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,5 @@
 """Property tests for the per-edge slack: the three certificate checkers,
-build_gcs and TightSubgraph.to_json agree with a plain Fraction reference
+build_gcs and gcs_to_json agree with a plain Fraction reference
 on random prices and weights up to 2^40 in size."""
 
 from fractions import Fraction
@@ -11,10 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bipmatch import (MAX_ABS_WEIGHT, DualPrices, InfeasibleDual,  # noqa: E402
-                      Matching, TightSubgraph, WeightedBipartiteGraph, build_gcs,
+from bipmatch import (MAX_ABS_WEIGHT, DualPrices, EdgeSet,  # noqa: E402
+                      InfeasibleDual, Matching, WeightedBipartiteGraph, build_gcs,
                       check_complementary_slackness, check_dual_feasible,
-                      check_eps_optimal)
+                      check_eps_optimal, gcs_to_json)
 from bipmatch.prices import edge_slacks  # noqa: E402
 
 
@@ -79,7 +79,7 @@ def test_slack_consumers_match_fraction_reference(case):
         with pytest.raises(InfeasibleDual):
             build_gcs(graph, prices)
 
-    blob = TightSubgraph(graph, prices, tight).to_json()
+    blob = gcs_to_json(EdgeSet(graph, tight), prices)
     assert blob["edges"] == sorted([*graph.original_pair(e)] for e in tight)
     assert blob["dropped"] == sorted(
         [*graph.original_pair(e), _json_slack(slack)]

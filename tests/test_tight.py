@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bipmatch import (DualPrices, InfeasibleDual, WeightedBipartiteGraph, build_gcs,
-                      iter_perfect_matchings, solve_exact, solve_via_rounding)
+                      gcs_to_json, iter_perfect_matchings, solve_exact, solve_via_rounding)
 
 from conftest import FIG1_EDGES, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
@@ -28,10 +28,21 @@ class TestBuildGcs:
         with pytest.raises(InfeasibleDual):
             build_gcs(fig1, DualPrices([0, 0, 1], [2, 1, 0]))
 
+    def test_infeasible_names_input_edge_and_slack(self):
+        # Sides swapped: input edge (1, 2) is internal (u1, v0), the only
+        # violated one.
+        g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
+                                          (1, 2, 5)])
+        prices = DualPrices([0, 4, 0], [0, -3])
+        with pytest.raises(InfeasibleDual,
+                           match=r"^1 edge\(s\) violate dual feasibility, "
+                                 r"first \(1, 2\) with slack -1$"):
+            build_gcs(g, prices)
+
     def test_parent_edge_identity(self, fig1, fig1_p1):
         tight = build_gcs(fig1, fig1_p1)
         assert tight.edge_indices == (0, 2, 4, 5)
-        assert tight.parent is fig1
+        assert tight.graph is fig1
         assert 4 in tight and 1 not in tight
 
     def test_fractional_prices(self, fig1):
@@ -40,7 +51,7 @@ class TestBuildGcs:
         assert build_gcs(fig1, halves).edge_indices == (0, 2, 4, 5)
 
     def test_json_shape(self, fig1, fig1_p1):
-        blob = build_gcs(fig1, fig1_p1).to_json()
+        blob = gcs_to_json(build_gcs(fig1, fig1_p1), fig1_p1)
         assert blob["edges"] == [[1, 1], [2, 2], [3, 2], [3, 3]]
         assert blob["dropped"] == [[1, 2, 2], [2, 3, 2]]
 
@@ -51,7 +62,7 @@ class TestBuildGcs:
         g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
                                           (1, 2, 5)])
         prices = DualPrices([1, 1, 1], [1, 0], den=2)
-        blob = build_gcs(g, prices).to_json()
+        blob = gcs_to_json(build_gcs(g, prices), prices)
         assert blob["edges"] == [[1, 1]]
         assert blob["dropped"] == [[1, 2, 2], [2, 1, "3/2"], [2, 2, "1/2"], [2, 3, "9/2"]]
 

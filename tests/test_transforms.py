@@ -262,13 +262,13 @@ class TestOptimalEdgesGeneral:
             g = make_feasible_square(rng, n_max=6)
             direct = optimal_edges(g, solve_exact(g).prices)
             for strategy in (FULL_DOUBLING, HALF_DOUBLING, PADDING):
-                assert optimal_edges_general(g, strategy).indices == direct.indices
+                assert optimal_edges_general(g, strategy).edge_indices == direct.edge_indices
 
     def test_union_of_optimum_matchings(self):
         rng = random.Random(8642)
         for _ in range(100):
             g = make_any_graph(rng)
-            found = set(optimal_edges_general(g, FULL_DOUBLING).indices)
+            found = set(optimal_edges_general(g, FULL_DOUBLING).edge_indices)
             union = set()
             for edge_set in brute_force_optimum_matchings(g):
                 union.update(edge_set)
