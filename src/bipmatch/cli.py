@@ -31,7 +31,7 @@ from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, check_complementary_slackness, dual_objective,
                      edge_slacks, edge_with_slack, prices_from_json, prices_to_json)
 from .solvers import solve_auction, solve_exact, solve_via_rounding
-from .tight import build_gcs, gcs_to_json
+from .tight import gcs_to_json
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: a byte-order mark some editors write is dropped, not read
+    # as part of the first line or JSON value.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -151,9 +153,9 @@ def _cmd_duals(args) -> int:
 def _cmd_gcs(args) -> int:
     graph = _load_instance(args.instance)
     prices = _obtain_prices(graph, args.prices)
-    tight = build_gcs(graph, prices)
-    _emit(gcs_to_json(tight, prices), args.format,
-          f"{tight.edge_count} tight of {graph.edge_count} edges")
+    payload = gcs_to_json(graph, prices)
+    _emit(payload, args.format,
+          f"{len(payload['edges'])} tight of {graph.edge_count} edges")
     return EXIT_OK
 
 

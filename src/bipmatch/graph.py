@@ -12,6 +12,11 @@ Instance file format (line oriented):
     p bip <n_left> <n_right> <n_edges>
     e <i> <j> <w>        # 1-based left index, 1-based right index, weight
 
+``parse_instance`` reads a canonical file (the header first, then only
+edge lines) by a strided pass over blocks of whole lines, and any other
+file, comments, blank lines or CRLF included, by the line-by-line pass,
+which defines the format and words every error. Both give the same graph.
+
 A ``Matching`` is a set of vertex-disjoint edges; an ``EdgeSet`` is any
 set of edges (the tight subgraph, the edges of some optimal matching, a
 preference set). Both name edges by index into the parent graph.
@@ -23,6 +28,8 @@ orientation, sorted.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -385,7 +392,88 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
     Raises ParseError (with the offending line number) for a malformed
     header or edge line, out-of-range indices, duplicate edges, or weights
     beyond the admissible bound.
+
+    A canonical text is read by the strided ``_parse_canonical``; any other
+    text, and every invalid one, by the line pass ``_parse_lines``, which
+    defines the format and words every error. Both give the same graph.
     """
+    graph = _parse_canonical(text)
+    return graph if graph is not None else _parse_lines(text)
+
+
+# Line breaks of ``str.splitlines`` other than "\n". A text holding none of
+# them has exactly the lines that "\n" separates.
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# Characters of text tokenised at a time: the tokens of one block are alive
+# at once, those of the whole text never are.
+_BLOCK_CHARS = 1 << 16
+
+
+def _parse_canonical(text: str) -> WeightedBipartiteGraph | None:
+    """The graph of a canonical instance text, or None for any other text.
+
+    Canonical means: the header is the first line, every later line is
+    ``e <i> <j> <w>`` starting at its first character, with both labels
+    written as plain decimals, the text ends with "\n" and holds no other
+    line break, no side has more vertices than there are edges, and the
+    edges are valid. Such a text has the graph ``_parse_lines`` gives it.
+    The lines are checked by counts over blocks of whole lines and the
+    edges column by column, so no Python code runs per line.
+    """
+    if not text.endswith("\n") or any(br in text for br in _OTHER_LINE_BREAKS):
+        return None
+    start = text.index("\n") + 1
+    header = text[:start].split()
+    if len(header) != 5 or header[0] != "p" or header[1] != "bip":
+        return None
+    try:
+        n, s, m = map(int, header[2:])
+    except ValueError:
+        return None
+    # An edge line takes at least 8 characters, so the label tables below
+    # are never larger than the text.
+    if min(n, s) < 0 or max(n, s) > m or 8 * m > len(text):
+        return None
+    # Label text -> 0-based index: the conversion and the range check of a
+    # label in one lookup. An out-of-range label or any other spelling
+    # ("+1", "01") is a KeyError.
+    left_index = dict(zip(map(str, range(1, n + 1)), range(n)))
+    right_index = left_index if s == n else dict(zip(map(str, range(1, s + 1)), range(s)))
+    left: list[int] = []
+    right: list[int] = []
+    weight: list[int] = []
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            block = text[start:end]
+            start = end
+            # Every line starts with the token "e" and every 4th token is
+            # one. No other token is, as the rest convert to integers: so
+            # every line has exactly the four tokens of an edge line.
+            lines = block.count("\n")
+            tokens = block.split()
+            if (len(tokens) != 4 * lines or not block.startswith("e ")
+                    or block.count("\ne ") != lines - 1 or tokens[::4].count("e") != lines):
+                return None
+            left.extend(map(left_index.__getitem__, tokens[1::4]))
+            right.extend(map(right_index.__getitem__, tokens[2::4]))
+            weight.extend(map(int, tokens[3::4]))
+    except (KeyError, ValueError):
+        return None
+    if len(left) != m or (weight and not (-MAX_ABS_WEIGHT <= min(weight)
+                                          and max(weight) <= MAX_ABS_WEIGHT)):
+        return None
+    # u*s + v is one integer per vertex pair, so equal keys mean a
+    # duplicate edge.
+    if len(set(map(add, map(mul, left, repeat(s)), right))) != m:
+        return None
+    return WeightedBipartiteGraph._trusted(n, s, left, right, weight)
+
+
+def _parse_lines(text: str) -> WeightedBipartiteGraph:
+    """Parse an instance text line by line: the definition of the format,
+    and the one place that words a ParseError."""
     n = s = m = None
     left: list[int] = []
     right: list[int] = []

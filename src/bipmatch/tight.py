@@ -24,25 +24,31 @@ def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:
     with an infeasible system, "tight" would not mean anything. The
     message names the first such edge by its input labels and slack.
     """
-    slacks = edge_slacks(graph, prices)
+    return EdgeSet(graph, _tight_edges(graph, prices, edge_slacks(graph, prices)))
+
+
+def _tight_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
+                 slacks: list[int]) -> list[int]:
+    """The edges of zero slack; InfeasibleDual if any slack is negative."""
     bad = [e for e, slack in enumerate(slacks) if slack < 0]
     if bad:
         first = edge_with_slack(graph, bad[0], slacks[bad[0]], prices.den)
         raise InfeasibleDual(f"{len(bad)} edge(s) violate dual feasibility, first {first}")
-    return EdgeSet(graph, [e for e, slack in enumerate(slacks) if slack == 0])
+    return [e for e, slack in enumerate(slacks) if slack == 0]
 
 
-def gcs_to_json(tight: EdgeSet, prices: DualPrices) -> dict:
-    """The ``gcs`` verb's payload: the sorted 1-based input pairs of the
-    tight edges under "edges", and every other edge as [i, j, slack] under
-    "dropped", the slack an integer or a reduced-fraction string."""
-    graph = tight.graph
+def gcs_to_json(graph: WeightedBipartiteGraph, prices: DualPrices) -> dict:
+    """The ``gcs`` verb's payload, from one scan of the edge slacks: the
+    sorted 1-based input pairs of the tight edges under "edges", and every
+    other edge as [i, j, slack] under "dropped", the slack an integer or a
+    reduced-fraction string. Raises InfeasibleDual as ``build_gcs`` does."""
+    slacks = edge_slacks(graph, prices)
+    tight = _tight_edges(graph, prices, slacks)
     dropped = []
-    for e, num in enumerate(edge_slacks(graph, prices)):
-        if e in tight:
-            continue
-        slack = Fraction(num, prices.den)
-        i, j = graph.original_pair(e)
-        dropped.append([i, j, slack.numerator if slack.denominator == 1 else str(slack)])
+    for e, num in enumerate(slacks):
+        if num:
+            slack = Fraction(num, prices.den)
+            i, j = graph.original_pair(e)
+            dropped.append([i, j, slack.numerator if slack.denominator == 1 else str(slack)])
     dropped.sort(key=lambda item: (item[0], item[1]))
-    return {"edges": graph.original_pairs(tight.edge_indices), "dropped": dropped}
+    return {"edges": graph.original_pairs(tight), "dropped": dropped}

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: verbs, formats, exit codes."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import bipmatch.cli
 from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
+
+TIES_PATH = str(Path(__file__).parent / "golden" / "ties.bip")
 
 INFEASIBLE_TEXT = """\
 p bip 3 3 5
@@ -118,6 +122,29 @@ class TestGcs:
         prices.write_text(json.dumps({"den": 1, "pi": [9, 9, 9], "p": [9, 9, 9]}))
         code, _, err = run(capsys, "gcs", fig1_path, "--prices", str(prices))
         assert code == 2
+
+    def test_one_slack_scan(self, capsys, monkeypatch, tmp_path):
+        # With prices given, the verb's one scan builds both the tight
+        # edges and the dropped list.
+        code, out, _ = run(capsys, "duals", TIES_PATH)
+        assert code == 0
+        prices = tmp_path / "ties-prices.json"
+        prices.write_text(out)
+        scans = []
+        original = bipmatch.prices.edge_slacks
+
+        def counted(graph, prices):
+            scans.append(graph.edge_count)
+            return original(graph, prices)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bipmatch") and getattr(module, "edge_slacks", None) is original:
+                monkeypatch.setattr(module, "edge_slacks", counted)
+        code, out, _ = run(capsys, "gcs", TIES_PATH, "--prices", str(prices))
+        assert code == 0
+        assert len(scans) == 1
+        payload = json.loads(out)
+        assert len(payload["edges"]) + len(payload["dropped"]) == scans[0]
 
 
 class TestOptEdges:
@@ -350,6 +377,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "not UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "BOM_FIG1"],
+        ["preallocate", "FIG1", "--prefs", "BOM_PREFS"],
+        ["check", "FIG1", "--matching", "BOM_MATCHING", "--prices", "PRICES"],
+    ])
+    def test_byte_order_mark_accepted(self, capsys, fig1_path, tmp_path, argv):
+        bom = "\ufeff".encode()
+        files = {"BOM_FIG1": bom + FIG1_TEXT.encode(), "BOM_PREFS": bom + b"f 1 1\n",
+                 "BOM_MATCHING": bom + json.dumps(self.SOLVED).encode(),
+                 "PRICES": b'{"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}'}
+        paths = {"FIG1": fig1_path}
+        for name, content in files.items():
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(content)
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert (code, err) == (0, "")
+        assert '"weight": 3' in out
 
     def test_k_beyond_weight_bound_exit_2(self, capsys, tmp_path):
         path = tmp_path / "wide.bip"

@@ -2,12 +2,14 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from bipmatch import (MAX_ABS_WEIGHT, EdgeSet, Matching, ParseError,
                       WeightedBipartiteGraph, matching_from_json, parse_instance,
                       serialize_instance)
+from bipmatch.graph import _parse_canonical, _parse_lines
 
 from conftest import FIG1_EDGES, FIG1_TEXT, M_OTHER, M_STAR
 
@@ -111,6 +113,25 @@ class TestParsing:
         assert g.sides_swapped
         again = parse_instance(serialize_instance(g))
         assert again == g
+
+    def test_strided_parse_peak_within_line_pass(self):
+        # The benchmark's dense shape: a complete 200x200 instance. The
+        # strided path tokenises a block at a time, so its peak stays at
+        # or below the line pass's; tokens of the whole text would not.
+        rng = random.Random(9001)
+        text = "p bip 200 200 40000\n" + "".join(
+            f"e {i} {j} {rng.randint(0, 1000)}\n"
+            for i in range(1, 201) for j in range(1, 201))
+        assert _parse_canonical(text) is not None
+        peaks = []
+        for parse in (parse_instance, _parse_lines):
+            tracemalloc.start()
+            try:
+                parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
     def test_roundtrip_random(self):
         rng = random.Random(404)

@@ -1,0 +1,185 @@
+"""Differential test of the instance parser: ``parse_instance``, which
+reads canonical texts by the strided ``_parse_canonical`` and everything
+else by the line pass, agrees with the line pass ``_parse_lines`` on every
+text: the same graph, or a ParseError with the same message and line.
+
+Texts start canonical and then take a few mutations: comments, blank and
+whitespace-only lines, leading and trailing whitespace, CRLF and every
+other ``str.splitlines`` break, tabs and NBSP between fields, a header
+moved or repeated, integers spelled with "+", "_", leading zeros or
+non-ASCII digits, integers over 4300 digits, 3- and 5-field edge lines,
+"e" glued to its number, a line break moved to another field gap, a
+missing final newline, and range, duplicate and weight-bound errors. A text over two blocks long takes the same
+mutations near its start, its end and its block boundaries.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bipmatch import (MAX_ABS_WEIGHT, ParseError, WeightedBipartiteGraph,  # noqa: E402
+                      parse_instance, serialize_instance)
+from bipmatch.graph import _BLOCK_CHARS, _parse_canonical, _parse_lines  # noqa: E402
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000", ""] + LINE_BREAKS
+INSERTED_LINES = ["c comment", "", "   ", "\t", "p bip 1 1 0", "p bip 9 9 9",
+                  "q 1 2", "e", "e 1 1 0"]
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _token_variants(token: str, header: bool) -> list[str]:
+    variants = ["+" + token, token[0] + "_" + token[1:], "0" + token,
+                token.translate(ARABIC_DIGITS), "1" * 4301, "0", "-1", "101",
+                "x", "e", "1.0"]
+    if header:  # a side of 2^40 vertices would take the graph that much memory
+        return variants
+    return variants + [str(MAX_ABS_WEIGHT), str(MAX_ABS_WEIGHT + 1),
+                       str(-MAX_ABS_WEIGHT - 1)]
+
+
+def outcome(parse, text):
+    """The graph, or the ParseError as (message, line)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def canonical_rows(n: int, s: int, edges) -> list[str]:
+    """Header and edge lines, without line ends; edges are 1-based."""
+    return [f"p bip {n} {s} {len(edges)}"] + [f"e {i} {j} {w}" for i, j, w in edges]
+
+
+def mutate(draw, rows: list[str], ends: list[str], near: list[int]) -> None:
+    """Apply one mutation in place, at a row drawn from ``near``."""
+    k = min(draw(st.sampled_from(near)), len(rows) - 1)
+    kind = draw(st.sampled_from(["space", "lead", "trail", "end", "insert", "token",
+                                 "drop", "extra", "glue", "swap", "copy", "last",
+                                 "rebreak"]))
+    row = rows[k]
+    if kind == "space" and " " in row:
+        at = draw(st.sampled_from([i for i, ch in enumerate(row) if ch == " "]))
+        rows[k] = row[:at] + draw(st.sampled_from(SPACES)) + row[at + 1:]
+    elif kind == "lead":
+        rows[k] = draw(st.sampled_from(SPACES)) + row
+    elif kind == "trail":
+        rows[k] = row + draw(st.sampled_from(SPACES))
+    elif kind == "end":
+        ends[k] = draw(st.sampled_from(LINE_BREAKS + [""]))
+    elif kind == "insert":
+        rows.insert(k, draw(st.sampled_from(INSERTED_LINES)))
+        ends.insert(k, "\n")
+    elif kind == "token" and row:
+        tokens = row.split(" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        if tokens[t]:
+            variants = _token_variants(tokens[t], row.split()[:1] == ["p"])
+            tokens[t] = draw(st.sampled_from(variants))
+        rows[k] = " ".join(tokens)
+    elif kind == "drop" and " " in row:
+        rows[k] = row[:row.rindex(" ")]
+    elif kind == "extra":
+        rows[k] = row + " 7"
+    elif kind == "glue":
+        rows[k] = row.replace(" ", "", 1)
+    elif kind == "swap":
+        rows[0], rows[k] = rows[k], rows[0]
+    elif kind == "copy":
+        rows[k] = rows[draw(st.integers(0, len(rows) - 1))]
+    elif kind == "last":
+        ends[-1] = ""
+    elif kind == "rebreak" and k + 1 < len(rows):
+        # Move the break between two rows to another space of the pair.
+        joined = rows[k] + " " + rows[k + 1]
+        at = draw(st.sampled_from([i for i, ch in enumerate(joined) if ch == " "]))
+        rows[k:k + 2] = [joined[:at], joined[at + 1:]]
+
+
+@st.composite
+def small_texts(draw):
+    n = draw(st.integers(0, 4))
+    s = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(s, 1))),
+                          unique=True, min_size=min(max(n, s), n * s), max_size=n * s + 1))
+    weight = st.integers(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
+    rows = canonical_rows(n, s, [(i, j, draw(weight)) for i, j in cells])
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        mutate(draw, rows, ends, list(range(len(rows))))
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+def _long_rows() -> list[str]:
+    rng = random.Random(8)
+    n = 100
+    return canonical_rows(n, n, [(i, j, rng.randint(-10**6, 10**6))
+                                 for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
+LONG_ROWS = _long_rows()
+LONG_TEXT = "".join(row + "\n" for row in LONG_ROWS)
+
+
+def _near_block_ends() -> list[int]:
+    """Rows at the start, at the end, and on both sides of each block
+    boundary that ``_parse_canonical`` cuts in the unmutated text."""
+    row_at = {}
+    at = 0
+    for k, row in enumerate(LONG_ROWS):
+        row_at[at] = k
+        at += len(row) + 1
+    near = [0, 1, 2, len(LONG_ROWS) - 2, len(LONG_ROWS) - 1]
+    start = len(LONG_ROWS[0]) + 1
+    while start < len(LONG_TEXT):
+        start = LONG_TEXT.find("\n", start + _BLOCK_CHARS) + 1 or len(LONG_TEXT)
+        if start in row_at:
+            near += [row_at[start] - 1, row_at[start]]
+    return near
+
+
+NEAR = _near_block_ends()
+
+
+@st.composite
+def long_texts(draw):
+    rows, ends = list(LONG_ROWS), ["\n"] * len(LONG_ROWS)
+    for _ in range(draw(st.integers(1, 2))):
+        mutate(draw, rows, ends, NEAR)
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_texts())
+def test_small_texts_agree_with_line_pass(text):
+    assert outcome(parse_instance, text) == outcome(_parse_lines, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_texts())
+def test_long_texts_agree_with_line_pass(text):
+    assert outcome(parse_instance, text) == outcome(_parse_lines, text)
+
+
+def test_long_text_crosses_blocks_on_the_strided_path():
+    assert len(LONG_TEXT) > 2 * _BLOCK_CHARS
+    assert _parse_canonical(LONG_TEXT) == _parse_lines(LONG_TEXT)
+    assert _parse_canonical(LONG_TEXT) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_serialized_graphs_take_the_strided_path(n, s, data):
+    cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, s - 1)),
+                               unique=True, max_size=n * s) if n and s else st.just([]))
+    assume(max(n, s) <= len(cells))
+    weight = st.integers(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
+    graph = WeightedBipartiteGraph(n, s, [(u, v, data.draw(weight)) for u, v in cells])
+    text = serialize_instance(graph)
+    assert _parse_canonical(text) == graph == _parse_lines(text)

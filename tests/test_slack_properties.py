@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bipmatch import (MAX_ABS_WEIGHT, DualPrices, EdgeSet,  # noqa: E402
+from bipmatch import (MAX_ABS_WEIGHT, DualPrices,  # noqa: E402
                       InfeasibleDual, Matching, WeightedBipartiteGraph, build_gcs,
                       check_complementary_slackness, check_dual_feasible,
                       check_eps_optimal, gcs_to_json)
@@ -73,13 +73,13 @@ def test_slack_consumers_match_fraction_reference(case):
         feasible and matched_tight)
     assert check_eps_optimal(graph, matching, prices, eps) == (
         all(slack >= -eps for slack in ref) and matched_tight)
-    if feasible:
-        assert build_gcs(graph, prices).edge_indices == tight
-    else:
-        with pytest.raises(InfeasibleDual):
-            build_gcs(graph, prices)
-
-    blob = gcs_to_json(EdgeSet(graph, tight), prices)
+    if not feasible:
+        for build in (build_gcs, gcs_to_json):
+            with pytest.raises(InfeasibleDual):
+                build(graph, prices)
+        return
+    assert build_gcs(graph, prices).edge_indices == tight
+    blob = gcs_to_json(graph, prices)
     assert blob["edges"] == sorted([*graph.original_pair(e)] for e in tight)
     assert blob["dropped"] == sorted(
         [*graph.original_pair(e), _json_slack(slack)]

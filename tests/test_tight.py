@@ -51,7 +51,7 @@ class TestBuildGcs:
         assert build_gcs(fig1, halves).edge_indices == (0, 2, 4, 5)
 
     def test_json_shape(self, fig1, fig1_p1):
-        blob = gcs_to_json(build_gcs(fig1, fig1_p1), fig1_p1)
+        blob = gcs_to_json(fig1, fig1_p1)
         assert blob["edges"] == [[1, 1], [2, 2], [3, 2], [3, 3]]
         assert blob["dropped"] == [[1, 2, 2], [2, 3, 2]]
 
@@ -62,7 +62,7 @@ class TestBuildGcs:
         g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
                                           (1, 2, 5)])
         prices = DualPrices([1, 1, 1], [1, 0], den=2)
-        blob = gcs_to_json(build_gcs(g, prices), prices)
+        blob = gcs_to_json(g, prices)
         assert blob["edges"] == [[1, 1]]
         assert blob["dropped"] == [[1, 2, 2], [2, 1, "3/2"], [2, 2, "1/2"], [2, 3, "9/2"]]
 
