@@ -2,10 +2,12 @@
 
 The filter orients the graph by one perfect matching (matched edges point
 right-to-left, the rest left-to-right): an edge then lies in some perfect
-matching exactly when it is matched or when its endpoints share a strongly
-connected component, i.e. it sits on an alternating cycle. Composed with
-the tight subgraph this yields the union of all minimum-weight perfect
-matchings. Both results are ``EdgeSet``s of the parent graph.
+matching exactly when it is matched or when it sits on an alternating
+cycle, i.e. its endpoints share a strongly connected component.
+``_scc_labels`` is the one place that decides which edges do; the
+enumeration reads the same labels. Composed with the tight subgraph this
+yields the union of all minimum-weight perfect matchings. Both results
+are ``EdgeSet``s of the parent graph.
 """
 
 from __future__ import annotations
@@ -21,25 +23,23 @@ from .tight import build_gcs
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                 mate_left: Sequence[int | None]) -> list[int]:
-    """Strongly connected components of the matching-oriented graph.
+    """Alternating-cycle labels of the edges of a subset: one label per
+    edge, in the order of ``edge_indices``.
 
     ``mate_left`` is a matching of the subset, given as the matched edge at
-    each left vertex (None where unmatched). Vertex ids: left u -> u, right
-    v -> n_left + v. Matched edges are oriented right-to-left, unmatched
-    left-to-right. Two vertices get the same label exactly when they share
-    a component.
+    each left vertex (None where unmatched). Matched edges are oriented
+    right-to-left, unmatched left-to-right. An edge on an alternating cycle
+    gets the label (>= 0) of the strongly connected component holding that
+    cycle, so two edges share a label exactly when they share a component;
+    an edge on no alternating cycle gets -1.
 
     A matched right vertex has one way out, to its mate, so the search runs
     on the left vertices alone: the unmatched edge (u, v) becomes the arc
-    from u to the mate of v. A matched right vertex shares its mate's
-    component when that component holds more than one left vertex (its
-    matched edge then lies on a cycle); every other right vertex is a
-    component of its own. Iterative Tarjan, so arbitrarily deep graphs
-    cannot overflow the call stack.
-
-    Only left vertices with an edge in the subset are visited, in index
-    order; every other left vertex keeps the label -1, so the labels
-    describe the subset's vertices only (which is all the callers read).
+    from u to the mate of v. The matched edge at u lies on a cycle when
+    u's component holds more than one left vertex, and the unmatched edge
+    (u, v) when u and the mate of v share a component. Iterative Tarjan,
+    so arbitrarily deep graphs cannot overflow the call stack. Only left
+    vertices with an edge in the subset are visited, in index order.
 
     The graph must have no parallel edges: an unmatched copy of the matched
     edge (u, v) would become the self-loop u -> u, which this reduction
@@ -65,8 +65,8 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
-    comp = [-1] * n
-    on_cycle: list[bool] = []  # per component: more than one left vertex
+    comp = [-1] * n  # component of each left vertex; -1 for a lone vertex
+    cycles = 0  # components of more than one left vertex so far
     stack: list[int] = []
     counter = 0
 
@@ -97,23 +97,22 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                     if lowlink[node] < lowlink[parent]:
                         lowlink[parent] = lowlink[node]
                 if lowlink[node] == index[node]:
-                    label = len(on_cycle)
                     member = stack.pop()
                     on_stack[member] = False
-                    comp[member] = label
-                    on_cycle.append(member != node)
-                    while member != node:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        comp[member] = label
+                    if member != node:
+                        comp[member] = cycles
+                        while member != node:
+                            member = stack.pop()
+                            on_stack[member] = False
+                            comp[member] = cycles
+                        cycles += 1
 
-    n_comps = len(on_cycle)
-    comp.extend(range(n_comps, n_comps + graph.n_right))
-    for u in succ:
-        e = mate_left[u]
-        if e is not None and on_cycle[comp[u]]:
-            comp[n + right_of[e]] = comp[u]
-    return comp
+    labels = []
+    for e in edge_indices:
+        u = left_of[e]
+        w = u if mate_left[u] == e else partner[right_of[e]]
+        labels.append(comp[u] if w >= 0 and comp[w] == comp[u] else -1)
+    return labels
 
 
 def allowed_edges(graph: WeightedBipartiteGraph,
@@ -126,16 +125,13 @@ def allowed_edges(graph: WeightedBipartiteGraph,
     """
     subset = graph._edge_subset(edge_indices)
     matching = max_cardinality_matching(graph, subset)
-    if not (matching.cardinality == graph.n_left == graph.n_right):
+    if not matching.is_perfect:
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {matching.cardinality} "
             f"on sides of size {graph.n_left} and {graph.n_right}")
-    mate_left = matching._mate_left
-    comp = _scc_labels(graph, subset, mate_left)
-    n = graph.n_left
-    left_of, right_of = graph._left_of, graph._right_of
-    return EdgeSet(graph, [e for e in subset if mate_left[left_of[e]] == e
-                           or comp[left_of[e]] == comp[n + right_of[e]]])
+    labels = _scc_labels(graph, subset, matching._mate_left)
+    return EdgeSet(graph, [e for e, label in zip(subset, labels)
+                           if label >= 0 or e in matching])
 
 
 def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:

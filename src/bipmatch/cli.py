@@ -51,34 +51,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimum matchings in integer-weighted bipartite graphs.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, help_text):
+    def add(verb, run, help_text):
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("instance", help="instance file (p bip / e lines)")
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(run=run)
         return p
 
-    p = add("solve", "matching plus price certificate")
+    p = add("solve", _cmd_solve, "matching plus price certificate")
     p.add_argument("--solver", choices=sorted(_SOLVERS), default="exact")
-    p = add("duals", "price certificate only")
+    p = add("duals", _cmd_duals, "price certificate only")
     p.add_argument("--solver", choices=sorted(_SOLVERS), default="exact")
-    p = add("gcs", "tight subgraph under optimal prices")
+    p = add("gcs", _cmd_gcs, "tight subgraph under optimal prices")
     p.add_argument("--prices", help="price JSON file; computed when omitted")
-    p = add("opt-edges", "all edges in some minimum-weight perfect matching")
+    p = add("opt-edges", _cmd_opt_edges, "all edges in some minimum-weight perfect matching")
     p.add_argument("--prices")
-    p = add("enumerate", "stream all minimum-weight perfect matchings (JSON lines)")
+    p = add("enumerate", _cmd_enumerate,
+            "stream all minimum-weight perfect matchings (JSON lines)")
     p.add_argument("--prices")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many matchings")
-    p = add("preallocate", "optimal matching with the most preferred edges")
+    p = add("preallocate", _cmd_preallocate, "optimal matching with the most preferred edges")
     p.add_argument("--prefs", required=True, help="preference file (f lines)")
     p.add_argument("--prices")
-    p = add("optimum", "maximum-cardinality matching of minimum weight")
+    p = add("optimum", _cmd_optimum, "maximum-cardinality matching of minimum weight")
     p.add_argument("--transform",
                    choices=transforms.STRATEGIES + (transforms.AUTO,),
                    default=transforms.AUTO)
     p.add_argument("--k", type=int, default=0,
                    help="free link/padding weight constant")
-    p = add("check", "validate a matching/prices pair as an optimality certificate")
+    p = add("check", _cmd_check,
+            "validate a matching/prices pair as an optimality certificate")
     p.add_argument("--matching", required=True,
                    help="matching JSON (bare or as emitted by solve)")
     p.add_argument("--prices", help="price JSON; defaults to the one inside --matching")
@@ -250,18 +253,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "duals": _cmd_duals,
-    "gcs": _cmd_gcs,
-    "opt-edges": _cmd_opt_edges,
-    "enumerate": _cmd_enumerate,
-    "preallocate": _cmd_preallocate,
-    "optimum": _cmd_optimum,
-    "check": _cmd_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -269,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
-        return _COMMANDS[args.verb](args)
+        return args.run(args)
     except (Infeasible, NotSquare, CoverageRequired) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -30,10 +30,11 @@ those edges, or None until that is computed. A block is shared by every
 frame below the one that made it, so it is filled in at most once.
 
 * The *dirty* edges are the root subset, or the "with" or "without" child
-  of the block the pivot split. Only they run Hopcroft-Karp and Tarjan
-  (``_scc_labels``) and are trimmed into forced edges and new blocks. A
-  new block keeps this run's lowest matched edge only when the trim
-  removed no edge.
+  of the block the pivot split. Only they run Hopcroft-Karp and
+  ``allowed._scc_labels``, and its per-edge labels trim them: an edge
+  labelled -1 is forced when matched and dropped otherwise, and the edges
+  of one label form a new block. A new block keeps this run's lowest
+  matched edge only when the trim removed no edge.
 * A *stale* block, one still holding None, runs Hopcroft-Karp only. A
   component is elementary (connected, every edge in some perfect
   matching), so no edge of it would be trimmed, and every matched edge of
@@ -110,23 +111,21 @@ def iter_perfect_matchings(graph: WeightedBipartiteGraph,
         # forced, each non-trivial component becomes a block, and the other
         # edges lie in no perfect matching.
         mate_left = matching._mate_left
-        comp = _scc_labels(graph, dirty, mate_left)
         parts: dict[int, list] = {}
         kept: list[int] = []
         trimmed = False
-        for e in dirty:
-            u = left_of[e]
-            label = comp[u]
-            if label == comp[n + right_of[e]]:
+        for e, label in zip(dirty, _scc_labels(graph, dirty, mate_left)):
+            matched = mate_left[left_of[e]] == e
+            if label >= 0:
                 block = parts.get(label)
                 if block is None:
                     block = parts[label] = [[], 0, None]
                 block[0].append(e)
-                if mate_left[u] == e:
+                if matched:
                     block[1] += 1
                     if block[2] is None:
                         block[2] = e
-            elif mate_left[u] == e:
+            elif matched:
                 kept.append(e)
             else:
                 trimmed = True

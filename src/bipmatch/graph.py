@@ -16,18 +16,20 @@ Instance file format (line oriented):
 edge lines) by a strided pass over blocks of whole lines, and any other
 file, comments, blank lines or CRLF included, by the line-by-line pass,
 which defines the format and words every error. Both give the same graph.
+A side may have more vertices than the header's edge count only up to
+``SIDE_BOUND``; a larger one is an error on the header line.
 
-A ``Matching`` is a set of vertex-disjoint edges; an ``EdgeSet`` is any
-set of edges (the tight subgraph, the edges of some optimal matching, a
-preference set). Both name edges by index into the parent graph.
-Matchings serialize as JSON objects
-``{"cardinality": int, "weight": int, "edges": [[i, j], ...]}`` and edge
-sets as ``{"edges": [[i, j], ...]}``, with 1-based labels in the original
-orientation, sorted.
+An ``EdgeSet`` is a set of edges of a parent graph, named by edge index:
+the tight subgraph, the edges of some optimal matching, a preference set.
+A ``Matching`` is an ``EdgeSet`` whose edges are vertex-disjoint; it also
+knows the matched edge at each left vertex. Edge sets serialize as JSON
+objects ``{"edges": [[i, j], ...]}`` with 1-based labels in the original
+orientation, sorted, and matchings add ``"cardinality"`` and ``"weight"``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Iterator
@@ -38,6 +40,11 @@ from .errors import ParseError
 # input (the doubling's link edges, say) may exceed it; every computation
 # here is in Python ints, so nothing overflows.
 MAX_ABS_WEIGHT = 2**40
+
+# A side may have more vertices than the graph has edges only up to this
+# many. Vertices beyond the edge count are isolated, and the bound keeps a
+# header alone from making a run allocate per-vertex tables of any size.
+SIDE_BOUND = 2**16
 
 
 def _check_weight(w) -> None:
@@ -81,6 +88,9 @@ class WeightedBipartiteGraph:
             right.append(v)
             weight.append(w)
         del seen  # free the pair set before the columns are built
+        if max(n_left, n_right) > max(len(left), SIDE_BOUND):
+            raise ValueError(f"a side of {max(n_left, n_right)} vertices exceeds both "
+                             f"the edge count {len(left)} and {SIDE_BOUND}")
         self._build(n_left, n_right, left, right, weight)
 
     @classmethod
@@ -228,104 +238,17 @@ class WeightedBipartiteGraph:
                 f"n_right={self._n_right}, m={self.edge_count})")
 
 
-class Matching:
-    """A set of vertex-disjoint edges of a fixed parent graph."""
-
-    __slots__ = ("_graph", "_edge_indices", "_mate_left")
-
-    def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
-        mate_left: list[int | None] = [None] * graph.n_left
-        mate_right: list[int | None] = [None] * graph.n_right
-        indices = graph._edge_subset(edge_indices)
-        left_of, right_of = graph._left_of, graph._right_of
-        for e in indices:
-            u, v = left_of[e], right_of[e]
-            if mate_left[u] is not None:
-                raise ValueError(f"left vertex u{u} appears in two matched edges")
-            if mate_right[v] is not None:
-                raise ValueError(f"right vertex v{v} appears in two matched edges")
-            mate_left[u] = e
-            mate_right[v] = e
-        self._graph = graph
-        self._edge_indices = indices
-        self._mate_left = tuple(mate_left)
-
-    @classmethod
-    def _trusted(cls, graph: WeightedBipartiteGraph,
-                 mate_left: list[int | None]) -> "Matching":
-        """A matching from the matched edge at each left vertex (None where
-        unmatched), already known to be vertex-disjoint edges of ``graph``.
-        Runs no checks."""
-        matching = cls.__new__(cls)
-        matching._graph = graph
-        matching._edge_indices = tuple(sorted(e for e in mate_left if e is not None))
-        matching._mate_left = tuple(mate_left)
-        return matching
-
-    @property
-    def graph(self) -> WeightedBipartiteGraph:
-        return self._graph
-
-    @property
-    def edge_indices(self) -> tuple[int, ...]:
-        return self._edge_indices
-
-    @property
-    def cardinality(self) -> int:
-        return len(self._edge_indices)
-
-    @property
-    def is_perfect(self) -> bool:
-        g = self._graph
-        return self.cardinality == g.n_left == g.n_right
-
-    def left_edge(self, u: int) -> int | None:
-        """Matched edge index at left vertex u, or None if unmatched."""
-        return self._mate_left[u]
-
-    def weight(self) -> int:
-        return sum(self._graph.weight(e) for e in self._edge_indices)
-
-    def __contains__(self, e: int) -> bool:
-        u, _v = self._graph.endpoints(e)
-        return self._mate_left[u] == e
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._edge_indices)
-
-    def __len__(self) -> int:
-        return len(self._edge_indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return self._graph is other._graph and self._edge_indices == other._edge_indices
-
-    def __hash__(self) -> int:
-        return hash((id(self._graph), self._edge_indices))
-
-    def __repr__(self) -> str:
-        return f"Matching(cardinality={self.cardinality}, edges={self._edge_indices})"
-
-    def to_json(self) -> dict:
-        return {
-            "cardinality": self.cardinality,
-            "weight": self.weight(),
-            "edges": self._graph.original_pairs(self._edge_indices),
-        }
-
-
 class EdgeSet:
     """A set of edges of a fixed parent graph, kept as its distinct edge
     indices in increasing order. The tight subgraph, the edges in some
-    perfect or optimal matching, and a preference set are edge sets."""
+    perfect or optimal matching, a preference set and a matching are edge
+    sets."""
 
-    __slots__ = ("_graph", "_edge_indices", "_members")
+    __slots__ = ("_graph", "_edge_indices")
 
     def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
         self._graph = graph
         self._edge_indices = graph._edge_subset(edge_indices)
-        self._members = frozenset(self._edge_indices)
 
     @property
     def graph(self) -> WeightedBipartiteGraph:
@@ -344,7 +267,9 @@ class EdgeSet:
         return [self._graph.endpoints(e) for e in self._edge_indices]
 
     def __contains__(self, e: int) -> bool:
-        return e in self._members
+        indices = self._edge_indices
+        k = bisect_left(indices, e)
+        return k < len(indices) and indices[k] == e
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._edge_indices)
@@ -353,9 +278,12 @@ class EdgeSet:
         return len(self._edge_indices)
 
     def __eq__(self, other) -> bool:
+        # Equal edges of one graph, and the same type: a matching never
+        # equals a plain edge set.
         if not isinstance(other, EdgeSet):
             return NotImplemented
-        return self._graph is other._graph and self._edge_indices == other._edge_indices
+        return (type(self) is type(other) and self._graph is other._graph
+                and self._edge_indices == other._edge_indices)
 
     def __repr__(self) -> str:
         return f"EdgeSet({self._edge_indices})"
@@ -364,13 +292,70 @@ class EdgeSet:
         return {"edges": self._graph.original_pairs(self._edge_indices)}
 
 
+class Matching(EdgeSet):
+    """An edge set whose edges are vertex-disjoint."""
+
+    __slots__ = ("_mate_left",)
+
+    def __init__(self, graph: WeightedBipartiteGraph, edge_indices: Iterable[int]):
+        super().__init__(graph, edge_indices)
+        mate_left: list[int | None] = [None] * graph.n_left
+        right_taken = [False] * graph.n_right
+        left_of, right_of = graph._left_of, graph._right_of
+        for e in self._edge_indices:
+            u, v = left_of[e], right_of[e]
+            if mate_left[u] is not None or right_taken[v]:
+                raise ValueError(f"matching edge {graph.original_pair(e)} shares a vertex "
+                                 "with another edge; no vertex may lie on two matched edges")
+            mate_left[u] = e
+            right_taken[v] = True
+        self._mate_left = tuple(mate_left)
+
+    @classmethod
+    def _trusted(cls, graph: WeightedBipartiteGraph,
+                 mate_left: list[int | None]) -> "Matching":
+        """A matching from the matched edge at each left vertex (None where
+        unmatched), already known to be vertex-disjoint edges of ``graph``.
+        Runs no checks."""
+        matching = cls.__new__(cls)
+        matching._graph = graph
+        matching._edge_indices = tuple(sorted(e for e in mate_left if e is not None))
+        matching._mate_left = tuple(mate_left)
+        return matching
+
+    @property
+    def cardinality(self) -> int:
+        return len(self._edge_indices)
+
+    @property
+    def is_perfect(self) -> bool:
+        g = self._graph
+        return self.cardinality == g.n_left == g.n_right
+
+    def left_edge(self, u: int) -> int | None:
+        """Matched edge index at left vertex u, or None if unmatched."""
+        return self._mate_left[u]
+
+    def weight(self) -> int:
+        return sum(self._graph.weight(e) for e in self._edge_indices)
+
+    def __hash__(self) -> int:
+        return hash((id(self._graph), self._edge_indices))
+
+    def __repr__(self) -> str:
+        return f"Matching(cardinality={self.cardinality}, edges={self._edge_indices})"
+
+    def to_json(self) -> dict:
+        return {"cardinality": self.cardinality, "weight": self.weight(),
+                **super().to_json()}
+
+
 def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
     """Rebuild a matching from its JSON form (1-based original labels)."""
     pairs = data.get("edges") if isinstance(data, dict) else None
     if not isinstance(pairs, (list, tuple)):
         raise ParseError("matching JSON must contain an 'edges' list")
-    at_left: dict[int, int] = {}  # label -> the one edge naming it
-    at_right: dict[int, int] = {}
+    indices = []
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(label) is int for label in pair)):
@@ -379,9 +364,11 @@ def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
         e = graph.original_edge_index(i, j)
         if e is None:
             raise ParseError(f"matching references unknown edge ({i}, {j})")
-        if at_left.setdefault(i, e) != e or at_right.setdefault(j, e) != e:
-            raise ParseError(f"matching edge ({i}, {j}) shares a vertex with another edge")
-    return Matching(graph, at_left.values())
+        indices.append(e)
+    try:
+        return Matching(graph, indices)
+    except ValueError as exc:  # two edges share a vertex
+        raise ParseError(str(exc))
 
 
 # -- instance file format ----------------------------------------------------
@@ -496,6 +483,9 @@ def _parse_lines(text: str) -> WeightedBipartiteGraph:
                 raise ParseError(f"non-integer header field in {stripped!r}", lineno)
             if n < 0 or s < 0 or m < 0:
                 raise ParseError("header counts must be non-negative", lineno)
+            if max(n, s) > max(m, SIDE_BOUND):
+                raise ParseError(f"a side of {max(n, s)} vertices exceeds both the "
+                                 f"header's edge count {m} and {SIDE_BOUND}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge line before header", lineno)

@@ -29,12 +29,13 @@ RationalLike = int | Fraction
 
 
 def _as_fraction(value, what: str = "value") -> Fraction:
-    """Exact conversion; floats are refused to keep the arithmetic exact."""
+    """Exact conversion; floats are refused to keep the arithmetic exact,
+    and bools because they are no numbers."""
     if isinstance(value, float):
         raise TypeError(f"{what} must be an exact rational, not float")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"{what} must be an int or Fraction, got {type(value).__name__}")
 

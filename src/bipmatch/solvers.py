@@ -98,8 +98,6 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     _require_square(graph)
     n = graph.n_left
     stats = SolveStats(phases=0, iterations=0)
-    if n == 0:
-        return SolveResult(Matching(graph, []), DualPrices([], [], 1), stats)
 
     left_edges = graph.left_edges
     left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of

@@ -4,17 +4,29 @@ import random
 
 import pytest
 
-from bipmatch import (DualPrices, Infeasible, WeightedBipartiteGraph, allowed_edges,
-                      max_cardinality_matching, optimal_edges, solve_exact,
+from bipmatch import (DualPrices, Infeasible, Matching, WeightedBipartiteGraph,
+                      allowed_edges, max_cardinality_matching, optimal_edges, solve_exact,
                       solve_via_rounding)
+from bipmatch.allowed import _scc_labels
 
-from conftest import brute_force_min_weight_pms, make_feasible_square
+from conftest import M_OTHER, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
 
 class TestAllowedEdges:
     def test_fig1(self, fig1):
         # u0v1 is in no perfect matching: only u0 can cover v0
         assert allowed_edges(fig1).edge_indices == (0, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("matched", [M_STAR, M_OTHER])
+    def test_scc_labels_per_edge(self, fig1, matched):
+        # Edge 0 is matched on no cycle and edge 1 lies on none; the other
+        # four form the one alternating cycle, whichever matching orients it.
+        mate_left = Matching(fig1, matched)._mate_left
+        labels = _scc_labels(fig1, range(6), mate_left)
+        assert labels[:2] == [-1, -1]
+        assert labels[2] >= 0 and set(labels[2:]) == {labels[2]}
+        # A subset that is one perfect matching holds no cycle.
+        assert _scc_labels(fig1, matched, mate_left) == [-1, -1, -1]
 
     def test_disjoint_perfect_matching(self):
         g = WeightedBipartiteGraph(4, 4, [(u, u, 1) for u in range(4)])

@@ -396,6 +396,14 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert '"weight": 3' in out
 
+    def test_side_beyond_bound_exit_2(self, capsys, tmp_path):
+        # The 24-byte file names a side of 2^40 vertices and no edges.
+        path = tmp_path / "huge.bip"
+        path.write_text(f"p bip {2**40} 1 0\n")
+        code, out, err = run(capsys, "optimum", str(path))
+        assert (code, out) == (2, "")
+        assert "line 1: a side of 1099511627776 vertices exceeds both" in err
+
     def test_k_beyond_weight_bound_exit_2(self, capsys, tmp_path):
         path = tmp_path / "wide.bip"
         path.write_text(WIDE_TEXT)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bipmatch import (MAX_ABS_WEIGHT, EdgeSet, Matching, ParseError,
                       WeightedBipartiteGraph, matching_from_json, parse_instance,
                       serialize_instance)
-from bipmatch.graph import _parse_canonical, _parse_lines
+from bipmatch.graph import SIDE_BOUND, _parse_canonical, _parse_lines
 
 from conftest import FIG1_EDGES, FIG1_TEXT, M_OTHER, M_STAR
 
@@ -58,6 +59,16 @@ class TestGraphConstruction:
         assert g.edge_count == 0
         assert g.max_abs_weight == 0
 
+    def test_side_bound(self):
+        # A side may exceed the edge count up to SIDE_BOUND vertices, and
+        # exceed SIDE_BOUND up to the edge count.
+        assert WeightedBipartiteGraph(SIDE_BOUND, 1, []).n_left == SIDE_BOUND
+        star = [(u, 0, 0) for u in range(SIDE_BOUND + 1)]
+        assert WeightedBipartiteGraph(SIDE_BOUND + 1, 1, star).edge_count == SIDE_BOUND + 1
+        for n, s in [(SIDE_BOUND + 1, 1), (1, SIDE_BOUND + 1), (2**40, 2**40)]:
+            with pytest.raises(ValueError, match="exceeds both the edge count 0"):
+                WeightedBipartiteGraph(n, s, [])
+
 
 class TestParsing:
     def test_fig1_roundtrip_values(self):
@@ -94,6 +105,23 @@ class TestParsing:
     def test_malformed_inputs(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_instance(text)
+
+    @pytest.mark.parametrize("header", [f"p bip {2**40} 1 0", f"p bip 1 {2**40} 0",
+                                        f"p bip {SIDE_BOUND + 1} 1 0",
+                                        f"p bip {2**40} {2**40} {2**40 - 1}"])
+    def test_side_beyond_bound_fails_on_header_line(self, header):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exceeds both the header's edge count") as err:
+            parse_instance(f"c huge\n{header}\n")
+        assert err.value.line == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_side_within_bound(self):
+        assert parse_instance(f"p bip {SIDE_BOUND} 1 0\n").n_left == SIDE_BOUND
+        # A side up to the header's edge count passes the header line; this
+        # file then lacks the edges it announced.
+        with pytest.raises(ParseError, match="announced 1099511627776 edges"):
+            parse_instance(f"p bip {2**40} 1 {2**40}\n")
 
     def test_weight_bound_in_file(self):
         text = f"p bip 1 1 1\ne 1 1 {MAX_ABS_WEIGHT + 1}\n"
@@ -152,6 +180,42 @@ class TestMatching:
             Matching(fig1, [0, 1])  # both use u0
         with pytest.raises(ValueError, match="two matched edges"):
             Matching(fig1, [1, 2])  # both use v1
+
+    def test_clash_named_by_input_labels_on_wide_graph(self):
+        # Input left vertex 1 lies on both edges; internally the sides are
+        # swapped, and the clash is on internal right vertex 0.
+        g = WeightedBipartiteGraph(1, 2, [(0, 0, 1), (0, 1, 1)])
+        assert g.sides_swapped
+        with pytest.raises(ValueError, match=r"^matching edge \(1, 2\) shares a vertex "
+                                             r"with another edge; no vertex may lie on "
+                                             r"two matched edges$"):
+            Matching(g, [0, 1])
+        with pytest.raises(ParseError, match=r"\(1, 2\) shares a vertex"):
+            matching_from_json(g, {"edges": [[1, 2], [1, 1]]})
+
+    def test_is_an_edge_set(self, fig1):
+        m = Matching(fig1, M_STAR)
+        assert isinstance(m, EdgeSet)
+        assert m.edge_count == m.cardinality == len(m) == 3
+        assert m.to_json() == {"cardinality": 3, "weight": 3, **EdgeSet(fig1, M_STAR).to_json()}
+
+    def test_never_equals_an_edge_set(self, fig1):
+        assert Matching(fig1, [0]) != EdgeSet(fig1, [0])
+        assert EdgeSet(fig1, [0]) != Matching(fig1, [0])
+        assert Matching(fig1, [0]) == Matching._trusted(fig1, [0, None, None])
+
+    def test_hash_and_repr(self, fig1):
+        m = Matching(fig1, [5, 2, 0])
+        assert hash(m) == hash((id(fig1), (0, 2, 5))) == hash(Matching(fig1, M_STAR))
+        assert repr(m) == "Matching(cardinality=3, edges=(0, 2, 5))"
+        assert repr(EdgeSet(fig1, [5, 2, 0])) == "EdgeSet((0, 2, 5))"
+
+    @pytest.mark.parametrize("kind", [Matching, EdgeSet])
+    def test_membership_of_any_int(self, fig1, kind):
+        edges = kind(fig1, M_STAR)
+        assert [e for e in range(fig1.edge_count) if e in edges] == list(M_STAR)
+        for e in (-1, fig1.edge_count, 10**9):
+            assert e not in edges
 
     def test_weight_examples(self, fig1):
         assert Matching(fig1, M_STAR).weight() == 3

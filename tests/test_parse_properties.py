@@ -9,8 +9,10 @@ other ``str.splitlines`` break, tabs and NBSP between fields, a header
 moved or repeated, integers spelled with "+", "_", leading zeros or
 non-ASCII digits, integers over 4300 digits, 3- and 5-field edge lines,
 "e" glued to its number, a line break moved to another field gap, a
-missing final newline, and range, duplicate and weight-bound errors. A text over two blocks long takes the same
-mutations near its start, its end and its block boundaries.
+missing final newline, headers with sides or edge counts of 2^16 + 1 and
+2^40, and range, duplicate and weight-bound errors. A text over two blocks
+long takes the same mutations near its start, its end and its block
+boundaries.
 """
 
 import random
@@ -24,7 +26,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (MAX_ABS_WEIGHT, ParseError, WeightedBipartiteGraph,  # noqa: E402
                       parse_instance, serialize_instance)
-from bipmatch.graph import _BLOCK_CHARS, _parse_canonical, _parse_lines  # noqa: E402
+from bipmatch.graph import (SIDE_BOUND, _BLOCK_CHARS, _parse_canonical,  # noqa: E402
+                            _parse_lines)
 
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                "\x85", "\u2028", "\u2029"]
@@ -37,11 +40,10 @@ ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A)
 def _token_variants(token: str, header: bool) -> list[str]:
     variants = ["+" + token, token[0] + "_" + token[1:], "0" + token,
                 token.translate(ARABIC_DIGITS), "1" * 4301, "0", "-1", "101",
-                "x", "e", "1.0"]
-    if header:  # a side of 2^40 vertices would take the graph that much memory
-        return variants
-    return variants + [str(MAX_ABS_WEIGHT), str(MAX_ABS_WEIGHT + 1),
-                       str(-MAX_ABS_WEIGHT - 1)]
+                "x", "e", "1.0", str(MAX_ABS_WEIGHT)]
+    if header:  # a side just over SIDE_BOUND
+        return variants + [str(SIDE_BOUND + 1)]
+    return variants + [str(MAX_ABS_WEIGHT + 1), str(-MAX_ABS_WEIGHT - 1)]
 
 
 def outcome(parse, text):

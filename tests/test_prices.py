@@ -44,6 +44,16 @@ class TestDualPrices:
         with pytest.raises(ParseError):
             prices_from_json(fig1, blob)
 
+    @pytest.mark.parametrize("call", [
+        lambda g, m, p: DualPrices.from_values([True], [False]),
+        lambda g, m, p: solve_auction(g, True),
+        lambda g, m, p: check_eps_optimal(g, m, p, True),
+        lambda g, m, p: select_shift([True], 1),
+    ], ids=["from_values", "solve_auction", "check_eps_optimal", "select_shift"])
+    def test_bool_rational_rejected(self, fig1, fig1_p1, call):
+        with pytest.raises(TypeError, match="got bool"):
+            call(fig1, Matching(fig1, M_STAR), fig1_p1)
+
     def test_bool_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator"):
             DualPrices([1], [2], True)
