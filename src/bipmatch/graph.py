@@ -1,10 +1,8 @@
 """Bipartite instance model: graphs, matchings, and the text file format.
 
-A weighted bipartite graph has a left side and a right side. Instances are
-normalized so that the left side is never smaller than the right side; when
-an input arrives the other way round the sides are swapped internally and
-the swap is remembered, so every serialization speaks in the input's
-original labels.
+A weighted bipartite graph has a left side and a right side, kept as the
+input gives them, so either may be the larger one. Vertex u of a side is
+input label u + 1 in every serialization.
 
 Instance file format (line oriented):
 
@@ -23,8 +21,8 @@ An ``EdgeSet`` is a set of edges of a parent graph, named by edge index:
 the tight subgraph, the edges of some optimal matching, a preference set.
 A ``Matching`` is an ``EdgeSet`` whose edges are vertex-disjoint; it also
 knows the matched edge at each left vertex. Edge sets serialize as JSON
-objects ``{"edges": [[i, j], ...]}`` with 1-based labels in the original
-orientation, sorted, and matchings add ``"cardinality"`` and ``"weight"``.
+objects ``{"edges": [[i, j], ...]}`` with 1-based labels, sorted, and
+matchings add ``"cardinality"`` and ``"weight"``.
 """
 
 from __future__ import annotations
@@ -47,10 +45,14 @@ MAX_ABS_WEIGHT = 2**40
 SIDE_BOUND = 2**16
 
 
+def _check_int(x, what: str) -> None:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
 def _check_weight(w) -> None:
     """Reject a weight that is not an integer or exceeds MAX_ABS_WEIGHT."""
-    if not isinstance(w, int) or isinstance(w, bool):
-        raise TypeError(f"edge weight must be an integer, got {w!r}")
+    _check_int(w, "edge weight")
     if abs(w) > MAX_ABS_WEIGHT:
         raise ValueError(f"|weight| {abs(w)} exceeds bound {MAX_ABS_WEIGHT}")
 
@@ -65,10 +67,12 @@ class WeightedBipartiteGraph:
     """
 
     __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
-                 "_adj_left", "_max_abs_weight", "_sides_swapped")
+                 "_adj_left", "_max_abs_weight")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
+        _check_int(n_left, "side size")
+        _check_int(n_right, "side size")
         if n_left < 0 or n_right < 0:
             raise ValueError("side sizes must be non-negative")
         left: list[int] = []
@@ -76,6 +80,8 @@ class WeightedBipartiteGraph:
         weight: list[int] = []
         seen: set[tuple[int, int]] = set()
         for u, v, w in edges:
+            _check_int(u, "left index")
+            _check_int(v, "right index")
             if not (0 <= u < n_left):
                 raise ValueError(f"left index {u} out of range [0, {n_left})")
             if not (0 <= v < n_right):
@@ -108,16 +114,11 @@ class WeightedBipartiteGraph:
     def _build(self, n_left: int, n_right: int, left: list[int],
                right: list[int], weight: list[int]) -> None:
         """Store the three edge columns (left endpoint, right endpoint and
-        weight, indexed by edge), swapping the two endpoint columns when
-        the right side is larger, and index the edges by left vertex.
+        weight, indexed by edge) and index the edges by left vertex.
 
         The matching, enumeration and solver loops read these columns
         directly.
         """
-        swapped = n_left < n_right
-        if swapped:
-            n_left, n_right = n_right, n_left
-            left, right = right, left
         adj_left: list[list[int]] = [[] for _ in range(n_left)]
         for e, u in enumerate(left):
             adj_left[u].append(e)
@@ -129,13 +130,11 @@ class WeightedBipartiteGraph:
         self._weight_of = tuple(weight)
         self._adj_left = tuple(tuple(a) for a in adj_left)
         self._max_abs_weight = max(map(abs, weight), default=0)
-        self._sides_swapped = swapped
 
     # -- basic shape -------------------------------------------------------
 
     @property
     def n_left(self) -> int:
-        """Size of the (never smaller) left side."""
         return self._n_left
 
     @property
@@ -150,11 +149,6 @@ class WeightedBipartiteGraph:
     def max_abs_weight(self) -> int:
         """Largest |weight| over all edges; 0 for edgeless graphs."""
         return self._max_abs_weight
-
-    @property
-    def sides_swapped(self) -> bool:
-        """True when the input had a larger right side and was flipped."""
-        return self._sides_swapped
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -193,42 +187,28 @@ class WeightedBipartiteGraph:
             raise ValueError(f"edge index {bad} out of range")
         return subset
 
-    # -- original orientation ----------------------------------------------
+    # -- 1-based input labels ----------------------------------------------
 
     def original_edge_index(self, i: int, j: int) -> int | None:
-        """Index of the edge with 1-based labels (i, j) in the input
-        orientation, or None when no such edge exists."""
-        if self._sides_swapped:
-            i, j = j, i
+        """Index of the edge with 1-based labels (i, j), or None when no
+        such edge exists."""
         return self.edge_index(i - 1, j - 1)
 
     def original_pair(self, e: int) -> tuple[int, int]:
-        """1-based (left, right) labels of edge e in the input orientation."""
-        u, v = self._left_of[e], self._right_of[e]
-        if self._sides_swapped:
-            u, v = v, u
-        return u + 1, v + 1
+        """1-based (left, right) labels of edge e."""
+        return self._left_of[e] + 1, self._right_of[e] + 1
 
     def original_pairs(self, edge_indices: Iterable[int]) -> list[list[int]]:
-        """Sorted 1-based [left, right] labels of the given edges in the
-        input orientation: the edge list of every JSON payload."""
+        """Sorted 1-based [left, right] labels of the given edges: the edge
+        list of every JSON payload."""
         left, right = self._left_of, self._right_of
-        if self._sides_swapped:
-            left, right = right, left
         return sorted([left[e] + 1, right[e] + 1] for e in edge_indices)
-
-    def original_sizes(self) -> tuple[int, int]:
-        """(left, right) side sizes in the input orientation."""
-        if self._sides_swapped:
-            return self._n_right, self._n_left
-        return self._n_left, self._n_right
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedBipartiteGraph):
             return NotImplemented
         return (self._n_left == other._n_left
                 and self._n_right == other._n_right
-                and self._sides_swapped == other._sides_swapped
                 and self._left_of == other._left_of
                 and self._right_of == other._right_of
                 and self._weight_of == other._weight_of)
@@ -263,7 +243,7 @@ class EdgeSet:
         return len(self._edge_indices)
 
     def pairs(self) -> list[tuple[int, int]]:
-        """The edges as internal (left, right) index pairs, in index order."""
+        """The edges as 0-based (left, right) input pairs, in index order."""
         return [self._graph.endpoints(e) for e in self._edge_indices]
 
     def __contains__(self, e: int) -> bool:
@@ -351,7 +331,7 @@ class Matching(EdgeSet):
 
 
 def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
-    """Rebuild a matching from its JSON form (1-based original labels)."""
+    """Rebuild a matching from its JSON form (1-based labels)."""
     pairs = data.get("edges") if isinstance(data, dict) else None
     if not isinstance(pairs, (list, tuple)):
         raise ParseError("matching JSON must contain an 'edges' list")
@@ -523,14 +503,10 @@ def _parse_lines(text: str) -> WeightedBipartiteGraph:
 def serialize_instance(graph: WeightedBipartiteGraph) -> str:
     """Render a graph back into the instance file format.
 
-    Output is in the original orientation and edge order, so parsing the
-    result reproduces an identical graph.
+    Output keeps the edge order, so parsing the result reproduces an
+    identical graph.
     """
-    if graph.sides_swapped:
-        n, s = graph.n_right, graph.n_left
-    else:
-        n, s = graph.n_left, graph.n_right
-    lines = [f"p bip {n} {s} {graph.edge_count}"]
+    lines = [f"p bip {graph.n_left} {graph.n_right} {graph.edge_count}"]
     for e in range(graph.edge_count):
         i, j = graph.original_pair(e)
         lines.append(f"e {i} {j} {graph.weight(e)}")

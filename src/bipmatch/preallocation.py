@@ -18,8 +18,8 @@ from .tight import build_gcs
 
 
 def parse_preferences(text: str, graph: WeightedBipartiteGraph) -> EdgeSet:
-    """Parse a preference file: lines "f <i> <j>" with 1-based original
-    labels, plus "c" comments. Unknown edges are an error."""
+    """Parse a preference file: lines "f <i> <j>" with 1-based labels,
+    plus "c" comments. Unknown edges are an error."""
     indices = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

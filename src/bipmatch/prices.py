@@ -12,8 +12,7 @@ shared positive denominator (1 for integral systems); floats are rejected
 outright.
 
 Price JSON: ``{"den": int, "pi": [int, ...], "p": [int, ...]}`` where "pi"
-holds the left-side numerators and "p" the right-side numerators, both in
-the original input orientation.
+holds the left-side numerators and "p" the right-side numerators.
 """
 
 from __future__ import annotations
@@ -270,25 +269,19 @@ def round_to_optimal(graph: WeightedBipartiteGraph,
 # -- serialization -------------------------------------------------------------
 
 def prices_to_json(graph: WeightedBipartiteGraph, prices: DualPrices) -> dict:
-    """Price JSON in the graph's original orientation."""
+    """Price JSON: "pi" holds the left side, "p" the right side."""
     _require_shape(graph, prices)
-    left, right = list(prices.left_num), list(prices.right_num)
-    if graph.sides_swapped:
-        left, right = right, left
-    return {"den": prices.den, "pi": left, "p": right}
+    return {"den": prices.den, "pi": list(prices.left_num), "p": list(prices.right_num)}
 
 
 def prices_from_json(graph: WeightedBipartiteGraph, data: dict) -> DualPrices:
-    """Parse price JSON, mapping the original orientation back onto the
-    graph's internal one."""
+    """Parse price JSON: "pi" for the left side, "p" for the right side."""
     try:
         den = data["den"]
         left = list(data["pi"])
         right = list(data["p"])
     except (TypeError, KeyError) as exc:
         raise ParseError(f"price JSON must contain 'den', 'pi', 'p': {exc}")
-    if graph.sides_swapped:
-        left, right = right, left
     if len(left) != graph.n_left or len(right) != graph.n_right:
         raise ParseError(
             f"price JSON shape ({len(left)}, {len(right)}) does not match instance")

@@ -47,9 +47,6 @@ class SolveStats:
     phases: int = 0
     iterations: int = 0
 
-    def to_json(self) -> dict:
-        return {"phases": self.phases, "iterations": self.iterations}
-
 
 @dataclass
 class SolveResult:
@@ -66,14 +63,13 @@ class SolveResult:
 
 def _require_square(graph: WeightedBipartiteGraph) -> None:
     if graph.n_left != graph.n_right:
-        n, s = graph.original_sizes()
-        raise NotSquare(f"perfect matching needs equal sides, got {n} and {s}")
+        raise NotSquare(f"perfect matching needs equal sides, got "
+                        f"{graph.n_left} and {graph.n_right}")
 
 
 def _require_feasible(graph: WeightedBipartiteGraph) -> None:
     """Raise Infeasible, naming uncovered vertices, if no perfect matching
-    exists. The graph is square, so its sides are never swapped and the
-    0-based names u<i> and v<j> follow the input's orientation."""
+    exists. The names u<i> and v<j> are 0-based input vertices."""
     mcm = max_cardinality_matching(graph)
     if mcm.cardinality < graph.n_left:
         free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)

@@ -14,6 +14,10 @@ original graph:
   constant cost k. Also needs a matching covering the right side, and
   stays small when the imbalance is small.
 
+The reductions read a graph with its larger side on the left (``_tall``),
+so n >= s and "right side" means the smaller side; the parent of a
+transformed instance is still the caller's graph.
+
 Every derived graph lists the parent's m edges first, in parent order:
 derived edge e < m is parent edge e, and the later ones (mirror copies,
 links, padding) have no parent counterpart. Nothing else records origin.
@@ -45,8 +49,8 @@ SMALL_IMBALANCE_RATIO = 8
 class TransformedInstance:
     """A balanced graph derived from ``parent``.
 
-    Derived edges 0..m-1 are the parent's m edges, in parent order, with
-    the same endpoints and weights; every later edge is new.
+    Derived edges 0..m-1 are the parent's m edges in parent order, read
+    with the larger side on the left (``_tall``); every later edge is new.
     """
 
     parent: WeightedBipartiteGraph
@@ -56,6 +60,15 @@ class TransformedInstance:
         """The parent edges among the given derived edge indices."""
         m = self.parent.edge_count
         return [e for e in edges if e < m]
+
+
+def _tall(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
+    """The graph with its larger side on the left: the graph itself, or a
+    copy with the sides exchanged in which edge e is still edge e."""
+    if graph.n_left >= graph.n_right:
+        return graph
+    return WeightedBipartiteGraph._trusted(graph.n_right, graph.n_left,
+                                           graph._right_of, graph._left_of, graph._weight_of)
 
 
 def _mirrored(graph: WeightedBipartiteGraph,
@@ -88,9 +101,10 @@ def first_doubling(graph: WeightedBipartiteGraph) -> TransformedInstance:
     zero-cost links the reduction loses its cardinality pressure (skipping
     a vertex pair would be free) and could return a non-maximum matching.
     """
-    n, s = graph.n_left, graph.n_right
+    tall = _tall(graph)
+    n, s = tall.n_left, tall.n_right
     link_w = 2 * s * max(graph.max_abs_weight, 1)
-    left, right, weight = _mirrored(graph, link_w)
+    left, right, weight = _mirrored(tall, link_w)
     left.extend(range(n, n + s))
     right.extend(range(s))
     weight.extend([link_w] * s)
@@ -105,8 +119,9 @@ def second_doubling(graph: WeightedBipartiteGraph, k: int = 0) -> TransformedIns
     has a matching covering its right side.
     """
     _check_weight(k)
-    n, s = graph.n_left, graph.n_right
-    halved = WeightedBipartiteGraph._trusted(n + s, n + s, *_mirrored(graph, k))
+    tall = _tall(graph)
+    n, s = tall.n_left, tall.n_right
+    halved = WeightedBipartiteGraph._trusted(n + s, n + s, *_mirrored(tall, k))
     return TransformedInstance(graph, halved)
 
 
@@ -114,10 +129,11 @@ def artificial_vertices(graph: WeightedBipartiteGraph, k: int = 0) -> Transforme
     """Balance the graph by padding the right side with n-s artificial
     vertices joined to every left vertex at weight k."""
     _check_weight(k)
-    n, s = graph.n_left, graph.n_right
-    left = [*graph._left_of, *[u for u in range(n) for _v in range(s, n)]]
-    right = [*graph._right_of, *[v for _u in range(n) for v in range(s, n)]]
-    weight = [*graph._weight_of, *[k] * (n * (n - s))]
+    tall = _tall(graph)
+    n, s = tall.n_left, tall.n_right
+    left = [*tall._left_of, *[u for u in range(n) for _v in range(s, n)]]
+    right = [*tall._right_of, *[v for _u in range(n) for v in range(s, n)]]
+    weight = [*tall._weight_of, *[k] * (n * (n - s))]
     padded = WeightedBipartiteGraph._trusted(n, n, left, right, weight)
     return TransformedInstance(graph, padded)
 
@@ -133,16 +149,16 @@ def restrict_back(transformed: TransformedInstance, matching: Matching) -> Match
                     transformed.original_edge_indices(matching.edge_indices))
 
 
-def _covers_right_side(graph: WeightedBipartiteGraph) -> bool:
-    return max_cardinality_matching(graph).cardinality == graph.n_right
+def _covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
+    return max_cardinality_matching(graph).cardinality == min(graph.n_left, graph.n_right)
 
 
 def choose_strategy(graph: WeightedBipartiteGraph) -> str:
-    """Pick a transformation: full doubling when the right side cannot be
+    """Pick a transformation: full doubling when the smaller side cannot be
     covered, padding for small imbalance, half doubling otherwise."""
-    if not _covers_right_side(graph):
+    if not _covers_smaller_side(graph):
         return FULL_DOUBLING
-    n, s = graph.n_left, graph.n_right
+    s, n = sorted((graph.n_left, graph.n_right))
     if (n - s) * SMALL_IMBALANCE_RATIO <= n:
         return PADDING
     return HALF_DOUBLING
@@ -159,7 +175,7 @@ def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
     elif strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                          f"{STRATEGIES + (AUTO,)}")
-    elif strategy != FULL_DOUBLING and not _covers_right_side(graph):
+    elif strategy != FULL_DOUBLING and not _covers_smaller_side(graph):
         raise CoverageRequired(
             f"strategy {strategy!r} needs a matching covering the right side; "
             f"use {FULL_DOUBLING!r} for this instance")
@@ -178,7 +194,7 @@ def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
 
     Pipeline: transform, solve the balanced instance exactly, keep the
     original edges. Half doubling and padding require a matching covering
-    the right side (CoverageRequired otherwise); full doubling works on
+    the smaller side (CoverageRequired otherwise); full doubling works on
     any graph.
     """
     transformed, result = _solve_transformed(graph, strategy, k)

@@ -159,6 +159,20 @@ def brute_force_optimum(graph: WeightedBipartiteGraph) -> tuple[int, int]:
     return len(some), sum(graph.weight(e) for e in some)
 
 
+def networkx_cardinality(graph: WeightedBipartiteGraph, subset=None) -> int:
+    """Size of a maximum matching of the edge subset (all edges for None),
+    by networkx's Hopcroft-Karp."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    top = [("u", u) for u in range(graph.n_left)]
+    g.add_nodes_from(top)
+    g.add_nodes_from(("v", v) for v in range(graph.n_right))
+    for e in range(graph.edge_count) if subset is None else subset:
+        u, v = graph.endpoints(e)
+        g.add_edge(("u", u), ("v", v))
+    return len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)) // 2
+
+
 def perturbed_eps_pair(graph: WeightedBipartiteGraph, matching: Matching,
                        prices: DualPrices, deltas) -> DualPrices:
     """Shift each right price up by its delta and the matched left price

@@ -12,6 +12,7 @@ from bipmatch.cli import main
 from conftest import FIG1_TEXT
 
 TIES_PATH = str(Path(__file__).parent / "golden" / "ties.bip")
+SWAPPED_PATH = str(Path(__file__).parent / "golden" / "swapped.bip")
 
 INFEASIBLE_TEXT = """\
 p bip 3 3 5
@@ -117,6 +118,14 @@ class TestGcs:
         assert code == 0
         assert json.loads(out)["edges"] == [[1, 1], [2, 2], [3, 2], [3, 3]]
 
+    def test_price_shape_named_in_input_orientation(self, capsys, tmp_path):
+        # swapped.bip has 4 left and 7 right vertices.
+        prices = tmp_path / "p.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [0] * 3, "p": [0] * 7}))
+        code, out, err = run(capsys, "gcs", SWAPPED_PATH, "--prices", str(prices))
+        assert (code, out) == (2, "")
+        assert err == "error: price JSON shape (3, 7) does not match instance\n"
+
     def test_infeasible_prices_exit_2(self, capsys, fig1_path, tmp_path):
         prices = tmp_path / "bad.json"
         prices.write_text(json.dumps({"den": 1, "pi": [9, 9, 9], "p": [9, 9, 9]}))
@@ -185,6 +194,18 @@ class TestPreallocate:
         payload = json.loads(out)
         assert payload["preferred"] == 1
         assert [1, 2] in payload["edges"]
+
+    def test_unequal_sides_named_in_input_orientation(self, capsys, tmp_path):
+        instance = tmp_path / "star.bip"
+        instance.write_text("p bip 1 8 8\n" + "".join(f"e 1 {j} 0\n" for j in range(1, 9)))
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text("f 1 1\n")
+        prices = tmp_path / "p.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [0], "p": [0] * 8}))
+        code, out, err = run(capsys, "preallocate", str(instance), "--prefs", str(prefs),
+                             "--prices", str(prices))
+        assert (code, out) == (1, "")
+        assert err == "infeasible: perfect matching needs equal sides, got 1 and 8\n"
 
     def test_unknown_preference_exit_2(self, capsys, fig1_path, tmp_path):
         prefs = tmp_path / "prefs.txt"

@@ -5,7 +5,10 @@ so a change to which matchings come out, or in what order, fails here
 even when the set of matchings stays correct. The digests of the tie
 graphs were recorded before the branch frames moved to flat edge
 columns, and those of the block-triangular graphs before the frames kept
-their components as separate blocks. Print them again with
+their components as separate blocks. ``HOPCROFT_KARP_DIGESTS`` were
+recorded when every graph was stored with its larger side on the left,
+and pin that view, ``transforms._tall``; ``HOPCROFT_KARP_AS_GIVEN_DIGESTS``
+pin the graphs as given. Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -18,6 +21,7 @@ import pytest
 
 from bipmatch import (WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
                       iter_perfect_matchings, max_cardinality_matching, solve_exact)
+from bipmatch.transforms import _tall
 
 LIMIT = 300
 
@@ -59,6 +63,12 @@ HOPCROFT_KARP_DIGESTS = {
     0: "df156c1f12acf535499a5faaf335e72a17690ba09271b3642be19fd5692eb7c3",
     1: "9b38ccb96fe27f1e9627b98780a3a8c0a523d1c2da33a22a1574a18b87e911c5",
     2: "fe823abe882c3391d9b30039893924a89201742fa7a33d3a766adcbce0649242",
+}
+
+HOPCROFT_KARP_AS_GIVEN_DIGESTS = {
+    0: "a0f81c9a9af36b34f7893cc1f3c93d2128c407ab75b6f3e40ce8b6ab3862cd79",
+    1: "315b7dc9e5bdaa514261802898875fab4519351521d0de12060e621ea798c54a",
+    2: "9b74ae81873a73d0cdb8670a70a3a568ef9a43a85e99d84f6c52b0d745398bf6",
 }
 
 
@@ -124,10 +134,14 @@ def enumeration_digests(seed: int, make=tie_graph) -> tuple[str, str]:
             _digest(m.edge_indices for m in optima))
 
 
-def hopcroft_karp_digest(seed: int) -> str:
-    """Matchings of 200 graphs of any shape (sides swapped, unbalanced,
-    edgeless, without a perfect matching), each on the whole graph and on
-    a random subset given unsorted and with repeats."""
+def _as_given(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
+    return graph
+
+
+def hopcroft_karp_digest(seed: int, view) -> str:
+    """Matchings of 200 graphs of any shape (either side larger, edgeless,
+    without a perfect matching), each read through ``view``, on the whole
+    graph and on a random subset given unsorted and with repeats."""
     rng = random.Random(seed)
     results = []
     for _ in range(200):
@@ -135,7 +149,7 @@ def hopcroft_karp_digest(seed: int) -> str:
         density = rng.choice((0.0, 0.05, 0.1, 0.3))
         edges = [(u, v, 0) for u in range(n) for v in range(s) if rng.random() < density]
         rng.shuffle(edges)
-        g = WeightedBipartiteGraph(n, s, edges)
+        g = view(WeightedBipartiteGraph(n, s, edges))
         subset = [rng.randrange(len(edges)) for _ in range(len(edges))] if edges else []
         results.append(max_cardinality_matching(g).edge_indices)
         results.append(max_cardinality_matching(g, subset).edge_indices)
@@ -154,7 +168,12 @@ def test_block_triangular_order_pinned(seed):
 
 @pytest.mark.parametrize("seed", sorted(HOPCROFT_KARP_DIGESTS))
 def test_hopcroft_karp_matchings_pinned(seed):
-    assert hopcroft_karp_digest(seed) == HOPCROFT_KARP_DIGESTS[seed]
+    assert hopcroft_karp_digest(seed, _tall) == HOPCROFT_KARP_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(HOPCROFT_KARP_AS_GIVEN_DIGESTS))
+def test_hopcroft_karp_matchings_as_given_pinned(seed):
+    assert hopcroft_karp_digest(seed, _as_given) == HOPCROFT_KARP_AS_GIVEN_DIGESTS[seed]
 
 
 if __name__ == "__main__":
@@ -168,5 +187,8 @@ if __name__ == "__main__":
         print(f'    {seed}: ("{every}",\n        "{optima}"),')
     print("}\n\nHOPCROFT_KARP_DIGESTS = {")
     for seed in sorted(HOPCROFT_KARP_DIGESTS):
-        print(f'    {seed}: "{hopcroft_karp_digest(seed)}",')
+        print(f'    {seed}: "{hopcroft_karp_digest(seed, _tall)}",')
+    print("}\n\nHOPCROFT_KARP_AS_GIVEN_DIGESTS = {")
+    for seed in sorted(HOPCROFT_KARP_AS_GIVEN_DIGESTS):
+        print(f'    {seed}: "{hopcroft_karp_digest(seed, _as_given)}",')
     print("}")

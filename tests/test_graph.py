@@ -21,7 +21,7 @@ class TestGraphConstruction:
         assert fig1.n_right == 3
         assert fig1.edge_count == 6
         assert fig1.max_abs_weight == 2
-        assert not fig1.sides_swapped
+        assert fig1.edges == tuple(FIG1_EDGES)
 
     def test_adjacency_in_edge_order(self, fig1):
         assert fig1.left_edges(0) == (0, 1)
@@ -36,6 +36,26 @@ class TestGraphConstruction:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             WeightedBipartiteGraph(2, 2, [(0, 2, 1)])
+        with pytest.raises(ValueError, match=r"^left index 2 out of range \[0, 2\)$"):
+            WeightedBipartiteGraph(2, 2, [(2, 0, 1)])
+
+    @pytest.mark.parametrize("n, s", [(-1, 2), (2, -1)])
+    def test_negative_side_rejected(self, n, s):
+        with pytest.raises(ValueError, match="^side sizes must be non-negative$"):
+            WeightedBipartiteGraph(n, s, [])
+
+    @pytest.mark.parametrize("n, s, edges, what", [
+        (2, 2, [(0, 1.0, 1), (1, 0, 2)], "right index"),
+        (2, 2, [(True, 0, 1)], "left index"),
+        (2, 2, [(0, False, 1)], "right index"),
+        (2, 2, [("0", 0, 1)], "left index"),
+        (True, True, [], "side size"),
+        (2.0, 2, [], "side size"),
+    ])
+    def test_non_int_label_or_side_rejected(self, n, s, edges, what):
+        # Labels and sides follow the weights' rule: an int, not a bool.
+        with pytest.raises(TypeError, match=f"^{what} must be an integer, got "):
+            WeightedBipartiteGraph(n, s, edges)
 
     def test_weight_bound(self):
         WeightedBipartiteGraph(1, 1, [(0, 0, MAX_ABS_WEIGHT)])
@@ -46,13 +66,13 @@ class TestGraphConstruction:
         with pytest.raises(TypeError):
             WeightedBipartiteGraph(1, 1, [(0, 0, 1.5)])
 
-    def test_sides_swapped_when_right_larger(self):
+    def test_sides_kept_when_right_larger(self):
         g = WeightedBipartiteGraph(1, 3, [(0, 2, 7)])
-        assert g.sides_swapped
-        assert (g.n_left, g.n_right) == (3, 1)
-        # internal orientation flips the endpoints, original labels do not
-        assert g.endpoints(0) == (2, 0)
+        assert (g.n_left, g.n_right) == (1, 3)
+        assert g.endpoints(0) == (0, 2)
         assert g.original_pair(0) == (1, 3)
+        assert g.original_edge_index(1, 3) == 0
+        assert g.original_edge_index(3, 1) is None
 
     def test_empty_graph(self):
         g = WeightedBipartiteGraph(0, 0, [])
@@ -137,10 +157,10 @@ class TestParsing:
         assert parse_instance(serialize_instance(fig1)) == fig1
 
     def test_serialize_parse_roundtrip_swapped(self):
-        g = parse_instance("p bip 1 2 2\ne 1 1 5\ne 1 2 -5\n")
-        assert g.sides_swapped
-        again = parse_instance(serialize_instance(g))
-        assert again == g
+        text = "p bip 1 2 2\ne 1 1 5\ne 1 2 -5\n"
+        g = parse_instance(text)
+        assert serialize_instance(g) == text
+        assert parse_instance(serialize_instance(g)) == g
 
     def test_strided_parse_peak_within_line_pass(self):
         # The benchmark's dense shape: a complete 200x200 instance. The
@@ -182,10 +202,8 @@ class TestMatching:
             Matching(fig1, [1, 2])  # both use v1
 
     def test_clash_named_by_input_labels_on_wide_graph(self):
-        # Input left vertex 1 lies on both edges; internally the sides are
-        # swapped, and the clash is on internal right vertex 0.
+        # Input left vertex 1, the smaller side, lies on both edges.
         g = WeightedBipartiteGraph(1, 2, [(0, 0, 1), (0, 1, 1)])
-        assert g.sides_swapped
         with pytest.raises(ValueError, match=r"^matching edge \(1, 2\) shares a vertex "
                                              r"with another edge; no vertex may lie on "
                                              r"two matched edges$"):
@@ -272,5 +290,4 @@ class TestEdgeSet:
 
     def test_json_in_input_orientation(self):
         g = WeightedBipartiteGraph(2, 3, [(0, 2, 1), (1, 0, 1), (0, 0, 1)])
-        assert g.sides_swapped
         assert EdgeSet(g, [0, 1, 2]).to_json() == {"edges": [[1, 1], [1, 3], [2, 1]]}

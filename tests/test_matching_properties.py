@@ -9,7 +9,7 @@ exactly once."""
 import pytest
 
 pytest.importorskip("hypothesis")
-nx = pytest.importorskip("networkx")
+pytest.importorskip("networkx")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from bipmatch import (Infeasible, WeightedBipartiteGraph, allowed_edges,  # noqa: E402
                       iter_perfect_matchings, max_cardinality_matching)
 
-from conftest import brute_force_min_weight_pms  # noqa: E402
+from conftest import brute_force_min_weight_pms, networkx_cardinality  # noqa: E402
 
 
 @st.composite
@@ -92,17 +92,6 @@ def brute_force_perfect_matchings(graph: WeightedBipartiteGraph, subset) -> set:
     sub = WeightedBipartiteGraph(graph.n_left, graph.n_right,
                                  [graph.endpoints(e) + (0,) for e in kept])
     return {frozenset(kept[e] for e in m.edge_indices) for m in brute_force_min_weight_pms(sub)}
-
-
-def networkx_cardinality(graph: WeightedBipartiteGraph, subset) -> int:
-    g = nx.Graph()
-    top = [("u", u) for u in range(graph.n_left)]
-    g.add_nodes_from(top)
-    g.add_nodes_from(("v", v) for v in range(graph.n_right))
-    for e in range(graph.edge_count) if subset is None else subset:
-        u, v = graph.endpoints(e)
-        g.add_edge(("u", u), ("v", v))
-    return len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)) // 2
 
 
 @settings(max_examples=300, deadline=None)

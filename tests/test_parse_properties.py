@@ -13,6 +13,9 @@ missing final newline, headers with sides or edge counts of 2^16 + 1 and
 2^40, and range, duplicate and weight-bound errors. A text over two blocks
 long takes the same mutations near its start, its end and its block
 boundaries.
+
+The constructor and the parser also accept and reject the same edge
+lists, and give equal graphs where both accept.
 """
 
 import random
@@ -173,6 +176,48 @@ def test_long_text_crosses_blocks_on_the_strided_path():
     assert len(LONG_TEXT) > 2 * _BLOCK_CHARS
     assert _parse_canonical(LONG_TEXT) == _parse_lines(LONG_TEXT)
     assert _parse_canonical(LONG_TEXT) is not None
+
+
+@st.composite
+def edge_lists(draw):
+    """Sides and 0-based edges, valid or with one fault: either side
+    larger, a side negative or past SIDE_BOUND, a label out of range, a
+    repeated pair, or a weight past MAX_ABS_WEIGHT."""
+    side = st.integers(-1, 4) | st.sampled_from([SIDE_BOUND, SIDE_BOUND + 1])
+    n, s = draw(side), draw(side)
+    cell = st.tuples(st.integers(0, max(min(n, 5) - 1, 0)),
+                     st.integers(0, max(min(s, 5) - 1, 0)))
+    weight = st.integers(-3, 3) | st.sampled_from([MAX_ABS_WEIGHT, -MAX_ABS_WEIGHT])
+    edges = [(u, v, draw(weight)) for u, v in draw(st.lists(cell, max_size=8, unique=True))]
+    fault = draw(st.sampled_from(["none", "left", "right", "duplicate", "weight"]))
+    if edges and fault != "none":
+        k = draw(st.integers(0, len(edges) - 1))
+        u, v, w = edges[k]
+        if fault == "left":
+            edges[k] = (draw(st.sampled_from([-1, n, n + 1])), v, w)
+        elif fault == "right":
+            edges[k] = (u, draw(st.sampled_from([-1, s, s + 1])), w)
+        elif fault == "duplicate":
+            edges.insert(draw(st.integers(0, len(edges))), (u, v, 1 - w))
+        else:
+            edges[k] = (u, v, draw(st.sampled_from([MAX_ABS_WEIGHT + 1, -MAX_ABS_WEIGHT - 1])))
+    return n, s, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_constructor_and_parser_accept_the_same_edges(case):
+    n, s, edges = case
+    text = canonical_rows(n, s, [(u + 1, v + 1, w) for u, v, w in edges])
+    try:
+        built = WeightedBipartiteGraph(n, s, edges)
+    except ValueError:
+        built = None
+    try:
+        parsed = parse_instance("\n".join(text) + "\n")
+    except ParseError:
+        parsed = None
+    assert built == parsed
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
 """Property tests for the three pipelines built on the transforms and the
 tight subgraph: ``optimum_matching`` under every strategy, the optimal
 edges of any graph, and preallocation. Graphs of any shape (either side
-larger, edgeless, with or without a matching covering the right side),
+larger, edgeless, with or without a matching covering the smaller side),
 compared with the brute-force optima of the test suite and, on sides up
 to 8, with the maximum cardinality networkx finds."""
 
@@ -16,7 +16,8 @@ from bipmatch import (AUTO, FULL_DOUBLING, MAX_ABS_WEIGHT, STRATEGIES,  # noqa: 
                       CoverageRequired, EdgeSet, WeightedBipartiteGraph,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact)
 
-from conftest import brute_force_optimum, brute_force_optimum_matchings  # noqa: E402
+from conftest import (brute_force_optimum, brute_force_optimum_matchings,  # noqa: E402
+                      networkx_cardinality)
 
 WEIGHTS = {
     "ties": st.integers(0, 2),
@@ -47,8 +48,8 @@ def graphs(draw, weights, square=False, max_side=6):
     return WeightedBipartiteGraph(n, s, [(u, v, w) for (u, v), w in zip(order, ws)])
 
 
-def covers_right_side(graph: WeightedBipartiteGraph) -> bool:
-    return brute_force_optimum(graph)[0] == graph.n_right
+def covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
+    return brute_force_optimum(graph)[0] == min(graph.n_left, graph.n_right)
 
 
 @KINDS
@@ -57,7 +58,7 @@ def covers_right_side(graph: WeightedBipartiteGraph) -> bool:
 def test_optimum_matching_every_strategy(kind, data):
     graph = data.draw(graphs(WEIGHTS[kind]))
     expected = brute_force_optimum(graph)
-    covered = covers_right_side(graph)
+    covered = covers_smaller_side(graph)
     for strategy in STRATEGIES + (AUTO,):
         if not covered and strategy not in (FULL_DOUBLING, AUTO):
             with pytest.raises(CoverageRequired):
@@ -68,26 +69,15 @@ def test_optimum_matching_every_strategy(kind, data):
         assert (m.cardinality, m.weight()) == expected, strategy
 
 
-def networkx_cardinality(graph: WeightedBipartiteGraph) -> int:
-    """Size of a maximum matching by networkx's Hopcroft-Karp."""
-    nx = pytest.importorskip("networkx")
-    g = nx.Graph()
-    left = [("u", u) for u in range(graph.n_left)]
-    g.add_nodes_from(left)
-    g.add_nodes_from(("v", v) for v in range(graph.n_right))
-    g.add_edges_from((("u", u), ("v", v)) for u, v, _w in graph.edges)
-    return len(nx.bipartite.maximum_matching(g, top_nodes=left)) // 2
-
-
 @KINDS
 @RANDOM
 @given(data=st.data())
 def test_optimum_cardinality_matches_networkx(kind, data):
     # Sides up to 8, beyond the brute-force optima above. Coverage of the
-    # (smaller) right side decides which strategies apply.
+    # smaller side decides which strategies apply.
     graph = data.draw(graphs(WEIGHTS[kind], max_side=8))
     cardinality = networkx_cardinality(graph)
-    covered = cardinality == graph.n_right
+    covered = cardinality == min(graph.n_left, graph.n_right)
     for strategy in STRATEGIES + (AUTO,):
         if covered or strategy in (FULL_DOUBLING, AUTO):
             assert optimum_matching(graph, strategy).cardinality == cardinality, strategy
@@ -102,7 +92,7 @@ def test_optimum_cardinality_matches_networkx(kind, data):
 def test_optimal_edges_are_union_of_optima(kind, data):
     graph = data.draw(graphs(WEIGHTS[kind]))
     union = set().union(*brute_force_optimum_matchings(graph))
-    covered = covers_right_side(graph)
+    covered = covers_smaller_side(graph)
     for strategy in STRATEGIES + (AUTO,):
         if not covered and strategy not in (FULL_DOUBLING, AUTO):
             with pytest.raises(CoverageRequired):

@@ -59,9 +59,9 @@ class TestDualPrices:
             DualPrices([1], [2], True)
 
     def test_json_swapped_orientation(self):
+        # The left side is the smaller one: "pi" has one entry.
         g = WeightedBipartiteGraph(1, 2, [(0, 0, 4), (0, 1, 6)])
-        assert g.sides_swapped
-        prices = DualPrices([1, 2], [3])  # internal: left has 2 entries
+        prices = DualPrices([3], [1, 2])
         blob = prices_to_json(g, prices)
         assert blob == {"den": 1, "pi": [3], "p": [1, 2]}
         assert prices_from_json(g, blob) == prices

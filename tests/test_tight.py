@@ -29,11 +29,10 @@ class TestBuildGcs:
             build_gcs(fig1, DualPrices([0, 0, 1], [2, 1, 0]))
 
     def test_infeasible_names_input_edge_and_slack(self):
-        # Sides swapped: input edge (1, 2) is internal (u1, v0), the only
-        # violated one.
+        # A larger right side: input edge (1, 2) is the only violated one.
         g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
                                           (1, 2, 5)])
-        prices = DualPrices([0, 4, 0], [0, -3])
+        prices = DualPrices([0, -3], [0, 4, 0])
         with pytest.raises(InfeasibleDual,
                            match=r"^1 edge\(s\) violate dual feasibility, "
                                  r"first \(1, 2\) with slack -1$"):
@@ -57,11 +56,10 @@ class TestBuildGcs:
 
     def test_json_fractional_slacks(self):
         # Prices in halves: slacks print as reduced fractions, and as plain
-        # integers where the fraction reduces to one. Sides swapped, so the
-        # labels come back in the input orientation.
+        # integers where the fraction reduces to one. A larger right side.
         g = WeightedBipartiteGraph(2, 3, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 1),
                                           (1, 2, 5)])
-        prices = DualPrices([1, 1, 1], [1, 0], den=2)
+        prices = DualPrices([1, 0], [1, 1, 1], den=2)
         blob = gcs_to_json(g, prices)
         assert blob["edges"] == [[1, 1]]
         assert blob["dropped"] == [[1, 2, 2], [2, 1, "3/2"], [2, 2, "1/2"], [2, 3, "9/2"]]

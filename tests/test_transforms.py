@@ -113,6 +113,26 @@ class TestArtificialVertices:
         assert m.weight() == 3
 
 
+class TestRightLarger:
+    def test_every_transform_restricts_to_the_callers_graph(self):
+        g = WeightedBipartiteGraph(1, 2, [(0, 0, 5), (0, 1, 3)])
+        for t in (first_doubling(g), second_doubling(g), artificial_vertices(g)):
+            m = restrict_back(t, solve_exact(t.graph).matching)
+            assert m.graph is g
+            assert [g.endpoints(e) for e in m] == [(0, 1)]
+
+    def test_choose_strategy_ignores_orientation(self):
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(120):
+            g = make_any_graph(rng)
+            mirror = WeightedBipartiteGraph(g.n_right, g.n_left,
+                                            [(v, u, w) for u, v, w in g.edges])
+            seen.add(choose_strategy(g))
+            assert choose_strategy(mirror) == choose_strategy(g)
+        assert seen == {FULL_DOUBLING, HALF_DOUBLING, PADDING}
+
+
 class TestLayout:
     def test_derived_edge_layout(self):
         # Parent edges first in parent order, then (doublings) their mirrors
