@@ -7,7 +7,9 @@ cycle, i.e. its endpoints share a strongly connected component.
 ``_scc_labels`` is the one place that decides which edges do; the
 enumeration reads the same labels. Composed with the tight subgraph this
 yields the union of all minimum-weight perfect matchings. Both results
-are ``EdgeSet``s of the parent graph.
+are ``EdgeSet``s of the parent graph. Given the perfect matching a solver
+returns with its prices, ``optimal_edges`` skips the matching search and
+costs one pass over the tight subgraph, linear in its edge count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import Infeasible
-from .graph import EdgeSet, WeightedBipartiteGraph
+from .graph import EdgeSet, Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
 from .tight import build_gcs
@@ -115,6 +117,16 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     return labels
 
 
+def _cycle_or_matched(graph: WeightedBipartiteGraph, subset: tuple[int, ...],
+                      matching: Matching) -> EdgeSet:
+    """The edges of ``subset`` that lie in some perfect matching of it,
+    given one perfect matching of it: the matched edges and those on an
+    alternating cycle."""
+    labels = _scc_labels(graph, subset, matching._mate_left)
+    return EdgeSet(graph, [e for e, label in zip(subset, labels)
+                           if label >= 0 or e in matching])
+
+
 def allowed_edges(graph: WeightedBipartiteGraph,
                   edge_indices: Iterable[int] | None = None) -> EdgeSet:
     """All edges that belong to at least one perfect matching.
@@ -129,20 +141,33 @@ def allowed_edges(graph: WeightedBipartiteGraph,
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {matching.cardinality} "
             f"on sides of size {graph.n_left} and {graph.n_right}")
-    labels = _scc_labels(graph, subset, matching._mate_left)
-    return EdgeSet(graph, [e for e, label in zip(subset, labels)
-                           if label >= 0 or e in matching])
+    return _cycle_or_matched(graph, subset, matching)
 
 
-def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:
+def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
+                  matching: Matching | None = None) -> EdgeSet:
     """All edges in some minimum-weight perfect matching, computed as the
     allowed edges of the tight subgraph under optimal prices.
+
+    ``matching``, when given, is a perfect matching whose edges are all
+    tight under ``prices``, such as the one a solver returns with them.
+    The answer is then one strongly-connected-components pass over the
+    tight subgraph, with no Hopcroft-Karp run; it does not depend on which
+    such matching is given. Raises ValueError for a matching of another
+    graph, one that is not perfect, or one with an edge that is not tight.
 
     Raises InfeasibleDual for infeasible prices, and Infeasible when the
     tight subgraph has no perfect matching (the prices are then feasible
     but not optimal).
     """
     tight = build_gcs(graph, prices)
+    if matching is not None:
+        if matching.graph is not graph or not matching.is_perfect:
+            raise ValueError("optimal edges need a perfect matching of the graph")
+        loose = next((e for e in matching if e not in tight), None)
+        if loose is not None:
+            raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
+        return _cycle_or_matched(graph, tight.edge_indices, matching)
     try:
         return allowed_edges(graph, tight.edge_indices)
     except Infeasible:

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from itertools import islice
+from typing import Callable
 
 from . import transforms
 from .allowed import optimal_edges
@@ -164,11 +165,35 @@ def _cmd_gcs(args) -> int:
 
 def _cmd_opt_edges(args) -> int:
     graph = _load_instance(args.instance)
-    prices = _obtain_prices(graph, args.prices)
-    edges = optimal_edges(graph, prices)
+    if args.prices is None:
+        # The certificate's own matching is tight under its prices, so
+        # the optimal edges take one SCC pass and no matching search.
+        result = solve_via_rounding(graph)
+        edges = optimal_edges(graph, result.prices, result.matching)
+    else:
+        edges = optimal_edges(graph, _load_prices(graph, args.prices))
     _emit(edges.to_json(), args.format,
           f"{len(edges)} of {graph.edge_count} edges lie in some optimal matching")
     return EXIT_OK
+
+
+def _json_lines(graph: WeightedBipartiteGraph) -> Callable[[Matching], str]:
+    """A writer of ``json.dumps(matching.to_json(), sort_keys=True)`` for
+    matchings of ``graph``, which renders each edge's ``[i, j]`` text once
+    rather than on every line. Edges are listed by their rank in sorted
+    label order, as ``to_json`` lists them."""
+    pairs = list(zip(map((1).__add__, graph._left_of), map((1).__add__, graph._right_of)))
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    rank = sorted(range(len(pairs)), key=order.__getitem__)  # inverse of order
+    label = list(map("[%d, %d]".__mod__, map(pairs.__getitem__, order)))
+    weight_of = graph._weight_of
+
+    def line(matching: Matching) -> str:
+        edges = matching.edge_indices
+        listed = ", ".join(map(label.__getitem__, sorted(map(rank.__getitem__, edges))))
+        return (f'{{"cardinality": {len(edges)}, "edges": [{listed}], '
+                f'"weight": {sum(map(weight_of.__getitem__, edges))}}}')
+    return line
 
 
 def _cmd_enumerate(args) -> int:
@@ -176,11 +201,9 @@ def _cmd_enumerate(args) -> int:
         raise ParseError("--limit must be non-negative")
     graph = _load_instance(args.instance)
     prices = _obtain_prices(graph, args.prices)
+    render = _json_lines(graph) if args.format == "json" else _matching_text
     for matching in islice(iter_min_weight_perfect_matchings(graph, prices), args.limit):
-        if args.format == "json":
-            print(json.dumps(matching.to_json(), sort_keys=True))
-        else:
-            print(_matching_text(matching))
+        print(render(matching))
     return EXIT_OK
 
 

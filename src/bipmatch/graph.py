@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import repeat
-from operator import add, mul
+from operator import add, lt, mul
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -178,10 +178,16 @@ class WeightedBipartiteGraph:
     def _edge_subset(self, edge_indices: Iterable[int] | None) -> tuple[int, ...]:
         """The distinct indices of an edge subset in increasing order; all
         edges for None. Raises ValueError for an index outside the graph,
-        so a negative index never wraps round to another edge."""
+        so a negative index never wraps round to another edge.
+
+        An increasing input, such as an enumeration frame's subset, is
+        kept in its order after one comparison pass; any other is sorted.
+        """
         if edge_indices is None:
             return tuple(range(len(self._left_of)))
-        subset = tuple(sorted(set(edge_indices)))
+        subset = tuple(edge_indices)
+        if not all(map(lt, subset, subset[1:])):
+            subset = tuple(sorted(set(subset)))
         if subset and (subset[0] < 0 or subset[-1] >= len(self._left_of)):
             bad = subset[0] if subset[0] < 0 else subset[-1]
             raise ValueError(f"edge index {bad} out of range")
@@ -299,7 +305,7 @@ class Matching(EdgeSet):
         Runs no checks."""
         matching = cls.__new__(cls)
         matching._graph = graph
-        matching._edge_indices = tuple(sorted(e for e in mate_left if e is not None))
+        matching._edge_indices = tuple(sorted([e for e in mate_left if e is not None]))
         matching._mate_left = tuple(mate_left)
         return matching
 

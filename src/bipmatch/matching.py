@@ -13,12 +13,16 @@ The first phase runs as one greedy pass: each left vertex, in index order,
 takes the first free right vertex in its adjacency order. This is exactly
 what the layered search does while every vertex is free (all shortest
 augmenting paths are single edges), so the result is the same matching.
-Edge endpoints are read from the graph's flat per-edge columns.
+Each later phase starts from the list of left vertices still free, in
+index order, and resets only the layers its own search set, so a phase
+costs what it visits rather than the number of left vertices. Edge
+endpoints are read from the graph's flat per-edge columns, and a subset
+given in increasing order, as the enumeration's frames give theirs, is
+taken without sorting it again (``_edge_subset``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .graph import Matching, WeightedBipartiteGraph
@@ -51,7 +55,7 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
 
     mate_left: list[int | None] = [None] * n_left      # matched edge at u
     mate_right: list[int | None] = [None] * graph.n_right
-    dist = [_INF] * n_left
+    dist = [_INF] * n_left  # BFS layer of each left vertex in this phase
 
     # Phase one, as the greedy pass the module docstring describes.
     for u in lefts:
@@ -61,73 +65,66 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
                 mate_left[u] = e
                 mate_right[v] = e
                 break
+    free = [u for u in lefts if mate_left[u] is None]
 
-    def bfs() -> int:
-        # Layer the graph from free left vertices; returns the length (in
-        # left-layers) at which the nearest free right vertex sits, or _INF.
-        queue: deque[int] = deque()
-        for u in lefts:
-            if mate_left[u] is None:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = _INF
-        while queue:
-            u = queue.popleft()
-            if found != _INF and dist[u] >= found:
+    while free:
+        # Layer the graph from the free left vertices. ``cap`` is the
+        # length (in left layers) of the shortest augmenting paths.
+        queue = list(free)
+        for u in queue:
+            dist[u] = 0
+        cap = _INF
+        for u in queue:  # the loop also visits the vertices appended below
+            du = dist[u]
+            if cap != _INF and du >= cap:
                 continue
             for e in adjacency[u]:
                 match = mate_right[right_of[e]]
                 if match is None:
-                    if found == _INF:
-                        found = dist[u] + 1
+                    if cap == _INF:
+                        cap = du + 1
                 else:
                     w = left_of[match]
                     if dist[w] == _INF:
-                        dist[w] = dist[u] + 1
+                        dist[w] = du + 1
                         queue.append(w)
-        return found
-
-    def dfs(root: int, cap: int) -> bool:
-        # Iterative alternating-path search along BFS layers; only accepts
-        # augmenting paths of the phase's shortest length ``cap``.
-        stack: list[tuple[int, int]] = [(root, 0)]
-        path: list[tuple[int, int]] = []  # (u, edge chosen at u)
-        while stack:
-            u, start = stack.pop()
-            advanced = False
-            adj_u = adjacency[u]
-            for pos in range(start, len(adj_u)):
-                e = adj_u[pos]
-                match = mate_right[right_of[e]]
-                if match is None:
-                    if dist[u] + 1 != cap:
-                        continue
-                    path.append((u, e))
-                    for pu, pe in path:
-                        mate_left[pu] = pe
-                        mate_right[right_of[pe]] = pe
-                    return True
-                w = left_of[match]
-                if dist[w] == dist[u] + 1:
-                    stack.append((u, pos + 1))
-                    stack.append((w, 0))
-                    path.append((u, e))
-                    advanced = True
-                    break
-            if not advanced:
-                dist[u] = _INF
-                if path:
-                    path.pop()
-        return False
-
-    while True:
-        cap = bfs()
         if cap == _INF:
             break
-        for u in lefts:
-            if mate_left[u] is None:
-                dfs(u, cap)
+
+        # From each free vertex, an iterative search along the layers for
+        # an augmenting path of length ``cap``; a dead end leaves its
+        # layer, so no later search of this phase enters it again.
+        for root in free:
+            stack = [(root, 0)]
+            path: list[tuple[int, int]] = []  # (u, edge chosen at u)
+            while stack:
+                u, start = stack.pop()
+                adj_u = adjacency[u]
+                next_layer = dist[u] + 1
+                for pos in range(start, len(adj_u)):
+                    e = adj_u[pos]
+                    match = mate_right[right_of[e]]
+                    if match is None:
+                        if next_layer != cap:
+                            continue
+                        path.append((u, e))
+                        for pu, pe in path:
+                            mate_left[pu] = pe
+                            mate_right[right_of[pe]] = pe
+                        stack.clear()
+                        break
+                    w = left_of[match]
+                    if dist[w] == next_layer:
+                        stack.append((u, pos + 1))
+                        stack.append((w, 0))
+                        path.append((u, e))
+                        break
+                else:
+                    dist[u] = _INF
+                    if path:
+                        path.pop()
+        for u in queue:
+            dist[u] = _INF
+        free = [u for u in free if mate_left[u] is None]
 
     return Matching._trusted(graph, mate_left)

@@ -14,8 +14,11 @@ Two independent routes to an optimal primal-dual pair:
   without touching the matching.
 
 ``solve_exact`` is its own feasibility check: a search that empties its
-heap proves there is no perfect matching. ``solve_auction`` checks up
-front, since on an infeasible instance its prices would rise forever.
+heap proves there is no perfect matching. On an infeasible instance the
+auction's prices would rise forever, so ``solve_auction`` runs
+Hopcroft-Karp once: up front when some left vertex has fewer than two
+edges, otherwise only if a price passes the bound its docstring states.
+A feasible instance rarely reaches the bound and then runs none.
 
 Cost of the exact solver: each of the n searches costs time proportional
 to what it touched -- the vertices it reached, the edges it scanned and
@@ -68,8 +71,9 @@ def _require_square(graph: WeightedBipartiteGraph) -> None:
 
 
 def _require_feasible(graph: WeightedBipartiteGraph) -> None:
-    """Raise Infeasible, naming uncovered vertices, if no perfect matching
-    exists. The names u<i> and v<j> are 0-based input vertices."""
+    """Raise Infeasible, naming an uncovered vertex of each side, if no
+    perfect matching exists: u<i> is left vertex i and v<j> right vertex j,
+    by their 1-based input labels."""
     mcm = max_cardinality_matching(graph)
     if mcm.cardinality < graph.n_left:
         free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)
@@ -77,7 +81,7 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
         free_right = next(v for v in range(graph.n_right) if v not in covered)
         raise Infeasible(
             f"no perfect matching: maximum cardinality is {mcm.cardinality} of "
-            f"{graph.n_left}; vertices u{free_left} and v{free_right} stay uncovered")
+            f"{graph.n_left}; vertices u{free_left + 1} and v{free_right + 1} stay uncovered")
 
 
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
@@ -228,13 +232,27 @@ def solve_auction(graph: WeightedBipartiteGraph,
 
     Larger eps_final values are accepted (the matching may then be
     suboptimal by up to n*eps_final); floats are rejected.
+
+    Hopcroft-Karp runs at most once: up front when some left vertex has
+    fewer than two edges, and otherwise only when a price passes
+    (2n+1) * (2*W*scale + eps0), in the scaled units of the bidding, with
+    W the largest |weight| and eps0 the first phase's epsilon. It raises
+    Infeasible or lets bidding go on with no further check. On an
+    infeasible instance every bid raises a price, so some price passes any
+    bound; the bound decides only when the check runs, never an answer.
+    Raises NotSquare for unequal sides and Infeasible when no perfect
+    matching exists.
     """
     _require_square(graph)
-    _require_feasible(graph)
     n = graph.n_left
     stats = SolveStats()
     if n == 0:
         return SolveResult(Matching(graph, []), DualPrices([], [], n + 1), stats)
+    # A lone-option bid adds ``big``, so its prices say nothing about
+    # feasibility: check once up front instead.
+    lone_option = min(map(len, graph._adj_left)) < 2
+    if lone_option:
+        _require_feasible(graph)
 
     if eps_final is None:
         eps = Fraction(1, n + 1)
@@ -261,6 +279,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
         levels.append(level)
         level = max(level // 2, eps_scaled)
     levels.append(eps_scaled)
+    bound = math.inf if lone_option else (
+        (2 * n + 1) * (2 * graph.max_abs_weight * scale + levels[0]))
 
     for eps_now in levels:
         stats.phases += 1
@@ -283,7 +303,11 @@ def solve_auction(graph: WeightedBipartiteGraph,
             if second_val is None:
                 second_val = best_val - big  # lone option: bid high to lock it
             v = right_of[best_e]
-            price[v] += best_val - second_val + eps_now
+            bid = price[v] + best_val - second_val + eps_now
+            price[v] = bid
+            if bid > bound:
+                _require_feasible(graph)
+                bound = math.inf
             previous = owner[v]
             if previous is not None:
                 assigned[previous] = None

@@ -9,9 +9,9 @@ original graph:
 * full doubling: mirror the whole graph, join every vertex to its mirror
   copy with heavy link edges (weight 2*s*W). Works unconditionally.
 * half doubling: the same without the right-side links (link weight is a
-  free constant k). Needs a matching covering the right side.
+  free constant k). Needs a matching covering the smaller side.
 * padding: add artificial right vertices joined to every left vertex at
-  constant cost k. Also needs a matching covering the right side, and
+  constant cost k. Also needs a matching covering the smaller side, and
   stays small when the imbalance is small.
 
 The reductions read a graph with its larger side on the left (``_tall``),
@@ -176,8 +176,9 @@ def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                          f"{STRATEGIES + (AUTO,)}")
     elif strategy != FULL_DOUBLING and not _covers_smaller_side(graph):
+        side = "right" if graph.n_left >= graph.n_right else "left"
         raise CoverageRequired(
-            f"strategy {strategy!r} needs a matching covering the right side; "
+            f"strategy {strategy!r} needs a matching covering the {side} side; "
             f"use {FULL_DOUBLING!r} for this instance")
     if strategy == FULL_DOUBLING:
         transformed = first_doubling(graph)
@@ -206,5 +207,5 @@ def optimal_edges_general(graph: WeightedBipartiteGraph, strategy: str = AUTO,
     """All edges occurring in some optimum matching: the optimal edges of
     the transformed instance, intersected with the original edges."""
     transformed, result = _solve_transformed(graph, strategy, k)
-    lifted = optimal_edges(transformed.graph, result.prices)
+    lifted = optimal_edges(transformed.graph, result.prices, result.matching)
     return EdgeSet(graph, transformed.original_edge_indices(lifted.edge_indices))

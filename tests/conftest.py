@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import bipmatch.allowed
 import bipmatch.enumeration
 import bipmatch.solvers
 import bipmatch.transforms
@@ -49,15 +50,17 @@ def fig1_p2():
 
 @pytest.fixture
 def hk_calls(monkeypatch):
-    """Hopcroft-Karp runs made by the solvers, the transforms and the
-    enumeration branch frames while the test runs, one list entry per run."""
+    """Hopcroft-Karp runs made by the solvers, the transforms, the
+    allowed-edge filter and the enumeration branch frames while the test
+    runs, one list entry per run."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return max_cardinality_matching(*args, **kwargs)
 
-    for module in (bipmatch.transforms, bipmatch.solvers, bipmatch.enumeration):
+    for module in (bipmatch.allowed, bipmatch.transforms, bipmatch.solvers,
+                   bipmatch.enumeration):
         monkeypatch.setattr(module, "max_cardinality_matching", counting)
     return calls
 

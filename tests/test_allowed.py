@@ -102,6 +102,26 @@ class TestOptimalEdges:
             pb = solve_via_rounding(g).prices
             assert optimal_edges(g, pa) == optimal_edges(g, pb)
 
+    def test_given_matching(self, fig1, fig1_p1, fig1_p2, hk_calls):
+        for prices in (fig1_p1, fig1_p2):
+            edges = optimal_edges(fig1, prices, Matching(fig1, M_STAR))
+            assert edges.edge_indices == (0, 2, 5)
+        assert hk_calls == []
+
+    @pytest.mark.parametrize("edges, message", [
+        ([0, 2], "perfect matching"),
+        # Edge 3 joins left 2 and right 3 with slack 2 under fig1_p1.
+        (M_OTHER, r"matched edge \(2, 3\) is not tight"),
+    ])
+    def test_given_matching_rejected(self, fig1, fig1_p1, edges, message):
+        with pytest.raises(ValueError, match=message):
+            optimal_edges(fig1, fig1_p1, Matching(fig1, edges))
+
+    def test_matching_of_another_graph_rejected(self, fig1, fig1_p1):
+        other = WeightedBipartiteGraph(3, 3, fig1.edges)
+        with pytest.raises(ValueError, match="perfect matching of the graph"):
+            optimal_edges(fig1, fig1_p1, Matching(other, M_STAR))
+
     def test_json(self, fig1, fig1_p1):
         assert optimal_edges(fig1, fig1_p1).to_json() == {
             "edges": [[1, 1], [2, 2], [3, 3]]}

@@ -72,7 +72,7 @@ class TestSolve:
         path.write_text(INFEASIBLE_TEXT)
         code, _, err = run(capsys, "solve", str(path))
         assert code == 1
-        assert "v0" in err  # the uncoverable vertex is named
+        assert "v1 stay" in err  # named by its 1-based input label
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.bip"))
@@ -161,6 +161,20 @@ class TestOptEdges:
         code, out, _ = run(capsys, "opt-edges", fig1_path)
         assert code == 0
         assert json.loads(out)["edges"] == [[1, 1], [2, 2], [3, 3]]
+
+    def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
+                                                         tmp_path, hk_calls):
+        # The solver's matching is tight under its prices, so only the
+        # SCC pass runs; supplied prices come without a matching.
+        code, out, _ = run(capsys, "opt-edges", fig1_path)
+        assert code == 0
+        assert hk_calls == []
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, with_prices, _ = run(capsys, "opt-edges", fig1_path, "--prices", str(prices))
+        assert code == 0
+        assert with_prices == out
+        assert len(hk_calls) == 1
 
 
 class TestEnumerate:
@@ -257,6 +271,19 @@ class TestOptimum:
         code, _, err = run(capsys, "optimum", str(path),
                            "--transform", "artificial")
         assert code == 1
+
+    @pytest.mark.parametrize("shape, side", [("5 6", "left"), ("6 5", "right")])
+    def test_coverage_required_names_smaller_side(self, capsys, tmp_path, shape, side):
+        # Left vertices 1 and 2 (or, transposed, right vertices 1 and 2)
+        # both see only vertex 1 of the other side.
+        edges = [(1, 1, 1), (2, 1, 2), (3, 2, 0), (4, 3, 0), (5, 4, 0), (3, 5, 1)]
+        if shape == "6 5":
+            edges = [(j, i, w) for i, j, w in edges]
+        path = tmp_path / "uncovered.bip"
+        path.write_text(f"p bip {shape} 6\n" + "".join(f"e {i} {j} {w}\n" for i, j, w in edges))
+        code, _, err = run(capsys, "optimum", str(path), "--transform", "half-doubling")
+        assert code == 1
+        assert f"needs a matching covering the {side} side" in err
 
 
 class TestCheck:

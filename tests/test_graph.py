@@ -281,6 +281,9 @@ class TestEdgeSet:
         assert edges.pairs() == [(0, 0), (1, 2), (2, 2)]
         assert edges == EdgeSet(fig1, (0, 3, 5))
         assert edges != EdgeSet(WeightedBipartiteGraph(3, 3, FIG1_EDGES), (0, 3, 5))
+        # Increasing input is kept as it is; a repeat or a descent is sorted.
+        for given in ([0, 3, 5], iter((0, 3, 5)), [0, 0, 3, 5], [0, 5, 3]):
+            assert EdgeSet(fig1, given).edge_indices == (0, 3, 5)
 
     def test_out_of_range_index(self, fig1):
         with pytest.raises(ValueError):

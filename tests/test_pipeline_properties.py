@@ -3,18 +3,27 @@ tight subgraph: ``optimum_matching`` under every strategy, the optimal
 edges of any graph, and preallocation. Graphs of any shape (either side
 larger, edgeless, with or without a matching covering the smaller side),
 compared with the brute-force optima of the test suite and, on sides up
-to 8, with the maximum cardinality networkx finds."""
+to 8, with the maximum cardinality networkx finds. On square graphs with
+sides up to 8, the optimal edges from a certificate's own matching equal
+those found through Hopcroft-Karp, and the ``enumerate`` JSON writer
+prints what ``json.dumps`` prints."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
+
+import json  # noqa: E402
+from itertools import islice  # noqa: E402
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (AUTO, FULL_DOUBLING, MAX_ABS_WEIGHT, STRATEGIES,  # noqa: E402
                       CoverageRequired, EdgeSet, WeightedBipartiteGraph,
-                      optimal_edges_general, optimum_matching, preallocate, solve_exact)
+                      iter_min_weight_perfect_matchings, optimal_edges,
+                      optimal_edges_general, optimum_matching, preallocate, solve_exact,
+                      solve_via_rounding)
+from bipmatch.cli import _json_lines  # noqa: E402
 
 from conftest import (brute_force_optimum, brute_force_optimum_matchings,  # noqa: E402
                       networkx_cardinality)
@@ -115,3 +124,26 @@ def test_preallocate_reaches_best_preferred_count(kind, data):
     assert frozenset(m.edge_indices) in optima
     best = max(len(opt & set(prefs)) for opt in optima)
     assert sum(e in prefs for e in m) == best
+
+
+@KINDS
+@RANDOM
+@given(data=st.data())
+def test_optimal_edges_from_certificate_matching(kind, data):
+    graph = data.draw(graphs(WEIGHTS[kind], square=True, max_side=8))
+    for solve in (solve_via_rounding, solve_exact):
+        result = solve(graph)
+        through_hk = optimal_edges(graph, result.prices)
+        assert optimal_edges(graph, result.prices, result.matching) == through_hk
+
+
+@KINDS
+@RANDOM
+@given(data=st.data())
+def test_enumerate_json_writer(kind, data):
+    graph = data.draw(graphs(WEIGHTS[kind], square=True, max_side=8))
+    for g in (graph, WeightedBipartiteGraph(0, 0, [])):
+        line = _json_lines(g)
+        matchings = iter_min_weight_perfect_matchings(g, solve_exact(g).prices)
+        for m in islice(matchings, 30):
+            assert line(m) == json.dumps(m.to_json(), sort_keys=True)

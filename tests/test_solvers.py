@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipmatch import (Infeasible, NotSquare, WeightedBipartiteGraph,
+from bipmatch import (MAX_ABS_WEIGHT, Infeasible, NotSquare, WeightedBipartiteGraph,
                       check_complementary_slackness, check_eps_optimal, dual_objective,
                       max_cardinality_matching, solve_auction, solve_exact,
                       solve_via_rounding)
@@ -30,19 +30,21 @@ class TestSolveExact:
     def test_isolated_vertex_infeasible(self):
         edges = [e for e in FIG1_EDGES if e != (0, 0, 1)]
         g = WeightedBipartiteGraph(3, 3, edges)
-        with pytest.raises(Infeasible, match="v0"):
+        with pytest.raises(Infeasible, match="v1 stay"):
             solve_exact(g)
 
     @pytest.mark.parametrize("n, edges, uncovered", [
-        # u2 has no edges, so its row has no minimum to start from.
-        (3, [(0, 0, 1), (0, 1, 2), (1, 1, 3), (1, 2, -4)], "2 of 3; vertices u2 and v2"),
-        # v2 has no edges.
+        # Left vertex 3 has no edges, so its row has no minimum to start
+        # from. Vertices are named by their 1-based input labels.
+        (3, [(0, 0, 1), (0, 1, 2), (1, 1, 3), (1, 2, -4)], "2 of 3; vertices u3 and v3"),
+        # Right vertex 3 has no edges.
         (3, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, -4), (2, 1, 5)],
-         "2 of 3; vertices u2 and v2"),
-        # u0 and u1 see only v0, though no vertex is isolated.
+         "2 of 3; vertices u3 and v3"),
+        # Left vertices 1 and 2 see only right vertex 1, though no vertex
+        # is isolated.
         (3, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (2, 1, 4), (2, 2, 5)],
-         "2 of 3; vertices u1 and v2"),
-        (1, [], "0 of 1; vertices u0 and v0"),
+         "2 of 3; vertices u2 and v3"),
+        (1, [], "0 of 1; vertices u1 and v1"),
     ])
     def test_infeasible_names_uncovered_vertices(self, hk_calls, n, edges, uncovered):
         g = WeightedBipartiteGraph(n, n, edges)
@@ -148,9 +150,51 @@ class TestSolveAuction:
         with pytest.raises(Infeasible):
             solve_auction(g)
 
-    def test_checks_feasibility_up_front(self, hk_calls, fig1):
+    def test_no_hopcroft_karp_at_minimum_degree_two(self, hk_calls, fig1):
+        # Every left vertex of fig1 has two edges: no lone-option bid.
         solve_auction(fig1)
+        assert hk_calls == []
+
+    def test_checks_feasibility_up_front(self, hk_calls):
+        # Left vertex 1 has one edge, so a lone-option bid could hide an
+        # infeasible instance: one check runs before bidding.
+        g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2), (1, 1, 3)])
+        assert solve_auction(g).matching.weight() == 4
         assert len(hk_calls) == 1
+
+    @pytest.mark.parametrize("edges", [
+        # A left vertex with one edge: checked up front.
+        [(0, 0, 1), (1, 0, 1)],
+        # Left degrees two, right vertex 3 isolated: the price bound fires.
+        [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)],
+    ])
+    def test_infeasible_checks_once(self, hk_calls, edges):
+        n = 1 + max(max(u, v) for u, v, _w in edges)
+        g = WeightedBipartiteGraph(n, n, edges)
+        with pytest.raises(Infeasible) as auction:
+            solve_auction(g)
+        assert len(hk_calls) == 1
+        with pytest.raises(Infeasible) as exact:
+            solve_exact(g)
+        assert str(auction.value) == str(exact.value)
+
+    @pytest.mark.parametrize("weight", [0, MAX_ABS_WEIGHT])
+    @pytest.mark.parametrize("degree", [2, 10])
+    def test_large_hall_violator(self, weight, degree):
+        # 200 left vertices share right vertices 1..199, with weights of
+        # either sign: right vertex 200 stays uncovered. Degree 2 is a
+        # ring, degree 10 picks neighbours at random.
+        n = 200
+        rng = random.Random(degree)
+        g = WeightedBipartiteGraph(n, n, [
+            (u, v % (n - 1), rng.choice((-weight, weight))) for u in range(n)
+            for v in ((u, u + 1) if degree == 2 else rng.sample(range(n - 1), degree))])
+        with pytest.raises(Infeasible) as auction:
+            solve_auction(g)
+        with pytest.raises(Infeasible) as exact:
+            solve_exact(g)
+        assert str(auction.value) == str(exact.value)
+        assert "v200 stay" in str(auction.value)
 
     def test_scaling_phases_recorded(self, fig1):
         r = solve_auction(fig1)
