@@ -8,7 +8,10 @@ columns, and those of the block-triangular graphs before the frames kept
 their components as separate blocks. ``HOPCROFT_KARP_DIGESTS`` were
 recorded when every graph was stored with its larger side on the left,
 and pin that view, ``transforms._tall``; ``HOPCROFT_KARP_AS_GIVEN_DIGESTS``
-pin the graphs as given. Print them again with
+pin the graphs as given. ``SOLVE_EXACT_DIGESTS`` pin the exact solver's
+matching, prices and work counts on square graphs of four weight
+families and on the three balanced reductions of unbalanced graphs. Print
+them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -19,9 +22,9 @@ from itertools import islice
 
 import pytest
 
-from bipmatch import (WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
+from bipmatch import (MAX_ABS_WEIGHT, WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
                       iter_perfect_matchings, max_cardinality_matching, solve_exact)
-from bipmatch.transforms import _tall
+from bipmatch.transforms import _tall, artificial_vertices, first_doubling, second_doubling
 
 LIMIT = 300
 
@@ -71,6 +74,17 @@ HOPCROFT_KARP_AS_GIVEN_DIGESTS = {
     2: "9b74ae81873a73d0cdb8670a70a3a568ef9a43a85e99d84f6c52b0d745398bf6",
 }
 
+SOLVE_EXACT_DIGESTS = {
+    0: "f9c4ba98a3466e185e34a9d9f23a442eb09d2024b0698076b36f44a5bfdad05e",
+    1: "b7bcfbc0de00da277d3e0281f0ea1940bf32e453f763b5d1a9339f6116a6cc06",
+    2: "3d5e800e76b2482ad9f4a628bccb61d0c08f1757edac786f5122aa9e16839a71",
+    3: "dfe43bcff9392c765aee63f5d6f39e2ad4c2db702b24c55ed03ebed85c39adbe",
+    4: "acbc55b78f3a236eaa2aa4fe25220b004041dafb185f3ba543b8847e07c53cf4",
+    5: "c08c9c8292c2a01abcaacfe1b1a94a2847b4e6bd936a741896c4680c1f0ec816",
+    6: "2b25b6706fe799a146e8949410d76fbd4482384a1e344c22d269080d6cb79b6d",
+    7: "9aaf59c4c10fcab7ba8351505f8edb5c0e49dac075ed89d772035e91107ce80f",
+}
+
 
 def _digest(items) -> str:
     h = hashlib.sha256()
@@ -80,9 +94,22 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def tie_graph(seed: int) -> WeightedBipartiteGraph:
-    """Square graph, 20-120 per side, weights in {0, 1, 2} (mostly 0) and
-    shuffled edge order, with a hidden perfect matching."""
+def _tie_weight(rng: random.Random) -> int:
+    return rng.choice((0, 0, 0, 1, 2))
+
+
+WEIGHT_FAMILIES = (
+    _tie_weight,
+    lambda rng: 0,
+    lambda rng: rng.randint(-50, 50),
+    lambda rng: rng.randint(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT),
+)
+
+
+def tie_graph(seed: int, weigh=_tie_weight) -> WeightedBipartiteGraph:
+    """Square graph, 20-120 per side, weights drawn by ``weigh`` (by
+    default in {0, 1, 2}, mostly 0) and shuffled edge order, with a hidden
+    perfect matching."""
     rng = random.Random(seed)
     n = rng.randint(20, 120)
     perm = list(range(n))
@@ -91,9 +118,27 @@ def tie_graph(seed: int) -> WeightedBipartiteGraph:
     deg = rng.randint(3, 6)
     while len(cells) < n * deg:
         cells.add((rng.randrange(n), rng.randrange(n)))
-    edges = [(u, v, rng.choice((0, 0, 0, 1, 2))) for u, v in sorted(cells)]
+    edges = [(u, v, weigh(rng)) for u, v in sorted(cells)]
     rng.shuffle(edges)
     return WeightedBipartiteGraph(n, n, edges)
+
+
+def unbalanced_graph(seed: int) -> WeightedBipartiteGraph:
+    """Graph with sides 5-40 and 1-40 more, either side the larger, a
+    hidden matching covering the smaller side, weights in [-50, 50] and
+    shuffled edge order."""
+    rng = random.Random(seed)
+    s = rng.randint(5, 40)
+    n = s + rng.randint(1, 40)
+    cells = set(zip(rng.sample(range(n), s), range(s)))
+    deg = rng.randint(2, 4)
+    while len(cells) < n * deg:
+        cells.add((rng.randrange(n), rng.randrange(s)))
+    edges = [(u, v, rng.randint(-50, 50)) for u, v in sorted(cells)]
+    rng.shuffle(edges)
+    if rng.random() < 0.5:
+        return WeightedBipartiteGraph(s, n, [(v, u, w) for u, v, w in edges])
+    return WeightedBipartiteGraph(n, s, edges)
 
 
 def block_tie_graph(seed: int) -> WeightedBipartiteGraph:
@@ -132,6 +177,21 @@ def enumeration_digests(seed: int, make=tie_graph) -> tuple[str, str]:
     optima = islice(iter_min_weight_perfect_matchings(g, solve_exact(g).prices), LIMIT)
     return (_digest(m.edge_indices for m in every),
             _digest(m.edge_indices for m in optima))
+
+
+def solve_exact_digest(seed: int) -> str:
+    """Matching, prices and stats of ``solve_exact`` on the square graph of
+    ``seed`` in each weight family, then on the doubled, half-doubled and
+    padded graphs of an unbalanced graph."""
+    graphs = [tie_graph(seed, weigh) for weigh in WEIGHT_FAMILIES]
+    graphs += [reduce(unbalanced_graph(seed)).graph
+               for reduce in (first_doubling, second_doubling, artificial_vertices)]
+    results = []
+    for g in graphs:
+        r = solve_exact(g)
+        results.append((r.matching.edge_indices, r.prices.left_num, r.prices.right_num,
+                        r.prices.den, r.stats.phases, r.stats.iterations))
+    return _digest(results)
 
 
 def _as_given(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
@@ -176,6 +236,11 @@ def test_hopcroft_karp_matchings_as_given_pinned(seed):
     assert hopcroft_karp_digest(seed, _as_given) == HOPCROFT_KARP_AS_GIVEN_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(SOLVE_EXACT_DIGESTS))
+def test_solve_exact_pinned(seed):
+    assert solve_exact_digest(seed) == SOLVE_EXACT_DIGESTS[seed]
+
+
 if __name__ == "__main__":
     print("ENUMERATION_DIGESTS = {")
     for seed in sorted(ENUMERATION_DIGESTS):
@@ -191,4 +256,7 @@ if __name__ == "__main__":
     print("}\n\nHOPCROFT_KARP_AS_GIVEN_DIGESTS = {")
     for seed in sorted(HOPCROFT_KARP_AS_GIVEN_DIGESTS):
         print(f'    {seed}: "{hopcroft_karp_digest(seed, _as_given)}",')
+    print("}\n\nSOLVE_EXACT_DIGESTS = {")
+    for seed in sorted(SOLVE_EXACT_DIGESTS):
+        print(f'    {seed}: "{solve_exact_digest(seed)}",')
     print("}")
