@@ -17,15 +17,17 @@ Two independent routes to an optimal primal-dual pair:
 heap proves there is no perfect matching. On an infeasible instance the
 auction's prices would rise forever, so ``solve_auction`` runs
 Hopcroft-Karp once: up front when some left vertex has fewer than two
-edges, otherwise only if a price passes the bound its docstring states.
-A feasible instance rarely reaches the bound and then runs none.
+edges or some right vertex has none, otherwise only if a price passes the
+bound its docstring states. A feasible instance rarely reaches the bound
+and then runs none.
 
 Cost of the exact solver: each of the n searches costs time proportional
 to what it touched -- the vertices it reached, the edges it scanned and
 its heap operations -- because the potential update and the reset of the
-search state visit the reached vertices only. One O(n) pass at the end
-turns the stored potentials into prices. Both solvers read edge endpoints
-and weights from flat per-edge lists built once per call.
+search state visit the reached vertices only. The heap holds right
+vertices alone; each left vertex a search reaches is scanned once, when
+its mate settles. One O(n) pass at the end turns the stored potentials
+into prices. Both solvers read the graph's own edge columns.
 """
 
 from __future__ import annotations
@@ -120,65 +122,49 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # Search state, allocated once. Each pass resets exactly the entries it
     # touched; reach_edge needs no reset, since an augmenting path only
     # follows right vertices its own search reached.
-    dist_left: list[int | None] = [None] * n
     dist_right: list[int | None] = [None] * n
-    reach_edge: list[int] = [-1] * n  # edge that settled each right vertex
-    done_left = [False] * n
-    done_right = [False] * n
+    reach_edge: list[int] = [-1] * n  # edge that reached each right vertex
 
     for source in range(n):
-        dist_left[source] = 0
-        touched_left = [source]
+        reached_left = [(source, 0)]  # (left vertex, distance) per scan
         touched_right: list[int] = []
-        heap: list[tuple[int, int, int, int]] = [(0, 0, 0, source)]
-        target = -1
-        target_dist = 0
-
-        while heap:
-            d, side, _tie, x = heappop(heap)
-            if side == 0:
-                if done_left[x] or d > dist_left[x]:  # stale entry
+        heap: list[tuple[int, int]] = []
+        u, d = source, 0
+        while True:
+            # Scan u at distance d. Reduced costs are non-negative, so no
+            # edge lowers the distance of a settled right vertex; the
+            # matched edge, tight and back to the vertex that reached u,
+            # fails the same test.
+            base = d - left_base[u]
+            for e in left_edges(u):
+                v = right_of[e]
+                nd = base + wt[e] - right_base[v]
+                dv = dist_right[v]
+                if dv is None:
+                    touched_right.append(v)
+                elif nd >= dv:
                     continue
-                done_left[x] = True
-                base = d - left_base[x]
-                matched = mate_left[x]
-                for e in left_edges(x):
-                    if e == matched:
-                        continue
-                    v = right_of[e]
-                    if done_right[v]:
-                        continue
-                    nd = base + wt[e] - right_base[v]
-                    dv = dist_right[v]
-                    if dv is None:
-                        touched_right.append(v)
-                    elif nd >= dv:
-                        continue
-                    dist_right[v] = nd
-                    reach_edge[v] = e
-                    heappush(heap, (nd, 1, v, v))
-            else:
-                if done_right[x] or d > dist_right[x]:
-                    continue
-                done_right[x] = True
-                m = mate_right[x]
-                if m is None:
-                    target = x
-                    target_dist = d
+                dist_right[v] = nd
+                reach_edge[v] = e
+                heappush(heap, (nd, v))
+            while heap:  # settle the nearest right vertex; skip stale entries
+                d, v = heappop(heap)
+                if d == dist_right[v]:
                     break
-                u = left_of[m]
-                # Matched edges are tight, so the step costs nothing.
-                du = dist_left[u]
-                if du is None:
-                    touched_left.append(u)
-                elif d >= du:
-                    continue
-                dist_left[u] = d
-                heappush(heap, (d, 0, u, u))
-        else:
-            # No augmenting path from this source: no perfect matching.
-            _require_feasible(graph)
-            raise AssertionError("augmenting path search exhausted a feasible graph")
+            else:
+                # No augmenting path from this source: no perfect matching.
+                _require_feasible(graph)
+                raise AssertionError("augmenting path search exhausted a feasible graph")
+            m = mate_right[v]
+            if m is None:
+                break
+            # The matched edge is tight, so v's mate is at distance d, and it
+            # is scanned at once: a heap that also held left vertices, ahead
+            # of right ones at equal distance, would pop it next, since every
+            # other entry is at least (d, right vertex).
+            u = left_of[m]
+            reached_left.append((u, d))
+        target, target_dist = v, d
 
         # Shift potentials so all residual costs stay non-negative and the
         # augmenting path becomes tight end to end: every left potential
@@ -187,18 +173,14 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
         # than the target take back the difference. Then reset the search
         # state this pass touched.
         offset += target_dist
-        for u in touched_left:
-            du = dist_left[u]
+        for u, du in reached_left:
             if du < target_dist:
                 left_base[u] += target_dist - du
-            dist_left[u] = None
-            done_left[u] = False
         for v in touched_right:
             dv = dist_right[v]
             if dv < target_dist:
                 right_base[v] -= target_dist - dv
             dist_right[v] = None
-            done_right[v] = False
 
         # Flip matched/unmatched along the augmenting path.
         v = target
@@ -234,7 +216,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
     suboptimal by up to n*eps_final); floats are rejected.
 
     Hopcroft-Karp runs at most once: up front when some left vertex has
-    fewer than two edges, and otherwise only when a price passes
+    fewer than two edges or some right vertex has none, and otherwise only
+    when a price passes
     (2n+1) * (2*W*scale + eps0), in the scaled units of the bidding, with
     W the largest |weight| and eps0 the first phase's epsilon. It raises
     Infeasible or lets bidding go on with no further check. On an
@@ -249,9 +232,10 @@ def solve_auction(graph: WeightedBipartiteGraph,
     if n == 0:
         return SolveResult(Matching(graph, []), DualPrices([], [], n + 1), stats)
     # A lone-option bid adds ``big``, so its prices say nothing about
-    # feasibility: check once up front instead.
-    lone_option = min(map(len, graph._adj_left)) < 2
-    if lone_option:
+    # feasibility, and a right vertex without edges would let the bidding
+    # run long before the bound fires: check once up front instead.
+    check_first = min(map(len, graph._adj_left)) < 2 or len(set(graph._right_of)) < n
+    if check_first:
         _require_feasible(graph)
 
     if eps_final is None:
@@ -270,8 +254,6 @@ def solve_auction(graph: WeightedBipartiteGraph,
     big = 2 * scale * max(graph.max_abs_weight, 1) * (n + 1)
 
     price = [0] * n  # auction price per right vertex, scaled integers
-    owner: list[int | None] = [None] * n
-    assigned: list[int | None] = [None] * n  # edge index per left vertex
 
     level = graph.max_abs_weight * scale
     levels = []
@@ -279,13 +261,13 @@ def solve_auction(graph: WeightedBipartiteGraph,
         levels.append(level)
         level = max(level // 2, eps_scaled)
     levels.append(eps_scaled)
-    bound = math.inf if lone_option else (
+    bound = math.inf if check_first else (
         (2 * n + 1) * (2 * graph.max_abs_weight * scale + levels[0]))
 
     for eps_now in levels:
         stats.phases += 1
-        owner = [None] * n
-        assigned = [None] * n
+        owner: list[int | None] = [None] * n
+        assigned: list[int | None] = [None] * n  # edge index per left vertex
         free: deque[int] = deque(range(n))
         while free:
             u = free.popleft()

@@ -165,12 +165,32 @@ class TestSolveAuction:
     @pytest.mark.parametrize("edges", [
         # A left vertex with one edge: checked up front.
         [(0, 0, 1), (1, 0, 1)],
-        # Left degrees two, right vertex 3 isolated: the price bound fires.
+        # Left degrees two, right vertex 3 isolated: checked up front.
         [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)],
+        # Left degrees two, no right vertex isolated, left vertices 2-4 see
+        # only right vertices 1 and 2: the price bound fires.
+        [(0, 2, 0), (0, 3, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0),
+         (3, 1, 0)],
     ])
     def test_infeasible_checks_once(self, hk_calls, edges):
         n = 1 + max(max(u, v) for u, v, _w in edges)
         g = WeightedBipartiteGraph(n, n, edges)
+        with pytest.raises(Infeasible) as auction:
+            solve_auction(g)
+        assert len(hk_calls) == 1
+        with pytest.raises(Infeasible) as exact:
+            solve_exact(g)
+        assert str(auction.value) == str(exact.value)
+
+    @pytest.mark.parametrize("weight", [0, MAX_ABS_WEIGHT])
+    def test_isolated_right_vertex_checked_up_front(self, hk_calls, weight):
+        # A 200x200 complete graph without right vertex 200: every left
+        # vertex has options, so only the up-front check stops the bidding
+        # from running until a price passes its bound.
+        n = 200
+        rng = random.Random(weight)
+        g = WeightedBipartiteGraph(n, n, [(u, v, rng.choice((-weight, weight)))
+                                          for u in range(n) for v in range(n - 1)])
         with pytest.raises(Infeasible) as auction:
             solve_auction(g)
         assert len(hk_calls) == 1
