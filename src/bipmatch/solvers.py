@@ -217,12 +217,12 @@ def solve_auction(graph: WeightedBipartiteGraph,
 
     Hopcroft-Karp runs at most once: up front when some left vertex has
     fewer than two edges or some right vertex has none, and otherwise only
-    when a price passes
-    (2n+1) * (2*W*scale + eps0), in the scaled units of the bidding, with
-    W the largest |weight| and eps0 the first phase's epsilon. It raises
-    Infeasible or lets bidding go on with no further check. On an
-    infeasible instance every bid raises a price, so some price passes any
-    bound; the bound decides only when the check runs, never an answer.
+    when a price passes (2n+1) * (2*W*scale + eps0), in the scaled units of
+    the bidding, with W the largest |weight| and eps0 the first phase's
+    epsilon. It raises Infeasible or lets bidding go on with no further
+    check. On an infeasible instance every bid raises a price, so some
+    price passes any bound; the bound decides only when the check runs,
+    never an answer.
     Raises NotSquare for unequal sides and Infeasible when no perfect
     matching exists.
     """
