@@ -14,22 +14,23 @@ costs one pass over the tight subgraph, linear in its edge count.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import Infeasible
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
-from .tight import build_gcs
+from .tight import _check_tight_matching, build_gcs
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                mate_left: Sequence[int | None]) -> list[int]:
+                mate_left: Sequence[int | None] | Mapping[int, int]) -> list[int]:
     """Alternating-cycle labels of the edges of a subset: one label per
     edge, in the order of ``edge_indices``.
 
     ``mate_left`` is a matching of the subset, given as the matched edge at
-    each left vertex (None where unmatched). Matched edges are oriented
+    each left vertex (None where unmatched); only the left vertices of the
+    subset are read, so a dict of those will do. Matched edges are oriented
     right-to-left, unmatched left-to-right. An edge on an alternating cycle
     gets the label (>= 0) of the strongly connected component holding that
     cycle, so two edges share a label exactly when they share a component;
@@ -162,11 +163,7 @@ def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
     """
     tight = build_gcs(graph, prices)
     if matching is not None:
-        if matching.graph is not graph or not matching.is_perfect:
-            raise ValueError("optimal edges need a perfect matching of the graph")
-        loose = next((e for e in matching if e not in tight), None)
-        if loose is not None:
-            raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
+        _check_tight_matching(graph, tight, matching)
         return _cycle_or_matched(graph, tight.edge_indices, matching)
     try:
         return allowed_edges(graph, tight.edge_indices)

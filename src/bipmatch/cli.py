@@ -115,17 +115,24 @@ def _load_prices(graph: WeightedBipartiteGraph, path: str) -> DualPrices:
     return prices_from_json(graph, _read_json(path, "price"))
 
 
-def _obtain_prices(graph: WeightedBipartiteGraph, path: str | None) -> DualPrices:
+def _certificate(graph: WeightedBipartiteGraph,
+                 path: str | None) -> tuple[DualPrices, Matching | None]:
+    """The prices in ``path``, with no matching, or else the rounding's
+    optimal prices with its perfect matching, which they hold tight and
+    which spares ``opt-edges`` and ``enumerate`` a matching search."""
     if path is not None:
-        return _load_prices(graph, path)
-    return solve_via_rounding(graph).prices
+        return _load_prices(graph, path), None
+    result = solve_via_rounding(graph)
+    return result.prices, result.matching
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
+def _emit(payload: dict, fmt: str, text: Callable[[], str]) -> None:
+    """Print ``payload`` as JSON, or the line ``text`` builds, which only
+    the text format calls for."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _matching_text(matching: Matching) -> str:
@@ -140,7 +147,7 @@ def _cmd_solve(args) -> int:
     graph = _load_instance(args.instance)
     result = _SOLVERS[args.solver](graph)
     _emit(result.to_json(), args.format,
-          _matching_text(result.matching)
+          lambda: _matching_text(result.matching)
           + f"\ndual objective {dual_objective(result.prices)}")
     return EXIT_OK
 
@@ -149,31 +156,25 @@ def _cmd_duals(args) -> int:
     graph = _load_instance(args.instance)
     result = _SOLVERS[args.solver](graph)
     _emit(prices_to_json(graph, result.prices), args.format,
-          f"dual objective {dual_objective(result.prices)} "
+          lambda: f"dual objective {dual_objective(result.prices)} "
           f"(denominator {result.prices.den})")
     return EXIT_OK
 
 
 def _cmd_gcs(args) -> int:
     graph = _load_instance(args.instance)
-    prices = _obtain_prices(graph, args.prices)
+    prices, _ = _certificate(graph, args.prices)
     payload = gcs_to_json(graph, prices)
     _emit(payload, args.format,
-          f"{len(payload['edges'])} tight of {graph.edge_count} edges")
+          lambda: f"{len(payload['edges'])} tight of {graph.edge_count} edges")
     return EXIT_OK
 
 
 def _cmd_opt_edges(args) -> int:
     graph = _load_instance(args.instance)
-    if args.prices is None:
-        # The certificate's own matching is tight under its prices, so
-        # the optimal edges take one SCC pass and no matching search.
-        result = solve_via_rounding(graph)
-        edges = optimal_edges(graph, result.prices, result.matching)
-    else:
-        edges = optimal_edges(graph, _load_prices(graph, args.prices))
+    edges = optimal_edges(graph, *_certificate(graph, args.prices))
     _emit(edges.to_json(), args.format,
-          f"{len(edges)} of {graph.edge_count} edges lie in some optimal matching")
+          lambda: f"{len(edges)} of {graph.edge_count} edges lie in some optimal matching")
     return EXIT_OK
 
 
@@ -200,9 +201,9 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ParseError("--limit must be non-negative")
     graph = _load_instance(args.instance)
-    prices = _obtain_prices(graph, args.prices)
+    matchings = iter_min_weight_perfect_matchings(graph, *_certificate(graph, args.prices))
     render = _json_lines(graph) if args.format == "json" else _matching_text
-    for matching in islice(iter_min_weight_perfect_matchings(graph, prices), args.limit):
+    for matching in islice(matchings, args.limit):
         print(render(matching))
     return EXIT_OK
 
@@ -210,13 +211,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_preallocate(args) -> int:
     graph = _load_instance(args.instance)
     prefs = parse_preferences(_read(args.prefs), graph)
-    prices = _obtain_prices(graph, args.prices)
+    prices, _ = _certificate(graph, args.prices)
     matching = preallocate(graph, prices, prefs)
     satisfied = sum(1 for e in matching if e in prefs)
     payload = matching.to_json()
     payload["preferred"] = satisfied
     _emit(payload, args.format,
-          _matching_text(matching) + f"\npreferred edges used: {satisfied}")
+          lambda: _matching_text(matching) + f"\npreferred edges used: {satisfied}")
     return EXIT_OK
 
 
@@ -225,7 +226,7 @@ def _cmd_optimum(args) -> int:
         raise ParseError(f"--k {args.k} exceeds the weight bound {MAX_ABS_WEIGHT}")
     graph = _load_instance(args.instance)
     matching = transforms.optimum_matching(graph, args.transform, args.k)
-    _emit(matching.to_json(), args.format, _matching_text(matching))
+    _emit(matching.to_json(), args.format, lambda: _matching_text(matching))
     return EXIT_OK
 
 
@@ -272,7 +273,7 @@ def _cmd_check(args) -> int:
         "dual_objective": str(dual_objective(prices)),
     }
     _emit(payload, args.format,
-          "certificate valid" if ok else "certificate INVALID: " + "; ".join(problems))
+          lambda: "certificate valid" if ok else "certificate INVALID: " + "; ".join(problems))
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

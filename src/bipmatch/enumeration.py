@@ -1,74 +1,53 @@
 """Streaming enumeration of perfect matchings.
 
-Branch and bound over edge subsets: take one perfect matching, pick a
-matched edge lying on an alternating cycle, and split into the matchings
-that contain it (endpoints removed) and those that avoid it (edge
-removed). Edges in no perfect matching are trimmed before every split, so
-no branch is ever dead and each perfect matching is produced exactly
-once. Composed with the tight subgraph this streams the minimum-weight
-perfect matchings.
+Branch and bound over edge subsets, after Fukuda & Matsui (1994) and Uno
+(1997). Edges in no perfect matching are trimmed before every split, so no
+branch is ever dead and each perfect matching is produced exactly once.
+Composed with the tight subgraph this streams the minimum-weight perfect
+matchings.
 
-Output order is a function of the edge order alone. It is defined as if
-every branch frame worked on its whole remaining edge subset:
+A trimmed subset falls apart into vertex-disjoint pieces: edges in every
+perfect matching of it, which are *forced*, and its elementary
+components, the *blocks*, in which every edge lies in some perfect
+matching. ``allowed._scc_labels`` finds both from any one perfect matching.
+A branch frame holds its forced edges and its blocks, each block with its
+edges in increasing order and a perfect matching M of it. A frame with no
+block emits its forced edges. Otherwise:
 
-* A frame takes the Hopcroft-Karp matching ``max_cardinality_matching``
-  finds on its subset, which the edge order fixes.
-* The pivot is the lowest-index edge of that matching that lies on an
-  alternating cycle. A frame without one emits its matching plus the
-  edges forced so far.
-* The search is depth-first, and the "with pivot" branch is emitted first:
-  every matching that contains the pivot comes before every matching that
-  avoids it.
+* The pivot is the lowest-index edge of any block.
+* One breadth-first search inside that block finds an alternating cycle C
+  through the pivot; of M and M xor C, one holds the pivot and the other
+  does not.
+* The "with pivot" child keeps the block's edges away from the pivot's
+  endpoints, with the matching that holds the pivot; the "without pivot"
+  child keeps every edge but the pivot, with the other matching. Each
+  child is trimmed again when it is reached; every other block is handed
+  on unchanged.
+* The search is depth-first, and the "with pivot" child comes first:
+  every matching that contains the pivot comes before every matching
+  that avoids it.
 
-Frames do not redo that work on the whole subset. A trimmed subset falls
-apart into vertex-disjoint pieces: matched edges on no alternating cycle,
-each alone at its endpoints, and the non-trivial strongly connected
-components. A frame moves the former into its forced edges and keeps each
-component as a *block*: its edges in increasing order, its number of left
-vertices, and the lowest edge of the Hopcroft-Karp matching of exactly
-those edges, or None until that is computed. A block is shared by every
-frame below the one that made it, so it is filled in at most once.
-
-* The *dirty* edges are the root subset, or the "with" or "without" child
-  of the block the pivot split. Only they run Hopcroft-Karp and
-  ``allowed._scc_labels``, and its per-edge labels trim them: an edge
-  labelled -1 is forced when matched and dropped otherwise, and the edges
-  of one label form a new block. A new block keeps this run's lowest
-  matched edge only when the trim removed no edge.
-* A *stale* block, one still holding None, runs Hopcroft-Karp only. A
-  component is elementary (connected, every edge in some perfect
-  matching), so no edge of it would be trimmed, and every matched edge of
-  any perfect matching of it lies on an alternating cycle.
-* The pivot is the lowest matched edge over all blocks. Only its block
-  splits; every other block is handed on unchanged and never runs
-  Hopcroft-Karp or Tarjan again.
-
-This keeps the order above because Hopcroft-Karp on a vertex-disjoint
-union returns the union of its results on the parts: the greedy first
-pass, the breadth-first layers and the phase lengths are all per part
-(``tests/test_matching_properties.py`` tests this). So a frame's matching
-of its whole subset is its forced pieces plus each block's own matching,
-the matched edges on cycles are exactly those of the blocks, and the
-lowest of them is the pivot. A trimmed edge may have steered
-Hopcroft-Karp's choices on what is left, which is why a trim leaves the
-new blocks to be computed again below.
-
-``tests/test_enumeration_order.py`` pins this order. Results stream from
-a generator (cap it with itertools.islice), so exponentially many
-matchings never need to be held at once.
+The trimmed subset, its forced edges and its blocks do not depend on the
+perfect matching used to find them, and neither does the pivot, so the
+output order is a function of the edge subset alone: the same for any
+optimal price certificate and any perfect matching given at the root.
+Hopcroft-Karp runs at most once, at the root, and not at all when the
+caller supplies a perfect matching. ``tests/test_enumeration_order.py``
+pins this order. Results stream from a generator (cap it with
+itertools.islice), so exponentially many matchings never need to be held
+at once.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .allowed import _scc_labels
 from .errors import Infeasible
 from .graph import Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
-from .tight import build_gcs
+from .tight import _check_tight_matching, build_gcs
 
 
 def iter_perfect_matchings(graph: WeightedBipartiteGraph,
@@ -83,90 +62,130 @@ def iter_perfect_matchings(graph: WeightedBipartiteGraph,
     subset = graph._edge_subset(edge_indices)
     if graph.n_left != graph.n_right:
         return
-    n = graph.n_left
-    left_of, right_of = graph._left_of, graph._right_of
-
-    def emit(forced: tuple[int, ...]) -> Matching:
-        mate_left: list[int | None] = [None] * n
-        for e in forced:
-            mate_left[left_of[e]] = e
-        return Matching._trusted(graph, mate_left)
-
-    # A block is [edges, number of left vertices, lowest matched edge or
-    # None], as the module docstring describes. Frames: (forced edges,
-    # blocks, dirty edges, left vertices the dirty edges must match).
-    stack: list[tuple[tuple[int, ...], tuple[list, ...], Sequence[int], int]] = [
-        ((), (), subset, n)]
-    at_root = True
-    while stack:
-        forced, blocks, dirty, need = stack.pop()
-        matching = max_cardinality_matching(graph, dirty)
-        if matching.cardinality < need:
-            if at_root:
-                return
-            raise AssertionError("enumeration branch lost feasibility")
-        at_root = False
-
-        # Trim the dirty edges: matched edges on no alternating cycle are
-        # forced, each non-trivial component becomes a block, and the other
-        # edges lie in no perfect matching.
-        mate_left = matching._mate_left
-        parts: dict[int, list] = {}
-        kept: list[int] = []
-        trimmed = False
-        for e, label in zip(dirty, _scc_labels(graph, dirty, mate_left)):
-            matched = mate_left[left_of[e]] == e
-            if label >= 0:
-                block = parts.get(label)
-                if block is None:
-                    block = parts[label] = [[], 0, None]
-                block[0].append(e)
-                if matched:
-                    block[1] += 1
-                    if block[2] is None:
-                        block[2] = e
-            elif matched:
-                kept.append(e)
-            else:
-                trimmed = True
-        forced += tuple(kept)
-
-        for block in blocks:
-            if block[2] is None:
-                block[2] = max_cardinality_matching(graph, block[0]).edge_indices[0]
-        blocks += tuple(parts.values())
-        if not blocks:
-            yield emit(forced)
-            continue
-        # The pivot is the lowest-index matched edge of any block; only its
-        # block splits, so every other block is handed on unchanged.
-        split = min(blocks, key=itemgetter(2))
-        pivot = split[2]
-        if trimmed:  # this run's choices may rest on a trimmed edge
-            for block in parts.values():
-                block[2] = None
-        rest = tuple(block for block in blocks if block is not split)
-        edges, size = split[0], split[1]
-        pu, pv = left_of[pivot], right_of[pivot]
-        stack.append((forced, rest, [e for e in edges if e != pivot], size))
-        stack.append((forced + (pivot,), rest,
-                      [e for e in edges if left_of[e] != pu and right_of[e] != pv], size - 1))
+    matching = max_cardinality_matching(graph, subset)
+    if matching.is_perfect:
+        yield from _branch(graph, subset, matching._mate_left)
 
 
-def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph,
-                                      prices: DualPrices) -> Iterator[Matching]:
+def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph, prices: DualPrices,
+                                      matching: Matching | None = None
+                                      ) -> Iterator[Matching]:
     """Yield every minimum-weight perfect matching, via the tight subgraph.
+
+    ``matching``, when given, is a perfect matching whose edges are all
+    tight under ``prices``, such as the one a solver returns with them; it
+    spares the one Hopcroft-Karp run. The stream is the same whichever
+    optimal prices and matching are given. Raises ValueError for a matching
+    of another graph, one that is not perfect, or one with an edge that is
+    not tight.
 
     Raises InfeasibleDual for infeasible prices and Infeasible when the
     tight subgraph has no perfect matching (prices feasible but not
     optimal).
     """
     tight = build_gcs(graph, prices)
-    produced = False
-    for matching in iter_perfect_matchings(graph, tight.edge_indices):
-        produced = True
-        yield matching
-    if not produced:
-        raise Infeasible(
-            "tight subgraph has no perfect matching; either the instance is "
-            "infeasible or the supplied prices are not optimal")
+    if matching is None:
+        matching = max_cardinality_matching(graph, tight.edge_indices)
+        if not matching.is_perfect:
+            raise Infeasible(
+                "tight subgraph has no perfect matching; either the instance is "
+                "infeasible or the supplied prices are not optimal")
+    else:
+        _check_tight_matching(graph, tight, matching)
+    yield from _branch(graph, tight.edge_indices, matching._mate_left)
+
+
+def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
+            mate_left: Sequence[int | None]) -> Iterator[Matching]:
+    """The depth-first search of the module docstring over the perfect
+    matchings of ``subset``, given one of them as the matched edge at each
+    left vertex."""
+    n = graph.n_left
+    left_of, right_of = graph._left_of, graph._right_of
+    # A frame is (forced edges, blocks, edges to trim, their perfect
+    # matching); a block is (edges, its perfect matching by left vertex).
+    stack: list[tuple[tuple[int, ...], tuple, Sequence[int], Mapping[int, int | None]]] = [
+        ((), (), subset, mate_left)]
+    while stack:
+        forced, blocks, edges, mate = stack.pop()
+        # Trim: matched edges on no alternating cycle are forced, the edges
+        # of one component form a block, and the other edges lie in no
+        # perfect matching.
+        parts: dict[int, tuple[list[int], dict[int, int]]] = {}
+        kept = []
+        for e, label in zip(edges, _scc_labels(graph, edges, mate)):
+            u = left_of[e]
+            if label >= 0:
+                part = parts.get(label)
+                if part is None:
+                    part = parts[label] = ([], {})
+                part[0].append(e)
+                if mate[u] == e:
+                    part[1][u] = e
+            elif mate[u] == e:
+                kept.append(e)
+        forced += tuple(kept)
+        blocks += tuple(parts.values())
+        if not blocks:
+            emitted: list[int | None] = [None] * n
+            for e in forced:
+                emitted[left_of[e]] = e
+            yield Matching._trusted(graph, emitted)
+            continue
+
+        block = min(blocks, key=lambda b: b[0][0])
+        rest = tuple(b for b in blocks if b is not block)
+        edges, mate = block
+        pivot = edges[0]
+        flipped = _flip_cycle(graph, edges, mate, pivot)
+        u, v = left_of[pivot], right_of[pivot]
+        with_mate, without_mate = (mate, flipped) if mate[u] == pivot else (flipped, mate)
+        stack.append((forced, rest, edges[1:], without_mate))
+        stack.append((forced + (pivot,), rest,
+                      [e for e in edges if left_of[e] != u and right_of[e] != v], with_mate))
+
+
+def _flip_cycle(graph: WeightedBipartiteGraph, edges: Sequence[int],
+                mate: Mapping[int, int], pivot: int) -> dict[int, int]:
+    """M xor C, for the perfect matching ``mate`` of an elementary component
+    and an alternating cycle C through its edge ``pivot``.
+
+    As in ``_scc_labels``, an unmatched edge (x, y) is the arc from left
+    vertex x to the mate of y, so C is a cycle of arcs through the pivot's
+    left endpoint u. A matched pivot is the edge into u; an unmatched one
+    is the first arc out of u. A breadth-first search from u (or from the
+    head of the pivot's arc) stops when it reaches u, and each left vertex
+    on the cycle found takes its arc's edge as its new mate. In an
+    elementary component every edge lies on such a cycle.
+    """
+    left_of, right_of = graph._left_of, graph._right_of
+    partner = {right_of[e]: x for x, e in mate.items()}
+    arcs: dict[int, list[int]] = {}
+    for e in edges:
+        x = left_of[e]
+        if mate[x] != e:
+            arcs.setdefault(x, []).append(e)
+    u = left_of[pivot]
+    if mate[u] == pivot:
+        reach: dict[int, int] = {}  # left vertex -> edge of the arc into it
+        queue = [u]
+    else:
+        w = partner[right_of[pivot]]
+        reach = {w: pivot}
+        queue = [w]
+    for x in queue:  # the queue grows while it is read
+        for e in arcs.get(x, ()):
+            y = partner[right_of[e]]
+            if y not in reach:
+                reach[y] = e
+                queue.append(y)
+        if u in reach:
+            break
+    flipped = dict(mate)
+    x = u
+    while True:
+        e = reach[x]
+        x = left_of[e]
+        flipped[x] = e
+        if x == u:
+            return flipped

@@ -1,8 +1,8 @@
 """Maximum-cardinality bipartite matching (Hopcroft-Karp).
 
 The solver works on a whole graph or on a subset of its edges; the latter
-is how tight subgraphs and enumeration branches reuse it without copying
-the graph. On a subset it visits only the left vertices that have an edge
+is how tight subgraphs and the enumeration's root reuse it without
+copying the graph. On a subset it visits only the left vertices that have an edge
 in the subset, so its loops cost the subset's size rather than the
 graph's; a left vertex without one would never be matched anyway, so the
 result is the same. Results are deterministic for a fixed edge order:
@@ -17,7 +17,7 @@ Each later phase starts from the list of left vertices still free, in
 index order, and resets only the layers its own search set, so a phase
 costs what it visits rather than the number of left vertices. Edge
 endpoints are read from the graph's flat per-edge columns, and a subset
-given in increasing order, as the enumeration's frames give theirs, is
+given in increasing order, as the tight subgraph gives its edges, is
 taken without sorting it again (``_edge_subset``).
 """
 

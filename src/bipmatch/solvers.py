@@ -13,13 +13,15 @@ Two independent routes to an optimal primal-dual pair:
   the price-rounding step, which restores an exact optimality certificate
   without touching the matching.
 
-``solve_exact`` is its own feasibility check: a search that empties its
-heap proves there is no perfect matching. On an infeasible instance the
-auction's prices would rise forever, so ``solve_auction`` runs
-Hopcroft-Karp once: up front when some left vertex has fewer than two
-edges or some right vertex has none, otherwise only if a price passes the
-bound its docstring states. A feasible instance rarely reaches the bound
-and then runs none.
+Both solvers start with one O(m) pass that looks for a vertex without
+edges and, on finding one, let Hopcroft-Karp word the Infeasible message
+before any search or bid. Past that pass, ``solve_exact`` is its own
+feasibility check: a search that empties its heap proves there is no
+perfect matching. On an infeasible instance the auction's prices would
+rise forever, so ``solve_auction`` runs Hopcroft-Karp once: up front when
+some left vertex has one edge, otherwise only if a price passes the bound
+its docstring states. A feasible instance rarely reaches the bound and
+then runs none.
 
 Cost of the exact solver: each of the n searches costs time proportional
 to what it touched -- the vertices it reached, the edges it scanned and
@@ -86,6 +88,15 @@ def _require_feasible(graph: WeightedBipartiteGraph) -> None:
             f"{graph.n_left}; vertices u{free_left + 1} and v{free_right + 1} stay uncovered")
 
 
+def _refuse_isolated_vertex(graph: WeightedBipartiteGraph) -> None:
+    """Raise Infeasible, through ``_require_feasible``, when a vertex of a
+    non-empty square graph has no edge: one O(m) pass, which answers
+    such an instance before any augmenting path search or bid."""
+    n = graph.n_left
+    if n and (min(map(len, graph._adj_left)) == 0 or len(set(graph._right_of)) < n):
+        _require_feasible(graph)
+
+
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     """Minimum-weight perfect matching with integral optimal prices.
 
@@ -98,6 +109,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     matching exists.
     """
     _require_square(graph)
+    _refuse_isolated_vertex(graph)
     n = graph.n_left
     stats = SolveStats(phases=0, iterations=0)
 
@@ -111,9 +123,8 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # search reads the bases alone, and a pass that shifts every vertex by
     # the target distance only has to adjust the bases of the vertices its
     # search reached at a smaller distance.
-    # Initial feasible potentials: row minimums absorb negative weights. A
-    # left vertex without edges gets 0; its own search proves infeasibility.
-    left_base = [min((wt[e] for e in left_edges(u)), default=0) for u in range(n)]
+    # Initial feasible potentials: row minimums absorb negative weights.
+    left_base = [min(wt[e] for e in left_edges(u)) for u in range(n)]
     right_base = [0] * n
     offset = 0
     mate_left: list[int | None] = [None] * n
@@ -215,8 +226,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
     Larger eps_final values are accepted (the matching may then be
     suboptimal by up to n*eps_final); floats are rejected.
 
-    Hopcroft-Karp runs at most once: up front when some left vertex has
-    fewer than two edges or some right vertex has none, and otherwise only
+    Hopcroft-Karp runs at most once: up front when some vertex has no edge
+    or some left vertex has one, and otherwise only
     when a price passes (2n+1) * (2*W*scale + eps0), in the scaled units of
     the bidding, with W the largest |weight| and eps0 the first phase's
     epsilon. It raises Infeasible or lets bidding go on with no further
@@ -231,10 +242,11 @@ def solve_auction(graph: WeightedBipartiteGraph,
     stats = SolveStats()
     if n == 0:
         return SolveResult(Matching(graph, []), DualPrices([], [], n + 1), stats)
-    # A lone-option bid adds ``big``, so its prices say nothing about
-    # feasibility, and a right vertex without edges would let the bidding
-    # run long before the bound fires: check once up front instead.
-    check_first = min(map(len, graph._adj_left)) < 2 or len(set(graph._right_of)) < n
+    # A vertex without edges would let the bidding run long before the
+    # bound fires, and a lone-option bid adds ``big``, so its prices say
+    # nothing about feasibility: check once up front instead.
+    _refuse_isolated_vertex(graph)
+    check_first = min(map(len, graph._adj_left)) < 2
     if check_first:
         _require_feasible(graph)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InfeasibleDual
-from .graph import EdgeSet, WeightedBipartiteGraph
+from .graph import EdgeSet, Matching, WeightedBipartiteGraph
 from .prices import DualPrices, edge_slacks, edge_with_slack
 
 
@@ -25,6 +25,18 @@ def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:
     message names the first such edge by its input labels and slack.
     """
     return EdgeSet(graph, _tight_edges(graph, prices, edge_slacks(graph, prices)))
+
+
+def _check_tight_matching(graph: WeightedBipartiteGraph, tight: EdgeSet,
+                          matching: Matching) -> None:
+    """Raise ValueError unless ``matching`` is a perfect matching of
+    ``graph`` inside the tight subgraph ``tight``, as the matching a solver
+    returns with its prices is."""
+    if matching.graph is not graph or not matching.is_perfect:
+        raise ValueError("a certificate matching must be a perfect matching of the graph")
+    loose = next((e for e in matching if e not in tight), None)
+    if loose is not None:
+        raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
 
 
 def _tight_edges(graph: WeightedBipartiteGraph, prices: DualPrices,

@@ -194,6 +194,37 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", fig1_path, "--limit", "-1")
         assert code == 2
 
+    def test_prices_from_duals_change_nothing(self, capsys, tmp_path):
+        # The exact solver's prices make a larger tight subgraph here than
+        # the rounding's; both hold the same two optima, in one order.
+        path = tmp_path / "three.bip"
+        path.write_text("p bip 3 3 6\ne 2 1 1\ne 3 3 2\ne 1 1 0\ne 1 3 2\ne 3 2 0\ne 1 2 0\n")
+        code, duals, _ = run(capsys, "duals", str(path))
+        assert code == 0
+        prices = tmp_path / "prices.json"
+        prices.write_text(duals)
+        code, out, _ = run(capsys, "enumerate", str(path))
+        assert code == 0
+        assert [json.loads(line)["edges"] for line in out.splitlines()] == [
+            [[1, 2], [2, 1], [3, 3]], [[1, 3], [2, 1], [3, 2]]]
+        code, with_prices, _ = run(capsys, "enumerate", str(path), "--prices", str(prices))
+        assert code == 0
+        assert with_prices == out
+
+    def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
+                                                         tmp_path, hk_calls):
+        # The rounding's matching roots the search; supplied prices come
+        # without a matching, so the root runs Hopcroft-Karp once.
+        code, out, _ = run(capsys, "enumerate", fig1_path)
+        assert code == 0
+        assert hk_calls == []
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, with_prices, _ = run(capsys, "enumerate", fig1_path, "--prices", str(prices))
+        assert code == 0
+        assert with_prices == out
+        assert len(hk_calls) == 1
+
 
 class TestPreallocate:
     def test_tie_break(self, capsys, tmp_path):

@@ -5,9 +5,9 @@ from itertools import islice
 
 import pytest
 
-from bipmatch import (DualPrices, Infeasible, InfeasibleDual, WeightedBipartiteGraph,
-                      iter_min_weight_perfect_matchings, iter_perfect_matchings,
-                      solve_exact)
+from bipmatch import (DualPrices, Infeasible, InfeasibleDual, Matching,
+                      WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
+                      iter_perfect_matchings, solve_exact)
 
 from conftest import M_OTHER, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
@@ -40,12 +40,12 @@ class TestPerfectMatchings:
         g = WeightedBipartiteGraph(0, 0, [])
         assert [m.edge_indices for m in iter_perfect_matchings(g)] == [()]
 
-    def test_one_hopcroft_karp_run_per_branch_frame(self, hk_calls):
-        # K4,4: every branch frame with vertices left to match runs
-        # Hopcroft-Karp once, 47 frames for 24 matchings.
+    def test_one_hopcroft_karp_run_at_the_root(self, hk_calls):
+        # K4,4: the root finds one perfect matching; every branch frame
+        # below it gets its matchings by flipping alternating cycles.
         g = WeightedBipartiteGraph(4, 4, [(u, v, 1) for u in range(4) for v in range(4)])
         assert len(list(iter_perfect_matchings(g))) == 24
-        assert len(hk_calls) == 47
+        assert len(hk_calls) == 1
 
     @pytest.mark.parametrize("bad", [6, -2])
     def test_subset_index_out_of_range(self, fig1, bad):
@@ -92,6 +92,26 @@ class TestMinWeight:
         found = list(iter_min_weight_perfect_matchings(g, prices))
         assert {m.edge_indices for m in found} == {(0, 3), (1, 2)}
         assert all(m.weight() == 10 for m in found)
+
+    def test_given_matching_runs_no_hopcroft_karp(self, fig1, fig1_p1, fig1_p2, hk_calls):
+        for prices in (fig1_p1, fig1_p2):
+            found = iter_min_weight_perfect_matchings(fig1, prices, Matching(fig1, M_STAR))
+            assert [m.edge_indices for m in found] == [M_STAR]
+        assert hk_calls == []
+
+    @pytest.mark.parametrize("edges, message", [
+        ([0, 2], "perfect matching of the graph"),
+        # Edge 3 joins left 2 and right 3 with slack 2 under fig1_p1.
+        (M_OTHER, r"matched edge \(2, 3\) is not tight"),
+    ])
+    def test_given_matching_rejected(self, fig1, fig1_p1, edges, message):
+        with pytest.raises(ValueError, match=message):
+            next(iter_min_weight_perfect_matchings(fig1, fig1_p1, Matching(fig1, edges)))
+
+    def test_matching_of_another_graph_rejected(self, fig1, fig1_p1):
+        other = WeightedBipartiteGraph(3, 3, fig1.edges)
+        with pytest.raises(ValueError, match="perfect matching of the graph"):
+            next(iter_min_weight_perfect_matchings(fig1, fig1_p1, Matching(other, M_STAR)))
 
     def test_infeasible_dual_raises(self, fig1):
         with pytest.raises(InfeasibleDual):

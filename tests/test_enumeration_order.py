@@ -2,16 +2,16 @@
 
 Each case hashes the exact edge-index tuples that a seeded run produces,
 so a change to which matchings come out, or in what order, fails here
-even when the set of matchings stays correct. The digests of the tie
-graphs were recorded before the branch frames moved to flat edge
-columns, and those of the block-triangular graphs before the frames kept
-their components as separate blocks. ``HOPCROFT_KARP_DIGESTS`` were
-recorded when every graph was stored with its larger side on the left,
-and pin that view, ``transforms._tall``; ``HOPCROFT_KARP_AS_GIVEN_DIGESTS``
-pin the graphs as given. ``SOLVE_EXACT_DIGESTS`` pin the exact solver's
-matching, prices and work counts on square graphs of four weight
-families and on the three balanced reductions of unbalanced graphs. Print
-them again with
+even when the set of matchings stays correct. ``ENUMERATION_DIGESTS``
+and ``BLOCK_DIGESTS`` were recorded when the branch frames began to flip
+alternating cycles, with the lowest edge of any block as the pivot, so
+they pin an order that no choice of perfect matching can move.
+``HOPCROFT_KARP_DIGESTS`` were recorded when every graph was stored with
+its larger side on the left, and pin that view, ``transforms._tall``;
+``HOPCROFT_KARP_AS_GIVEN_DIGESTS`` pin the graphs as given.
+``SOLVE_EXACT_DIGESTS`` pin the exact solver's matching, prices and work
+counts on square graphs of four weight families and on the three
+balanced reductions of unbalanced graphs. Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -29,37 +29,37 @@ from bipmatch.transforms import _tall, artificial_vertices, first_doubling, seco
 LIMIT = 300
 
 ENUMERATION_DIGESTS = {
-    0: ("7d96ba5952d42c8f93845883352b044f3780e6f3cb17c4d5fd5c03f06321d102",
-        "1b90afb91207645104f5b7ec7d903123597e312e44221ed524c0aad0133bfa8f"),
-    1: ("51a5ac3eb8b77d9a9176660edc5347a2a00ec52c4bb1f1668520a39a778f0e36",
-        "76f129d04200a4a48d2cd02d03beb2eb1e07c5a1eac97e99d6c1e2a2fad94c8d"),
-    2: ("9ee7d208736a8ad331e5df39462f0a963dc29495343be86d1d932d1caf95ce9d",
-        "0e6ede90a5e8cf54d7529bae43d6bb3d1d6e324492d9a6e5f3e7d5e4d3ad6270"),
-    3: ("dce52971d3c473b9c270999ca83cf75694eb51188c8c2ec128b04bb2f0e4884d",
+    0: ("f8ab121348f349e83fbed4c00f76deeaff2a35b07a2cd47a1eddd5ec53dbe6bc",
+        "f4a58a681b4a48f3159782ba577052a4575966c86c0222b998aab447488bacdb"),
+    1: ("a46b75611d7a057d82480af829130c4213dc9a600d3081e7b2ac26ffc6d3ad90",
+        "efe04566649f3adaaaf17a25c2f93e53c189f41d723003efc68aac338c8fa18f"),
+    2: ("d0cfb0b62e452ffad976d508b1c47a9e64dadee301bb6cb835bad7d126635329",
+        "875997b6f11b6d818470086ab8e925509c052eb59e01932d85c917c7e30beca4"),
+    3: ("0e8ed95219f40b2836c7dde80cdc93acdb9a920150412b1ff3a6f2b23cc4a822",
         "16364a4effc986e3e91dd4f2a29330c4ff1bc76e3e42adfa02f7f098c528aeb0"),
-    4: ("7f9593fdb7dd69fa38a16ab5ce0da12ae5272bd2e379dca963eca922c5dc4855",
-        "436a63d38247f19c6600d0c26bca3c90487fd971aa760126563ef155180b1923"),
-    5: ("50bbf31ab2f333fed3d82aa43c716122c20ad3077e08386caa6086a4003ee9ef",
-        "18617a728c4431d8827e550bba1a7f647d67fbef576efabe76d5fe143b3eacd1"),
+    4: ("a991ba8fdce541afef76babf8ccd5a336b66582144991b38463e42a383952548",
+        "86f3a4282f202315b9dc9e548f19a6724226621552ff9b5ef3f30be56e754d7d"),
+    5: ("e550ed54c708cf592b4b6c8e8497ef611ba81f66512c5c2ac4c4880023610181",
+        "d4a8339fba298ae94325f0b902aa71ccbf055ca6ef5ee8af54dc467f60e7a2e9"),
 }
 
 BLOCK_DIGESTS = {
-    0: ("66fe48a7fe3672574c2d08e757606ce19718abccf1520ad3ff384ae041f933f7",
-        "ec878dd1d7711a8ac9c48bcea3eb56a429effaf2d85a7d4490c2da688ac83805"),
-    1: ("523a98cc0dd0787985b3c2f37ccc3bbe0532fd9dcdc0202260f2d18ec567eb34",
-        "7ac13b9d161099b0b28d55b0c7f147f38942b2b5a927e3a8ba32f74902b85ded"),
+    0: ("374b6dc48aeaf3043a645f4de67bbe026ad9132038f495f6e1d096f886975715",
+        "ebd35dfb1887bb8c6e8ffecea793c8a9492fb46370d2250f583b975e92bcc0f8"),
+    1: ("96d3a44ad4f38cc9fe8aa0893357df38c65e8116b7d3e87d53e7c959da917353",
+        "44690128879fbe50dd0f06b50ce19ab76c876e08241df22e0345a64db069625d"),
     2: ("b4edd7577e91cb708ac29797f4e8c6e0527bc1c1577d9e0576e22026a73fb854",
         "9bd3269eb6a3b0afc30a817d2619c3c279f4a9177131afc87d23f382d881612f"),
-    3: ("8a4dc293ed3d3c372119645c966583fe911ff8853fdd558f0017550768c3a77e",
+    3: ("231820c8d44ad76869d73df3a64fad998a52a448aaf16d36f0c150ec5a880b52",
         "8f16dc0a2b2dfc801d00f9b8d0a4a42b7742e1e5b9c3148017e2e832b6d14181"),
-    4: ("6501cab6500831035c29855bafa6979f6b7674d22e622ba0b2f2059be1c4b3c9",
+    4: ("c5359748e158b162911622edd0cd847fb1e759dbc62b576d76e5eae372d21b2f",
         "fb46eb8f69a54431233b8fb542775b69454ef014d22f47881c66291b928a2ff0"),
-    5: ("e5a8f8bbf144f1334199118df93114cf1528ac290b9af997ea78240578f23cef",
-        "b683ee1a946b0e0c8a73046e554635d298b7e4ea9c5af0b3008ef9f496716628"),
-    6: ("23c333c86d5a12682d4d3610c7fb9d492790b66f0216877e920fdc84b0d7b150",
-        "c3b8ef55ec7ef7086da0b4f92097ad2b2d4cd9d8a4e5e6485d21dc7d1a9bf601"),
-    7: ("97805237952d444ff4e16868a0d12bb6e7d3617f953b3752a89a00acad193d4b",
-        "398e222079c8a6038326c39f62a9ed61b42c7ca5bf88353db37779d8f83f6805"),
+    5: ("48e986a3fe28d89a07add8dd4fabcec1d9209934ff251c430d5075ef10f8a7f0",
+        "a84e655e1f0fcf8544a6cc55d25123e1a77245dd813c257f5a233ab72a11992f"),
+    6: ("10e5e908352e1ff204693014c8bcaae2629b463d32d9cd7ede2d8e795169cdda",
+        "544da3230e212e4f52c15ed6bcf4b6a8dc65281f008fc8d53984d0da4b676ff0"),
+    7: ("5db6c230700b9a62fed129ab085cc3d6e58f7b6fcf24239b1f0932cb21fd7c28",
+        "710a980afeb2d12000771cf1dd38774c94254bcf899f919d0824257a8d352df8"),
 }
 
 HOPCROFT_KARP_DIGESTS = {

@@ -70,6 +70,16 @@ def test_output_is_byte_identical(case):
     assert _run(_cases()[case]) == recorded
 
 
+@pytest.mark.parametrize("name", SQUARE)
+def test_enumerate_same_with_prices_from_duals(name, tmp_path):
+    duals = _run(["duals", f"{name}.bip"])
+    assert duals["exit"] == 0
+    prices = tmp_path / "prices.json"
+    prices.write_text(duals["stdout"])
+    result = _run(["enumerate", f"{name}.bip", "--limit", "20", "--prices", str(prices)])
+    assert (result["exit"], result["stdout"]) == (0, _expected()[f"{name}-enumerate"]["stdout"])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_golden_cli.py --record")

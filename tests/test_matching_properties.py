@@ -1,8 +1,7 @@
 """Property tests for Hopcroft-Karp, the allowed-edge filter and the
 enumeration: the maximum cardinality agrees with networkx on graphs of
 any shape; Hopcroft-Karp on two vertex-disjoint parts returns the union
-of its matchings on each part, which the enumeration's per-block cache
-relies on; the allowed edges of a zero-weight graph are the union of its
+of its matchings on each part; the allowed edges of a zero-weight graph are the union of its
 perfect matchings; and the enumeration yields each perfect matching
 exactly once."""
 

@@ -6,7 +6,9 @@ compared with the brute-force optima of the test suite and, on sides up
 to 8, with the maximum cardinality networkx finds. On square graphs with
 sides up to 8, the optimal edges from a certificate's own matching equal
 those found through Hopcroft-Karp, and the ``enumerate`` JSON writer
-prints what ``json.dumps`` prints."""
+prints what ``json.dumps`` prints. On tie-heavy square graphs the
+minimum-weight stream is the same for either certificate, with its own
+matching or with a Hopcroft-Karp root."""
 
 import pytest
 
@@ -147,3 +149,15 @@ def test_enumerate_json_writer(kind, data):
         matchings = iter_min_weight_perfect_matchings(g, solve_exact(g).prices)
         for m in islice(matchings, 30):
             assert line(m) == json.dumps(m.to_json(), sort_keys=True)
+
+
+@RANDOM
+@given(data=st.data())
+def test_enumeration_does_not_depend_on_certificate(data):
+    graph = data.draw(graphs(st.sampled_from((0, 0, 1, 2)), square=True, max_side=7))
+    exact, rounding = solve_exact(graph), solve_via_rounding(graph)
+    streams = [[m.edge_indices for m in islice(matchings, 1000)] for matchings in (
+        iter_min_weight_perfect_matchings(graph, exact.prices, exact.matching),
+        iter_min_weight_perfect_matchings(graph, rounding.prices, rounding.matching),
+        iter_min_weight_perfect_matchings(graph, rounding.prices))]
+    assert streams[0] == streams[1] == streams[2]

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from heapq import heappush
 
 import pytest
 
+import bipmatch.solvers
 from bipmatch import (MAX_ABS_WEIGHT, Infeasible, NotSquare, WeightedBipartiteGraph,
                       check_complementary_slackness, check_eps_optimal, dual_objective,
                       max_cardinality_matching, solve_auction, solve_exact,
@@ -50,7 +52,22 @@ class TestSolveExact:
         g = WeightedBipartiteGraph(n, n, edges)
         with pytest.raises(Infeasible, match=f"maximum cardinality is {uncovered} stay"):
             solve_exact(g)
-        assert len(hk_calls) == 1  # only once a search has failed
+        # Up front for an isolated vertex, otherwise once a search has failed.
+        assert len(hk_calls) == 1
+
+    def test_isolated_vertex_refused_before_any_search(self, monkeypatch):
+        # A 200x200 complete graph without right vertex 200: the O(m) test
+        # for a vertex without edges answers before the first heap push,
+        # where the 200th search used to prove it after 199 augmentations.
+        pushes = []
+        monkeypatch.setattr(bipmatch.solvers, "heappush",
+                            lambda heap, item: pushes.append(item) or heappush(heap, item))
+        g = WeightedBipartiteGraph(200, 200, [(u, v, (-1) ** (u * v) * MAX_ABS_WEIGHT)
+                                              for u in range(200) for v in range(199)])
+        with pytest.raises(Infeasible, match=r"^no perfect matching: maximum cardinality is "
+                           r"199 of 200; vertices u200 and v200 stay uncovered$"):
+            solve_exact(g)
+        assert pushes == []
 
     def test_infeasible_messages_match_auction(self):
         rng = random.Random(4242)
