@@ -104,8 +104,8 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
     left_of, right_of = graph._left_of, graph._right_of
     # A frame is (forced edges, blocks, edges to trim, their perfect
     # matching); a block is (edges, its perfect matching by left vertex).
-    stack: list[tuple[tuple[int, ...], tuple, Sequence[int], Mapping[int, int | None]]] = [
-        ((), (), subset, mate_left)]
+    stack: list[tuple[tuple[int, ...], tuple, Sequence[int],
+                      Sequence[int | None] | Mapping[int, int]]] = [((), (), subset, mate_left)]
     while stack:
         forced, blocks, edges, mate = stack.pop()
         # Trim: matched edges on no alternating cycle are forced, the edges

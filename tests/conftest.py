@@ -51,8 +51,8 @@ def fig1_p2():
 @pytest.fixture
 def hk_calls(monkeypatch):
     """Hopcroft-Karp runs made by the solvers, the transforms, the
-    allowed-edge filter and the enumeration branch frames while the test
-    runs, one list entry per run."""
+    allowed-edge filter and the enumeration's root while the test runs,
+    one list entry per run."""
     calls = []
 
     def counting(*args, **kwargs):

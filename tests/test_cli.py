@@ -63,6 +63,22 @@ class TestSolve:
         assert code == 0
         assert "weight 3" in out
 
+    @pytest.mark.parametrize("argv", [["solve"], ["duals"], ["optimum"],
+                                      ["preallocate", "--prefs", "{prefs}"]],
+                             ids=lambda argv: argv[0])
+    def test_json_builds_no_text(self, capsys, monkeypatch, fig1_path, tmp_path, argv):
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text("f 1 1\n")
+
+        def refuse(*args):
+            raise AssertionError("text output built for --format json")
+        monkeypatch.setattr(bipmatch.cli, "_matching_text", refuse)
+        monkeypatch.setattr(bipmatch.cli, "dual_objective", refuse)
+        code, out, _ = run(capsys, argv[0], fig1_path,
+                           *[a.format(prefs=prefs) for a in argv[1:]])
+        assert code == 0
+        json.loads(out)
+
     def test_deterministic_output(self, capsys, fig1_path):
         outs = {run(capsys, "solve", fig1_path)[1] for _ in range(3)}
         assert len(outs) == 1
