@@ -48,22 +48,30 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     edge (u, v) would become the self-loop u -> u, which this reduction
     does not count as a cycle, so that copy would be dropped.
     """
-    n = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of
-    # Arcs out of each left vertex with an edge in the subset, in index order.
+    # The subset's left vertices in index order, numbered 0 to n-1. The
+    # search state is kept by that number, so a call costs the size of its
+    # subset, not of the graph.
     lefts = sorted(set(map(left_of.__getitem__, edge_indices)))
-    succ: dict[int, list[int]] = {u: [] for u in lefts}
-    partner = [-1] * graph.n_right  # left mate of each right vertex
-    for u in succ:
+    n = len(lefts)
+    number = {u: i for i, u in enumerate(lefts)}
+    partner: dict[int, int] = {}  # number of the left mate of each right vertex
+    for i, u in enumerate(lefts):
         e = mate_left[u]
         if e is not None:
-            partner[right_of[e]] = u
+            partner[right_of[e]] = i
+    # Arcs out of each numbered left vertex, in edge order, and per edge the
+    # numbers of its left vertex and of the mate of its right vertex (-1 if
+    # none). With no parallel edges, the two are equal exactly on a matched
+    # edge, which adds no arc.
+    succ: list[list[int]] = [[] for _ in lefts]
+    ends = []
     for e in edge_indices:
-        u = left_of[e]
-        if mate_left[u] != e:
-            w = partner[right_of[e]]
-            if w >= 0:
-                succ[u].append(w)
+        i = number[left_of[e]]
+        w = partner.get(right_of[e], -1)
+        if w >= 0 and w != i:
+            succ[i].append(w)
+        ends.append((i, w))
 
     index = [-1] * n
     lowlink = [0] * n
@@ -73,7 +81,7 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     stack: list[int] = []
     counter = 0
 
-    for root in succ:
+    for root in range(n):
         if index[root] != -1:
             continue
         index[root] = lowlink[root] = counter
@@ -110,12 +118,7 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
                             comp[member] = cycles
                         cycles += 1
 
-    labels = []
-    for e in edge_indices:
-        u = left_of[e]
-        w = u if mate_left[u] == e else partner[right_of[e]]
-        labels.append(comp[u] if w >= 0 and comp[w] == comp[u] else -1)
-    return labels
+    return [comp[i] if w >= 0 and comp[w] == comp[i] else -1 for i, w in ends]
 
 
 def _cycle_or_matched(graph: WeightedBipartiteGraph, subset: tuple[int, ...],

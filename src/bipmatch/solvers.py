@@ -6,7 +6,9 @@ Two independent routes to an optimal primal-dual pair:
   vertex potentials (Dijkstra on reduced costs). Emits integral optimal
   prices directly.
 * ``solve_auction`` -- an epsilon-scaling auction run on integer-rescaled
-  weights. Emits a perfect matching with fractional prices that violate
+  weights, with epsilon divided by 4 per phase: about
+  log4(W*(n+1)) + 1 phases at the default epsilon, for W the largest
+  |weight|. Emits a perfect matching with fractional prices that violate
   dual feasibility by at most a chosen epsilon and are exactly tight on
   the matching.
 * ``solve_via_rounding`` -- the auction at epsilon = 1/(n+1) followed by
@@ -214,14 +216,15 @@ def solve_auction(graph: WeightedBipartiteGraph,
                   eps_final: RationalLike | None = None) -> SolveResult:
     """Epsilon-scaling auction for the assignment problem.
 
-    Runs bidding phases with epsilon halving from the largest absolute
-    weight down to ``eps_final`` (default 1/(n+1), which forces an optimal
-    matching on integer weights). All arithmetic is on integer-rescaled
-    weights; the returned prices are exact rationals, tight on every
-    matched edge and infeasible by at most eps_final elsewhere, so the
-    pair passes the epsilon-optimality checker at eps_final. With the
-    default epsilon the price denominator is exactly n+1, ready for the
-    rounding step.
+    Runs bidding phases with epsilon divided by 4 per phase, from the
+    largest absolute weight W down to ``eps_final`` (default 1/(n+1), which
+    forces an optimal matching on integer weights): about
+    log4(W*(n+1)) + 1 phases at the default epsilon. All arithmetic is on
+    integer-rescaled weights; the returned prices are exact rationals,
+    tight on every matched edge and infeasible by at most eps_final
+    elsewhere, so the pair passes the epsilon-optimality checker at
+    eps_final. With the default epsilon the price denominator is exactly
+    n+1, ready for the rounding step.
 
     Larger eps_final values are accepted (the matching may then be
     suboptimal by up to n*eps_final); floats are rejected.
@@ -271,7 +274,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
     levels = []
     while level > eps_scaled:
         levels.append(level)
-        level = max(level // 2, eps_scaled)
+        level = max(level // 4, eps_scaled)
     levels.append(eps_scaled)
     bound = math.inf if check_first else (
         (2 * n + 1) * (2 * graph.max_abs_weight * scale + levels[0]))

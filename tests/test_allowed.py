@@ -1,6 +1,7 @@
 """Edges occurring in some (optimal) perfect matching."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,21 @@ class TestAllowedEdges:
         assert labels[2] >= 0 and set(labels[2:]) == {labels[2]}
         # A subset that is one perfect matching holds no cycle.
         assert _scc_labels(fig1, matched, mate_left) == [-1, -1, -1]
+
+    def test_scc_labels_cost_the_subset(self):
+        # A 3-edge subset of a graph with 2^16-vertex sides: the search
+        # state is sized by the subset, not by a side.
+        n = 1 << 16
+        g = WeightedBipartiteGraph(n, n, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
+        mate = {0: 0, 1: 3}
+        tracemalloc.start()
+        try:
+            labels = _scc_labels(g, (0, 1, 3), mate)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels == [-1, -1, -1]
+        assert peak < 64 * 1024
 
     def test_disjoint_perfect_matching(self):
         g = WeightedBipartiteGraph(4, 4, [(u, u, 1) for u in range(4)])

@@ -7,7 +7,8 @@ unchanged. A change that alters an answer on purpose re-records it with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 
-and the diff of expected.json shows exactly which outputs moved.
+which prints the id of every case whose stdout or exit code differs from
+the file it overwrites; the diff of expected.json shows how they moved.
 """
 
 import contextlib
@@ -83,6 +84,11 @@ def test_enumerate_same_with_prices_from_duals(name, tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_golden_cli.py --record")
+    before = _expected()
     records = {case: _run(argv) for case, argv in sorted(_cases().items())}
+    for case, record in records.items():
+        old = before.get(case)
+        if old is None or (old["exit"], old["stdout"]) != (record["exit"], record["stdout"]):
+            print(f"{'new' if old is None else 'moved'}: {case}")
     EXPECTED.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(records)} cases in {EXPECTED}")

@@ -227,6 +227,20 @@ class TestSolveAuction:
         assert r.stats.phases >= 1
         assert r.stats.iterations >= fig1.n_left
 
+    @pytest.mark.parametrize("weights, phases", [
+        # epsilon levels 1002, 250, 62, 15, 3, 1 in units of 1/501
+        ((0, 1, 2, -2), 6),
+        ((0,), 1),
+    ])
+    def test_scaling_schedule_divides_by_four(self, weights, phases):
+        n = 500
+        rng = random.Random(4)
+        g = WeightedBipartiteGraph(n, n, [
+            (u, (u + k) % n, rng.choice(weights)) for u in range(n) for k in (0, 1)])
+        r = solve_auction(g)
+        assert r.stats.phases == phases
+        assert r.matching.weight() == solve_exact(g).matching.weight()
+
 
 class TestSolveViaRounding:
     def test_fig1(self, fig1):
