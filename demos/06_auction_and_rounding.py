@@ -7,19 +7,19 @@ prices: shift every task price by a carefully chosen multiple of 1/(n+1),
 floor, and recompute the worker prices from their matched edges.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from bipmatch import (WeightedBipartiteGraph, check_complementary_slackness,
-                      check_eps_optimal, round_to_optimal, select_shift,
-                      solve_auction)
+                      check_eps_optimal, round_to_optimal, solve_auction)
 
 rng = random.Random(11)
 n = 6
 graph = WeightedBipartiteGraph(
     n, n, [(u, v, rng.randint(-9, 9)) for u in range(n) for v in range(n)])
 
-# The auction halves epsilon phase by phase down to 1/(n+1).
+# The auction divides epsilon by 4 phase by phase, down to 1/(n+1).
 approx = solve_auction(graph)
 eps = Fraction(1, n + 1)
 print("auction phases:", approx.stats.phases, " bids:", approx.stats.iterations)
@@ -28,8 +28,11 @@ print("prices are eps-optimal:",
       check_eps_optimal(graph, approx.matching, approx.prices, eps))
 print("right prices:", approx.prices.right_prices())
 
-# The shift is chosen so no price sits where flooring could go wrong.
-t = select_shift(approx.prices.right_prices(), n)
+# The shift is chosen so no price sits where flooring could go wrong: a
+# right price r rules out t = -floor((n+1) * r) mod (n+1), and the
+# rounding takes the smallest t in {0, ..., n} that no price rules out.
+ruled_out = {-math.floor((n + 1) * r) % (n + 1) for r in approx.prices.right_prices()}
+t = min(set(range(n + 1)) - ruled_out)
 print("selected shift t =", t, "of", n + 1, "candidates")
 
 exact = round_to_optimal(graph, approx.matching, approx.prices)

@@ -17,8 +17,7 @@ from .matching import max_cardinality_matching
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
                      check_dual_feasible, check_eps_optimal, dual_objective,
-                     prices_from_json, prices_to_json, round_to_optimal,
-                     select_shift)
+                     prices_from_json, prices_to_json, round_to_optimal)
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
 from .tight import build_gcs, gcs_to_json
 from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
@@ -74,7 +73,6 @@ __all__ = [
     "restrict_back",
     "round_to_optimal",
     "second_doubling",
-    "select_shift",
     "serialize_instance",
     "solve_auction",
     "solve_exact",

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Infeasible
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
-from .matching import max_cardinality_matching
+from .matching import _perfect_matching
 from .prices import DualPrices
-from .tight import _check_tight_matching, build_gcs
+from .tight import _tight_perfect_matching
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
@@ -140,12 +139,7 @@ def allowed_edges(graph: WeightedBipartiteGraph,
     outside the graph.
     """
     subset = graph._edge_subset(edge_indices)
-    matching = max_cardinality_matching(graph, subset)
-    if not matching.is_perfect:
-        raise Infeasible(
-            f"no perfect matching: maximum cardinality is {matching.cardinality} "
-            f"on sides of size {graph.n_left} and {graph.n_right}")
-    return _cycle_or_matched(graph, subset, matching)
+    return _cycle_or_matched(graph, subset, _perfect_matching(graph, subset))
 
 
 def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
@@ -164,13 +158,5 @@ def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
     tight subgraph has no perfect matching (the prices are then feasible
     but not optimal).
     """
-    tight = build_gcs(graph, prices)
-    if matching is not None:
-        _check_tight_matching(graph, tight, matching)
-        return _cycle_or_matched(graph, tight.edge_indices, matching)
-    try:
-        return allowed_edges(graph, tight.edge_indices)
-    except Infeasible:
-        raise Infeasible(
-            "tight subgraph has no perfect matching; the supplied prices are "
-            "not optimal for this instance")
+    tight, matching = _tight_perfect_matching(graph, prices, matching)
+    return _cycle_or_matched(graph, tight.edge_indices, matching)

@@ -29,8 +29,8 @@ from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
 from .graph import (MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph, matching_from_json,
                     parse_instance)
 from .preallocation import parse_preferences, preallocate
-from .prices import (DualPrices, check_complementary_slackness, dual_objective,
-                     edge_slacks, edge_with_slack, prices_from_json, prices_to_json)
+from .prices import (DualPrices, dual_objective, dual_violations, edge_slacks,
+                     edge_with_slack, prices_from_json, prices_to_json)
 from .solvers import solve_auction, solve_exact, solve_via_rounding
 from .tight import gcs_to_json
 
@@ -247,24 +247,17 @@ def _cmd_check(args) -> int:
     else:
         raise ParseError("no prices given: pass --prices or a composed result file")
 
-    # A valid certificate takes one slack scan; only a failed one is
-    # scanned again to say what is wrong with it. Edges are named by their
-    # 1-based input labels, the first in input order.
-    problems = []
-    if not (matching.is_perfect and check_complementary_slackness(graph, matching, prices)):
-        slacks = edge_slacks(graph, prices)
-
-        def named(e: int) -> str:
-            return edge_with_slack(graph, e, slacks[e], prices.den)
-
-        violated = [e for e, slack in enumerate(slacks) if slack < 0]
-        if violated:
-            problems.append(f"{len(violated)} dual-infeasible edge(s), first {named(violated[0])}")
-        if not matching.is_perfect:
-            problems.append("matching is not perfect")
-        loose = next((e for e in matching if slacks[e]), None)
-        if loose is not None:
-            problems.append(f"matched edge {named(loose)} is not tight")
+    # One slack scan words every problem. Edges are named by their 1-based
+    # input labels, the first in input order.
+    slacks = edge_slacks(graph, prices)
+    verdict = dual_violations(graph, slacks, prices.den)[1]
+    problems = [verdict] if verdict else []
+    if not matching.is_perfect:
+        problems.append("matching is not perfect")
+    loose = next((e for e in matching if slacks[e]), None)
+    if loose is not None:
+        named = edge_with_slack(graph, loose, slacks[loose], prices.den)
+        problems.append(f"matched edge {named} is not tight")
     ok = not problems
     payload = {
         "valid": ok,

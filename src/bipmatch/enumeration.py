@@ -43,11 +43,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .allowed import _scc_labels
-from .errors import Infeasible
 from .graph import Matching, WeightedBipartiteGraph
 from .matching import max_cardinality_matching
 from .prices import DualPrices
-from .tight import _check_tight_matching, build_gcs
+from .tight import _tight_perfect_matching
 
 
 def iter_perfect_matchings(graph: WeightedBipartiteGraph,
@@ -83,15 +82,7 @@ def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph, prices: Dua
     tight subgraph has no perfect matching (prices feasible but not
     optimal).
     """
-    tight = build_gcs(graph, prices)
-    if matching is None:
-        matching = max_cardinality_matching(graph, tight.edge_indices)
-        if not matching.is_perfect:
-            raise Infeasible(
-                "tight subgraph has no perfect matching; either the instance is "
-                "infeasible or the supplied prices are not optimal")
-    else:
-        _check_tight_matching(graph, tight, matching)
+    tight, matching = _tight_perfect_matching(graph, prices, matching)
     yield from _branch(graph, tight.edge_indices, matching._mate_left)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import Infeasible
 from .graph import Matching, WeightedBipartiteGraph
 
 _INF = -1  # sentinel distance; real layer depths are >= 0
@@ -128,3 +129,26 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
         free = [u for u in free if mate_left[u] is None]
 
     return Matching._trusted(graph, mate_left)
+
+
+def _perfect_matching(graph: WeightedBipartiteGraph,
+                      edge_indices: Iterable[int] | None = None) -> Matching:
+    """A perfect matching of the graph, or of the subset ``edge_indices``,
+    from one Hopcroft-Karp run: the solvers, the allowed-edge filter and the
+    tight-subgraph entry all raise through it.
+
+    Raises Infeasible when there is none, naming the first uncovered vertex
+    of each side that has one: u<i> is left vertex i and v<j> right vertex
+    j, by their 1-based input labels. On unequal sides the smaller side may
+    be covered, and only the other is named.
+    """
+    mcm = max_cardinality_matching(graph, edge_indices)
+    if mcm.is_perfect:
+        return mcm
+    covered = set(map(graph._right_of.__getitem__, mcm))
+    free = [f"u{u + 1}" for u in range(graph.n_left) if mcm.left_edge(u) is None][:1]
+    free += [f"v{v + 1}" for v in range(graph.n_right) if v not in covered][:1]
+    named = (f"vertices {free[0]} and {free[1]} stay" if len(free) == 2
+             else f"vertex {free[0]} stays")
+    raise Infeasible(f"no perfect matching: maximum cardinality is {mcm.cardinality} of "
+                     f"{max(graph.n_left, graph.n_right)}; {named} uncovered")

@@ -152,6 +152,19 @@ def edge_with_slack(graph: WeightedBipartiteGraph, e: int, slack: int, den: int)
     return f"{graph.original_pair(e)} with slack {Fraction(slack, den)}"
 
 
+def dual_violations(graph: WeightedBipartiteGraph, slacks: list[int],
+                    den: int) -> tuple[list[int], str]:
+    """The violated edges of a slack list from ``edge_slacks``, in edge
+    order, and the verdict that words them: "N dual-infeasible edge(s),
+    first (i, j) with slack s", or "" when there are none. This is the one
+    test of a slack for dual feasibility."""
+    bad = [e for e, slack in enumerate(slacks) if slack < 0]
+    if not bad:
+        return bad, ""
+    first = edge_with_slack(graph, bad[0], slacks[bad[0]], den)
+    return bad, f"{len(bad)} dual-infeasible edge(s), first {first}"
+
+
 def check_dual_feasible(graph: WeightedBipartiteGraph,
                         prices: DualPrices) -> list[SlackViolation]:
     """All edges where left + right price exceeds the weight.
@@ -159,9 +172,9 @@ def check_dual_feasible(graph: WeightedBipartiteGraph,
     An empty list means the prices are dual feasible. Violations are
     collected exhaustively rather than fail-fast, for diagnostics.
     """
-    den = prices.den
-    return [SlackViolation(e, Fraction(slack, den))
-            for e, slack in enumerate(edge_slacks(graph, prices)) if slack < 0]
+    slacks = edge_slacks(graph, prices)
+    return [SlackViolation(e, Fraction(slacks[e], prices.den))
+            for e in dual_violations(graph, slacks, prices.den)[0]]
 
 
 def check_complementary_slackness(graph: WeightedBipartiteGraph,
@@ -197,37 +210,6 @@ def dual_objective(prices: DualPrices) -> Fraction:
     return Fraction(sum(prices.left_num) + sum(prices.right_num), prices.den)
 
 
-def _first_free_shift(scaled_floors: Iterable[int], modulus: int) -> int:
-    """The shift rule in integers: the smallest t in {0, ..., modulus - 1}
-    with t != (-f) mod modulus for every f, where f is floor(modulus * r)
-    for a price r. That value is the one shift whose offset t/modulus,
-    shrunk by one step, would push r + t/modulus across an integer."""
-    forbidden = {-f % modulus for f in scaled_floors}
-    for t in range(modulus):
-        if t not in forbidden:
-            return t
-    raise ValueError(f"all {modulus} shift values are ruled out; "
-                     f"more than {modulus - 1} distinct price offsets supplied")
-
-
-def select_shift(right_prices: Sequence[RationalLike], n: int) -> int:
-    """Choose the smallest shift t in {0, ..., n} whose fractional offset
-    t/(n+1) cannot push any of the given prices across an integer when the
-    offset shrinks by one step.
-
-    A value t is ruled out by a price r when
-    t == ceil((n+1) * (ceil(r) - r)) mod (n+1), which equals
-    -floor((n+1) * r) mod (n+1); with at most n prices at least one of the
-    n+1 candidates survives.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    modulus = n + 1
-    return _first_free_shift(
-        (math.floor(modulus * _as_fraction(value, "price")) for value in right_prices),
-        modulus)
-
-
 def round_to_optimal(graph: WeightedBipartiteGraph,
                      matching: Matching,
                      prices: DualPrices) -> DualPrices:
@@ -235,10 +217,14 @@ def round_to_optimal(graph: WeightedBipartiteGraph,
     denominators dividing n+1) into integral optimal prices for the same
     matching.
 
-    Right prices are floored after adding a shift t/(n+1) chosen by the
-    select_shift rule; each left price is then recomputed from its matched
-    edge so the matching stays exactly tight. The matching itself is
-    already optimal and is not touched. All of it runs on integer
+    Right prices are floored after adding a shift t/(n+1): the smallest t
+    in {0, ..., n} with t != -floor((n+1) * r) mod (n+1) for every right
+    price r, which equals ceil((n+1) * (ceil(r) - r)) mod (n+1). The value
+    a price rules out is the one offset that, shrunk by one step, would
+    push r + t/(n+1) across an integer, and n prices rule out at most n of
+    the n+1 candidates. Each left price is then recomputed from its
+    matched edge so the matching stays exactly tight. The matching itself
+    is already optimal and is not touched. All of it runs on integer
     numerators: a price x/den is R/(n+1) with R = x*(n+1)/den.
 
     Raises ValueError when the pair is not epsilon-optimal at 1/(n+1) or
@@ -257,7 +243,8 @@ def round_to_optimal(graph: WeightedBipartiteGraph,
         raise ValueError(f"pair is not epsilon-optimal at epsilon = 1/{modulus}")
 
     scaled_right = [x * modulus // den for x in prices.right_num]  # exact
-    t = _first_free_shift(scaled_right, modulus)
+    forbidden = {-r % modulus for r in scaled_right}
+    t = next(t for t in range(modulus) if t not in forbidden)
     new_right = [(r + t) // modulus for r in scaled_right]
     new_left = [0] * n
     for e in matching.edge_indices:

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .errors import Infeasible, NotSquare
+from .errors import NotSquare
 from .graph import Matching, WeightedBipartiteGraph
-from .matching import max_cardinality_matching
+from .matching import _perfect_matching
 from .prices import DualPrices, RationalLike, _as_fraction, prices_to_json, round_to_optimal
 
 
@@ -76,27 +76,13 @@ def _require_square(graph: WeightedBipartiteGraph) -> None:
                         f"{graph.n_left} and {graph.n_right}")
 
 
-def _require_feasible(graph: WeightedBipartiteGraph) -> None:
-    """Raise Infeasible, naming an uncovered vertex of each side, if no
-    perfect matching exists: u<i> is left vertex i and v<j> right vertex j,
-    by their 1-based input labels."""
-    mcm = max_cardinality_matching(graph)
-    if mcm.cardinality < graph.n_left:
-        free_left = next(u for u in range(graph.n_left) if mcm.left_edge(u) is None)
-        covered = {graph.endpoints(e)[1] for e in mcm}
-        free_right = next(v for v in range(graph.n_right) if v not in covered)
-        raise Infeasible(
-            f"no perfect matching: maximum cardinality is {mcm.cardinality} of "
-            f"{graph.n_left}; vertices u{free_left + 1} and v{free_right + 1} stay uncovered")
-
-
 def _refuse_isolated_vertex(graph: WeightedBipartiteGraph) -> None:
-    """Raise Infeasible, through ``_require_feasible``, when a vertex of a
+    """Raise Infeasible, through ``_perfect_matching``, when a vertex of a
     non-empty square graph has no edge: one O(m) pass, which answers
     such an instance before any augmenting path search or bid."""
     n = graph.n_left
     if n and (min(map(len, graph._adj_left)) == 0 or len(set(graph._right_of)) < n):
-        _require_feasible(graph)
+        _perfect_matching(graph)
 
 
 def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
@@ -166,7 +152,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                     break
             else:
                 # No augmenting path from this source: no perfect matching.
-                _require_feasible(graph)
+                _perfect_matching(graph)
                 raise AssertionError("augmenting path search exhausted a feasible graph")
             m = mate_right[v]
             if m is None:
@@ -251,7 +237,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
     _refuse_isolated_vertex(graph)
     check_first = min(map(len, graph._adj_left)) < 2
     if check_first:
-        _require_feasible(graph)
+        _perfect_matching(graph)
 
     if eps_final is None:
         eps = Fraction(1, n + 1)
@@ -303,7 +289,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
             bid = price[v] + best_val - second_val + eps_now
             price[v] = bid
             if bid > bound:
-                _require_feasible(graph)
+                _perfect_matching(graph)
                 bound = math.inf
             previous = owner[v]
             if previous is not None:

@@ -5,16 +5,19 @@ the minimum-weight perfect matchings of the parent instance, which is what
 lets every weighted question downstream (all-optimal-edges, enumeration,
 preferences) be answered on an unweighted subgraph. The subgraph is an
 ``EdgeSet`` of the parent graph, so anything computed on it is reported
-in the parent's terms.
+in the parent's terms. ``_tight_perfect_matching`` builds it together
+with one perfect matching of it, which is all that the optimal edges and
+the enumeration need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InfeasibleDual
+from .errors import Infeasible, InfeasibleDual
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
-from .prices import DualPrices, edge_slacks, edge_with_slack
+from .matching import _perfect_matching
+from .prices import DualPrices, dual_violations, edge_slacks
 
 
 def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:
@@ -22,31 +25,47 @@ def build_gcs(graph: WeightedBipartiteGraph, prices: DualPrices) -> EdgeSet:
 
     Raises InfeasibleDual if any edge's price sum exceeds its weight:
     with an infeasible system, "tight" would not mean anything. The
-    message names the first such edge by its input labels and slack.
+    message is ``dual_violations``' verdict, which names the first such
+    edge by its input labels and slack.
     """
     return EdgeSet(graph, _tight_edges(graph, prices, edge_slacks(graph, prices)))
-
-
-def _check_tight_matching(graph: WeightedBipartiteGraph, tight: EdgeSet,
-                          matching: Matching) -> None:
-    """Raise ValueError unless ``matching`` is a perfect matching of
-    ``graph`` inside the tight subgraph ``tight``, as the matching a solver
-    returns with its prices is."""
-    if matching.graph is not graph or not matching.is_perfect:
-        raise ValueError("a certificate matching must be a perfect matching of the graph")
-    loose = next((e for e in matching if e not in tight), None)
-    if loose is not None:
-        raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
 
 
 def _tight_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
                  slacks: list[int]) -> list[int]:
     """The edges of zero slack; InfeasibleDual if any slack is negative."""
-    bad = [e for e, slack in enumerate(slacks) if slack < 0]
+    bad, verdict = dual_violations(graph, slacks, prices.den)
     if bad:
-        first = edge_with_slack(graph, bad[0], slacks[bad[0]], prices.den)
-        raise InfeasibleDual(f"{len(bad)} edge(s) violate dual feasibility, first {first}")
+        raise InfeasibleDual(verdict)
     return [e for e, slack in enumerate(slacks) if slack == 0]
+
+
+def _tight_perfect_matching(graph: WeightedBipartiteGraph, prices: DualPrices,
+                            matching: Matching | None = None) -> tuple[EdgeSet, Matching]:
+    """The tight subgraph under ``prices`` and a perfect matching inside
+    it: the one entry of the questions asked of that subgraph.
+
+    ``matching``, when given, is that matching, as a solver returns it with
+    its prices; ValueError unless it is a perfect matching of ``graph``
+    whose edges are all tight. Without one, Hopcroft-Karp runs once on the
+    tight subgraph. Raises InfeasibleDual for infeasible prices, and
+    Infeasible when the tight subgraph has no perfect matching: the prices
+    are then feasible but not optimal, as no prices are for an infeasible
+    instance.
+    """
+    tight = build_gcs(graph, prices)
+    if matching is None:
+        try:
+            return tight, _perfect_matching(graph, tight.edge_indices)
+        except Infeasible as exc:
+            raise Infeasible("tight subgraph has no perfect matching; the supplied "
+                             "prices are not optimal for this instance") from exc
+    if matching.graph is not graph or not matching.is_perfect:
+        raise ValueError("a certificate matching must be a perfect matching of the graph")
+    loose = next((e for e in matching if e not in tight), None)
+    if loose is not None:
+        raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
+    return tight, matching
 
 
 def gcs_to_json(graph: WeightedBipartiteGraph, prices: DualPrices) -> dict:

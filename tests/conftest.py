@@ -7,9 +7,8 @@ from itertools import permutations
 
 import pytest
 
-import bipmatch.allowed
 import bipmatch.enumeration
-import bipmatch.solvers
+import bipmatch.matching
 import bipmatch.transforms
 from bipmatch import (DualPrices, Matching, WeightedBipartiteGraph, check_eps_optimal,
                       max_cardinality_matching)
@@ -50,17 +49,17 @@ def fig1_p2():
 
 @pytest.fixture
 def hk_calls(monkeypatch):
-    """Hopcroft-Karp runs made by the solvers, the transforms, the
-    allowed-edge filter and the enumeration's root while the test runs,
-    one list entry per run."""
+    """Hopcroft-Karp runs made while the test runs, one list entry per run:
+    those through ``matching._perfect_matching`` (the solvers, the
+    allowed-edge filter and the tight-subgraph entry), the transforms'
+    coverage checks and ``iter_perfect_matchings``' root."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return max_cardinality_matching(*args, **kwargs)
 
-    for module in (bipmatch.allowed, bipmatch.transforms, bipmatch.solvers,
-                   bipmatch.enumeration):
+    for module in (bipmatch.matching, bipmatch.transforms, bipmatch.enumeration):
         monkeypatch.setattr(module, "max_cardinality_matching", counting)
     return calls
 

@@ -57,6 +57,15 @@ class TestAllowedEdges:
         with pytest.raises(Infeasible):
             allowed_edges(g)
 
+    @pytest.mark.parametrize("n, s, uncovered", [(3, 2, "u3"), (2, 3, "v3")])
+    def test_unequal_sides_raise(self, n, s, uncovered):
+        # Hopcroft-Karp covers the smaller side, so only the larger one has
+        # a vertex to name.
+        g = WeightedBipartiteGraph(n, s, [(u, v, 0) for u in range(n) for v in range(s)])
+        with pytest.raises(Infeasible, match=r"^no perfect matching: maximum cardinality "
+                           f"is 2 of 3; vertex {uncovered} stays uncovered$"):
+            allowed_edges(g)
+
     @pytest.mark.parametrize("bad", [6, -2])
     def test_subset_index_out_of_range(self, fig1, bad):
         with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
@@ -99,6 +108,13 @@ class TestOptimalEdges:
         low = DualPrices([-10, -10, -10], [0, 0, 0])
         with pytest.raises(Infeasible, match="not optimal"):
             optimal_edges(fig1, low)
+
+    @pytest.mark.parametrize("n, s", [(3, 2), (2, 3)])
+    def test_unequal_sides_raise(self, n, s):
+        g = WeightedBipartiteGraph(n, s, [(u, v, 0) for u in range(n) for v in range(s)])
+        with pytest.raises(Infeasible, match="^tight subgraph has no perfect matching; the "
+                           "supplied prices are not optimal for this instance$"):
+            optimal_edges(g, DualPrices([0] * n, [0] * s))
 
     def test_equals_union_of_optimal_matchings(self):
         rng = random.Random(42424)

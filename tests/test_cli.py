@@ -193,6 +193,21 @@ class TestOptEdges:
         assert len(hk_calls) == 1
 
 
+    @pytest.mark.parametrize("verb", ["opt-edges", "enumerate"])
+    def test_prices_on_unequal_sides_exit_1(self, capsys, tmp_path, verb):
+        # A 3x2 all-zero graph: Hopcroft-Karp covers the right side, and
+        # both verbs word the failure alike.
+        path = tmp_path / "tall.bip"
+        path.write_text("p bip 3 2 6\n" + "".join(
+            f"e {i} {j} 0\n" for i in range(1, 4) for j in range(1, 3)))
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [0, 0, 0], "p": [0, 0]}))
+        code, out, err = run(capsys, verb, str(path), "--prices", str(prices))
+        assert (code, out) == (1, "")
+        assert err == ("infeasible: tight subgraph has no perfect matching; the supplied "
+                       "prices are not optimal for this instance\n")
+
+
 class TestEnumerate:
     def test_streams_one_line(self, capsys, fig1_path):
         code, out, _ = run(capsys, "enumerate", fig1_path, "--limit", "10")

@@ -39,6 +39,34 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match=r"^left index 2 out of range \[0, 2\)$"):
             WeightedBipartiteGraph(2, 2, [(2, 0, 1)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 2, 1)], r"right index 2 out of range \[0, 2\)"),
+        ([(0, -1, 1)], r"right index -1 out of range \[0, 2\)"),
+        ([(1, 1, -MAX_ABS_WEIGHT - 1)], r"\|weight\| 1099511627777 exceeds bound 1099511627776"),
+        ([(1, 0, 2), (1, 0, 3)], r"duplicate edge \(1, 0\)"),
+        # The first bad edge in input order is the one named, whatever is
+        # wrong with the edges after it.
+        ([(0, 0, 1), (0, 5, 1), (9, 0, 1)], r"right index 5 out of range \[0, 2\)"),
+        ([(0, 0, 1), (0, 0, 2), (0, 7, 1)], r"duplicate edge \(0, 0\)"),
+        ([(1, 1, 0), (0, 0, MAX_ABS_WEIGHT + 1), (1, 1, 0)],
+         r"\|weight\| 1099511627777 exceeds bound 1099511627776"),
+        ([(1, 1, 0), (2, 0, 1), (0, 0, MAX_ABS_WEIGHT + 1)],
+         r"left index 2 out of range \[0, 2\)"),
+    ])
+    def test_edge_error_messages(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedBipartiteGraph(2, 2, edges)
+
+    @pytest.mark.parametrize("n, s, edges, message", [
+        (SIDE_BOUND + 1, 1, [], f"a side of {SIDE_BOUND + 1} vertices exceeds both "
+                                f"the edge count 0 and {SIDE_BOUND}"),
+        (1, SIDE_BOUND + 2, [(0, 0, 0)], f"a side of {SIDE_BOUND + 2} vertices exceeds "
+                                         f"both the edge count 1 and {SIDE_BOUND}"),
+    ])
+    def test_side_bound_message(self, n, s, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedBipartiteGraph(n, s, edges)
+
     @pytest.mark.parametrize("n, s", [(-1, 2), (2, -1)])
     def test_negative_side_rejected(self, n, s):
         with pytest.raises(ValueError, match="^side sizes must be non-negative$"):

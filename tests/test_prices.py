@@ -1,4 +1,4 @@
-"""Price systems, optimality checkers, shift selection, rounding."""
+"""Price systems, optimality checkers, the rounding and its shift rule."""
 
 import math
 import random
@@ -9,10 +9,10 @@ import pytest
 from bipmatch import (DualPrices, Matching, ParseError, WeightedBipartiteGraph,
                       check_complementary_slackness, check_dual_feasible,
                       check_eps_optimal, dual_objective, prices_from_json, prices_to_json,
-                      round_to_optimal, select_shift, solve_auction, solve_exact)
+                      round_to_optimal, solve_auction, solve_exact)
 
 from conftest import (M_OTHER, M_STAR, brute_force_min_weight_pms, make_feasible_square,
-                      perturbed_eps_pair)
+                      perturbed_eps_pair, reference_round_to_optimal)
 
 
 class TestDualPrices:
@@ -48,8 +48,7 @@ class TestDualPrices:
         lambda g, m, p: DualPrices.from_values([True], [False]),
         lambda g, m, p: solve_auction(g, True),
         lambda g, m, p: check_eps_optimal(g, m, p, True),
-        lambda g, m, p: select_shift([True], 1),
-    ], ids=["from_values", "solve_auction", "check_eps_optimal", "select_shift"])
+    ], ids=["from_values", "solve_auction", "check_eps_optimal"])
     def test_bool_rational_rejected(self, fig1, fig1_p1, call):
         with pytest.raises(TypeError, match="got bool"):
             call(fig1, Matching(fig1, M_STAR), fig1_p1)
@@ -164,23 +163,44 @@ class TestDualObjective:
         assert dual_objective(p) == Fraction(6, 4)
 
 
-class TestSelectShift:
-    def test_all_integral(self):
-        assert select_shift([3, 0, 5], 3) == 1
+def _diagonal_pair(weights, right_prices):
+    """An n x n graph whose only edges (u, u) carry ``weights``, its one
+    perfect matching, and prices tight on it with ``right_prices``."""
+    n = len(weights)
+    graph = WeightedBipartiteGraph(n, n, [(u, u, w) for u, w in enumerate(weights)])
+    left = [w - Fraction(r) for w, r in zip(weights, right_prices)]
+    return graph, Matching(graph, range(n)), DualPrices.from_values(left, right_prices)
 
-    def test_mixed(self):
-        assert select_shift([3, Fraction(3, 4), 0], 3) == 2
 
-    def test_single_half(self):
-        assert select_shift([Fraction(1, 2)], 1) == 0
+class TestRoundingShift:
+    """The shift t/(n+1) that ``round_to_optimal`` adds before flooring the
+    right prices: the smallest t in {0, ..., n} that no right price r rules
+    out, r ruling out -floor((n+1) * r) mod (n+1)."""
+
+    @pytest.mark.parametrize("right, rounded", [
+        # Integral prices rule out t = 0 only; t = 1 of 4 floors to themselves.
+        ([3, 0, 5], [3, 0, 5]),
+        # 3 and 0 rule out 0, and 3/4 rules out 1: t = 2 of 4 lifts 3/4 to 1.
+        ([3, Fraction(3, 4), 0], [3, 1, 0]),
+        # 1/2 rules out 1: t = 0 of 2 floors it to 0.
+        ([Fraction(1, 2)], [0]),
+    ], ids=["all_integral", "mixed", "single_half"])
+    def test_hand_made(self, right, rounded):
+        graph, matching, prices = _diagonal_pair([7] * len(right), right)
+        exact = round_to_optimal(graph, matching, prices)
+        assert exact == DualPrices([7 - r for r in rounded], rounded)
 
     def test_existence_with_n_prices(self):
         rng = random.Random(8)
         for _ in range(200):
             n = rng.randint(1, 9)
-            prices = [Fraction(rng.randint(-30, 30), n + 1) for _ in range(n)]
-            t = select_shift(prices, n)
-            assert 0 <= t <= n
+            right = [Fraction(rng.randint(-30, 30), n + 1) for _ in range(n)]
+            graph, matching, prices = _diagonal_pair([rng.randint(-9, 9) for _ in range(n)],
+                                                     right)
+            exact = round_to_optimal(graph, matching, prices)
+            assert exact == reference_round_to_optimal(graph, matching, prices)
+            assert check_complementary_slackness(graph, matching, exact)
+            assert all(abs(q - r) < 1 for q, r in zip(exact.right_prices(), right))
 
 
 def floor_shift_equal(value, n: int, t: int) -> bool:

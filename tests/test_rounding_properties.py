@@ -1,7 +1,6 @@
-"""Property test for price rounding: ``round_to_optimal`` and
-``select_shift``, which work on integer numerators, agree with the
-Fraction reference in the test suite on every input, the rounded prices
-and the error messages alike."""
+"""Property test for price rounding: ``round_to_optimal``, which works on
+integer numerators, agrees with the Fraction reference in the test suite
+on every input, the rounded prices and the error messages alike."""
 
 import pytest
 
@@ -11,9 +10,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (MAX_ABS_WEIGHT, DualPrices, Matching,  # noqa: E402
-                      WeightedBipartiteGraph, round_to_optimal, select_shift)
+                      WeightedBipartiteGraph, round_to_optimal)
 
-from conftest import reference_round_to_optimal, reference_select_shift  # noqa: E402
+from conftest import reference_round_to_optimal  # noqa: E402
 
 
 @st.composite
@@ -65,6 +64,3 @@ def test_rounding_matches_fraction_reference(case):
     graph, matching, prices = case
     assert (_outcome(round_to_optimal, graph, matching, prices)
             == _outcome(reference_round_to_optimal, graph, matching, prices))
-    n = graph.n_left
-    assert (_outcome(select_shift, prices.right_prices(), n)
-            == _outcome(reference_select_shift, prices.right_prices(), n))

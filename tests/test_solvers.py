@@ -193,6 +193,13 @@ class TestSolveAuction:
         # bound took seconds of bidding.
         *[[(u, v, (-1) ** (u * v) * weight) for u in range(200) for v in range(199)]
           for weight in (0, MAX_ABS_WEIGHT)],
+        # A 200x200 graph in which left vertices 1-3 see only right vertices
+        # 1 and 2 and the rest see every right vertex, at zero and at +-2^40
+        # weights: no vertex is isolated and every left degree is at least
+        # two, so the price bound fires.
+        *[[(u, v, (-1) ** (u * v) * weight) for u in range(200)
+           for v in (range(2) if u < 3 else range(200))]
+          for weight in (0, MAX_ABS_WEIGHT)],
     ])
     def test_infeasible_checks_once(self, hk_calls, edges):
         n = 1 + max(max(u, v) for u, v, _w in edges)

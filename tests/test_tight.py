@@ -34,7 +34,7 @@ class TestBuildGcs:
                                           (1, 2, 5)])
         prices = DualPrices([0, -3], [0, 4, 0])
         with pytest.raises(InfeasibleDual,
-                           match=r"^1 edge\(s\) violate dual feasibility, "
+                           match=r"^1 dual-infeasible edge\(s\), "
                                  r"first \(1, 2\) with slack -1$"):
             build_gcs(g, prices)
 
