@@ -158,9 +158,9 @@ def dual_violations(graph: WeightedBipartiteGraph, slacks: list[int],
     order, and the verdict that words them: "N dual-infeasible edge(s),
     first (i, j) with slack s", or "" when there are none. This is the one
     test of a slack for dual feasibility."""
+    if min(slacks, default=0) >= 0:  # a scan in C: feasible prices skip the loop below
+        return [], ""
     bad = [e for e, slack in enumerate(slacks) if slack < 0]
-    if not bad:
-        return bad, ""
     first = edge_with_slack(graph, bad[0], slacks[bad[0]], den)
     return bad, f"{len(bad)} dual-infeasible edge(s), first {first}"
 

@@ -192,7 +192,6 @@ class TestOptEdges:
         assert with_prices == out
         assert len(hk_calls) == 1
 
-
     @pytest.mark.parametrize("verb", ["opt-edges", "enumerate"])
     def test_prices_on_unequal_sides_exit_1(self, capsys, tmp_path, verb):
         # A 3x2 all-zero graph: Hopcroft-Karp covers the right side, and
