@@ -154,9 +154,9 @@ def optimal_edges(graph: WeightedBipartiteGraph, prices: DualPrices,
     such matching is given. Raises ValueError for a matching of another
     graph, one that is not perfect, or one with an edge that is not tight.
 
-    Raises InfeasibleDual for infeasible prices, and Infeasible when the
-    tight subgraph has no perfect matching (the prices are then feasible
-    but not optimal).
+    Raises NotSquare for unequal sides, InfeasibleDual for infeasible
+    prices, and Infeasible when the tight subgraph has no perfect matching
+    (the prices are then feasible but not optimal).
     """
     tight, matching = _tight_perfect_matching(graph, prices, matching)
     return _cycle_or_matched(graph, tight.edge_indices, matching)

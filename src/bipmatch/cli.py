@@ -119,7 +119,8 @@ def _certificate(graph: WeightedBipartiteGraph,
                  path: str | None) -> tuple[DualPrices, Matching | None]:
     """The prices in ``path``, with no matching, or else the rounding's
     optimal prices with its perfect matching, which they hold tight and
-    which spares ``opt-edges`` and ``enumerate`` a matching search."""
+    which spares ``opt-edges``, ``enumerate`` and ``preallocate`` a
+    matching search."""
     if path is not None:
         return _load_prices(graph, path), None
     result = solve_via_rounding(graph)
@@ -211,8 +212,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_preallocate(args) -> int:
     graph = _load_instance(args.instance)
     prefs = parse_preferences(_read(args.prefs), graph)
-    prices, _ = _certificate(graph, args.prices)
-    matching = preallocate(graph, prices, prefs)
+    matching = preallocate(optimal_edges(graph, *_certificate(graph, args.prices)), prefs)
     satisfied = sum(1 for e in matching if e in prefs)
     payload = matching.to_json()
     payload["preferred"] = satisfied

@@ -78,9 +78,9 @@ def iter_min_weight_perfect_matchings(graph: WeightedBipartiteGraph, prices: Dua
     of another graph, one that is not perfect, or one with an edge that is
     not tight.
 
-    Raises InfeasibleDual for infeasible prices and Infeasible when the
-    tight subgraph has no perfect matching (prices feasible but not
-    optimal).
+    Raises NotSquare for unequal sides, InfeasibleDual for infeasible
+    prices and Infeasible when the tight subgraph has no perfect matching
+    (prices feasible but not optimal).
     """
     tight, matching = _tight_perfect_matching(graph, prices, matching)
     yield from _branch(graph, tight.edge_indices, matching._mate_left)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import Infeasible
+from .errors import Infeasible, NotSquare
 from .graph import Matching, WeightedBipartiteGraph
 
 _INF = -1  # sentinel distance; real layer depths are >= 0
@@ -129,6 +129,13 @@ def max_cardinality_matching(graph: WeightedBipartiteGraph,
         free = [u for u in free if mate_left[u] is None]
 
     return Matching._trusted(graph, mate_left)
+
+
+def _require_square(graph: WeightedBipartiteGraph) -> None:
+    """Raise NotSquare, naming both side sizes, when they differ."""
+    if graph.n_left != graph.n_right:
+        raise NotSquare(f"perfect matching needs equal sides, got "
+                        f"{graph.n_left} and {graph.n_right}")
 
 
 def _perfect_matching(graph: WeightedBipartiteGraph,

@@ -1,20 +1,17 @@
 """Preference-constrained optimal matchings.
 
 Among all minimum-weight perfect matchings, find one containing as many
-edges as possible from a preferred subset. Because the minimum-weight
-perfect matchings are exactly the perfect matchings of the tight
-subgraph, it suffices to re-solve on that subgraph with 0/1 weights:
-preferred edges cost 0, everything else costs 1. The preferred subset is
-an ``EdgeSet`` of the instance's graph.
+edges as possible from a preferred subset. Those matchings are exactly the
+perfect matchings of the optimal edges (``allowed.optimal_edges``), which
+depend on the instance alone, so it suffices to re-solve on that edge set
+with 0/1 weights: preferred edges cost 0, everything else costs 1.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
-from .prices import DualPrices
 from .solvers import solve_exact
-from .tight import build_gcs
 
 
 def parse_preferences(text: str, graph: WeightedBipartiteGraph) -> EdgeSet:
@@ -40,22 +37,22 @@ def parse_preferences(text: str, graph: WeightedBipartiteGraph) -> EdgeSet:
     return EdgeSet(graph, indices)
 
 
-def preallocate(graph: WeightedBipartiteGraph, prices: DualPrices,
-                prefs: EdgeSet) -> Matching:
-    """A minimum-weight perfect matching maximizing the number of preferred
-    edges it contains.
+def preallocate(edges: EdgeSet, prefs: EdgeSet) -> Matching:
+    """A perfect matching of the edge set ``edges`` holding as many edges of
+    ``prefs`` as any perfect matching of it does.
 
-    Builds the tight subgraph under the (optimal) prices, reweights it
-    with the 0/1 preference costs, and solves exactly. Preferred edges
-    outside the tight subgraph can never appear: they are not in any
-    optimal matching to begin with.
+    Given ``optimal_edges(graph, prices)``, this is a minimum-weight perfect
+    matching with the most preferred edges; preferred edges outside
+    ``edges`` are never used. Solves exactly on ``edges`` with the 0/1
+    preference costs.
 
-    Raises InfeasibleDual for infeasible prices and Infeasible when the
-    tight subgraph has no perfect matching (prices not optimal).
+    Raises ValueError when ``prefs`` belongs to another graph, NotSquare
+    for unequal sides and Infeasible when ``edges`` has no perfect matching.
     """
+    graph = edges.graph
     if prefs.graph is not graph:
         raise ValueError("preference set belongs to a different graph")
-    kept = build_gcs(graph, prices).edge_indices
+    kept = edges.edge_indices
     sub = WeightedBipartiteGraph._trusted(
         graph.n_left, graph.n_right, [graph._left_of[e] for e in kept],
         [graph._right_of[e] for e in kept], [0 if e in prefs else 1 for e in kept])

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .errors import NotSquare
 from .graph import Matching, WeightedBipartiteGraph
-from .matching import _perfect_matching
+from .matching import _perfect_matching, _require_square
 from .prices import DualPrices, RationalLike, _as_fraction, prices_to_json, round_to_optimal
 
 
@@ -68,12 +67,6 @@ class SolveResult:
             "matching": self.matching.to_json(),
             "prices": prices_to_json(self.matching.graph, self.prices),
         }
-
-
-def _require_square(graph: WeightedBipartiteGraph) -> None:
-    if graph.n_left != graph.n_right:
-        raise NotSquare(f"perfect matching needs equal sides, got "
-                        f"{graph.n_left} and {graph.n_right}")
 
 
 def _refuse_isolated_vertex(graph: WeightedBipartiteGraph) -> None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import Infeasible, InfeasibleDual
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
-from .matching import _perfect_matching
+from .matching import _perfect_matching, _require_square
 from .prices import DualPrices, dual_violations, edge_slacks
 
 
@@ -48,11 +48,12 @@ def _tight_perfect_matching(graph: WeightedBipartiteGraph, prices: DualPrices,
     ``matching``, when given, is that matching, as a solver returns it with
     its prices; ValueError unless it is a perfect matching of ``graph``
     whose edges are all tight. Without one, Hopcroft-Karp runs once on the
-    tight subgraph. Raises InfeasibleDual for infeasible prices, and
-    Infeasible when the tight subgraph has no perfect matching: the prices
-    are then feasible but not optimal, as no prices are for an infeasible
-    instance.
+    tight subgraph. Raises NotSquare for unequal sides, InfeasibleDual for
+    infeasible prices, and Infeasible when the tight subgraph has no perfect
+    matching: the prices are then feasible but not optimal, as no prices
+    are for an infeasible instance.
     """
+    _require_square(graph)
     tight = build_gcs(graph, prices)
     if matching is None:
         try:

@@ -128,14 +128,14 @@ def test_criterion_6_enumeration():
 
 def test_criterion_7_preallocation():
     with criterion(7, "preallocation is optimal and preference-maximal, 300 pairs"):
-        from bipmatch import EdgeSet, preallocate
+        from bipmatch import EdgeSet, optimal_edges, preallocate
         rng = random.Random(50107)
         for _ in range(300):
             g = make_feasible_square(rng, n_max=6, weights=(-9, 9))
             prices = solve_exact(g).prices
             prefs = EdgeSet(
                 g, rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
-            m = preallocate(g, prices, prefs)
+            m = preallocate(optimal_edges(g, prices), prefs)
             optima = brute_force_min_weight_pms(g)
             assert m.weight() == optima[0].weight()
             best = max(len(set(opt.edge_indices) & set(prefs)) for opt in optima)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from bipmatch import (DualPrices, Infeasible, Matching, WeightedBipartiteGraph,
+from bipmatch import (DualPrices, Infeasible, Matching, NotSquare, WeightedBipartiteGraph,
                       allowed_edges, max_cardinality_matching, optimal_edges, solve_exact,
                       solve_via_rounding)
 from bipmatch.allowed import _scc_labels
@@ -112,8 +112,8 @@ class TestOptimalEdges:
     @pytest.mark.parametrize("n, s", [(3, 2), (2, 3)])
     def test_unequal_sides_raise(self, n, s):
         g = WeightedBipartiteGraph(n, s, [(u, v, 0) for u in range(n) for v in range(s)])
-        with pytest.raises(Infeasible, match="^tight subgraph has no perfect matching; the "
-                           "supplied prices are not optimal for this instance$"):
+        with pytest.raises(NotSquare, match=f"^perfect matching needs equal sides, "
+                           f"got {n} and {s}$"):
             optimal_edges(g, DualPrices([0] * n, [0] * s))
 
     def test_equals_union_of_optimal_matchings(self):

@@ -194,8 +194,8 @@ class TestOptEdges:
 
     @pytest.mark.parametrize("verb", ["opt-edges", "enumerate"])
     def test_prices_on_unequal_sides_exit_1(self, capsys, tmp_path, verb):
-        # A 3x2 all-zero graph: Hopcroft-Karp covers the right side, and
-        # both verbs word the failure alike.
+        # A 3x2 all-zero graph: both verbs word the failure as they do
+        # without --prices, and as preallocate does.
         path = tmp_path / "tall.bip"
         path.write_text("p bip 3 2 6\n" + "".join(
             f"e {i} {j} 0\n" for i in range(1, 4) for j in range(1, 3)))
@@ -203,8 +203,7 @@ class TestOptEdges:
         prices.write_text(json.dumps({"den": 1, "pi": [0, 0, 0], "p": [0, 0]}))
         code, out, err = run(capsys, verb, str(path), "--prices", str(prices))
         assert (code, out) == (1, "")
-        assert err == ("infeasible: tight subgraph has no perfect matching; the supplied "
-                       "prices are not optimal for this instance\n")
+        assert err == "infeasible: perfect matching needs equal sides, got 3 and 2\n"
 
 
 class TestEnumerate:
@@ -281,6 +280,37 @@ class TestPreallocate:
                              "--prices", str(prices))
         assert (code, out) == (1, "")
         assert err == "infeasible: perfect matching needs equal sides, got 1 and 8\n"
+
+    def test_non_optimal_prices_exit_1(self, capsys, fig1_path, tmp_path):
+        # Feasible prices with every edge slack: worded as opt-edges and
+        # enumerate word them, not as an infeasible instance.
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text("f 1 1\n")
+        prices = tmp_path / "low.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-10, -10, -10], "p": [0, 0, 0]}))
+        code, out, err = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs),
+                             "--prices", str(prices))
+        assert (code, out) == (1, "")
+        assert err == ("infeasible: tight subgraph has no perfect matching; the supplied "
+                       "prices are not optimal for this instance\n")
+
+    def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
+                                                         tmp_path, hk_calls):
+        # The rounding's matching gives the optimal edges; supplied prices
+        # come without a matching, so Hopcroft-Karp runs once, and the
+        # answer is the same.
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text("f 1 2\n")
+        code, out, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs))
+        assert code == 0
+        assert hk_calls == []
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
+        code, with_prices, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs),
+                                   "--prices", str(prices))
+        assert code == 0
+        assert with_prices == out
+        assert len(hk_calls) == 1
 
     def test_unknown_preference_exit_2(self, capsys, fig1_path, tmp_path):
         prefs = tmp_path / "prefs.txt"

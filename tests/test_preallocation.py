@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bipmatch import (DualPrices, EdgeSet, Infeasible, ParseError, WeightedBipartiteGraph,
-                      parse_preferences, preallocate, solve_exact)
+                      optimal_edges, parse_preferences, preallocate, solve_exact)
 
 from conftest import M_STAR, brute_force_min_weight_pms, make_feasible_square
 
@@ -28,29 +28,34 @@ class TestParsePreferences:
 class TestPreallocate:
     def test_unsatisfiable_preference(self, fig1, fig1_p1):
         # the only optimal matching avoids u1v2 entirely
-        m = preallocate(fig1, fig1_p1, EdgeSet(fig1, [3]))
+        m = preallocate(optimal_edges(fig1, fig1_p1), EdgeSet(fig1, [3]))
         assert m.edge_indices == M_STAR
         assert len(set(m.edge_indices) & {3}) == 0
 
     def test_preference_breaks_tie(self):
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 5), (0, 1, 5), (1, 0, 5), (1, 1, 5)])
         prices = DualPrices([5, 5], [0, 0])
-        m = preallocate(g, prices, EdgeSet(g, [1]))  # prefer u0v1
+        m = preallocate(optimal_edges(g, prices), EdgeSet(g, [1]))  # prefer u0v1
         assert set(m.edge_indices) == {1, 2}
 
     def test_empty_preferences(self, fig1, fig1_p1):
-        m = preallocate(fig1, fig1_p1, EdgeSet(fig1, []))
+        m = preallocate(optimal_edges(fig1, fig1_p1), EdgeSet(fig1, []))
         assert m.edge_indices == M_STAR
 
     def test_suboptimal_prices_raise(self, fig1):
         low = DualPrices([-10, -10, -10], [0, 0, 0])
-        with pytest.raises(Infeasible):
-            preallocate(fig1, low, EdgeSet(fig1, []))
+        with pytest.raises(Infeasible, match="not optimal"):
+            preallocate(optimal_edges(fig1, low), EdgeSet(fig1, []))
+
+    def test_edges_without_perfect_matching_raise(self, fig1):
+        # u1v1 and u1v2 leave two left vertices with no edge.
+        with pytest.raises(Infeasible, match="no perfect matching"):
+            preallocate(EdgeSet(fig1, [0, 1]), EdgeSet(fig1, [0]))
 
     def test_wrong_graph_rejected(self, fig1, fig1_p1):
         other = WeightedBipartiteGraph(3, 3, list(fig1.edges))
         with pytest.raises(ValueError, match="different graph"):
-            preallocate(fig1, fig1_p1, EdgeSet(other, []))
+            preallocate(optimal_edges(fig1, fig1_p1), EdgeSet(other, []))
 
     def test_output_optimal_and_preference_maximal(self):
         rng = random.Random(31415)
@@ -59,7 +64,7 @@ class TestPreallocate:
             prices = solve_exact(g).prices
             prefs = EdgeSet(
                 g, rng.sample(range(g.edge_count), rng.randint(0, g.edge_count)))
-            m = preallocate(g, prices, prefs)
+            m = preallocate(optimal_edges(g, prices), prefs)
             optima = brute_force_min_weight_pms(g)
             assert m.weight() == optima[0].weight()
             best = max(len(set(opt.edge_indices) & set(prefs)) for opt in optima)
@@ -71,7 +76,7 @@ class TestPreallocate:
             g = make_feasible_square(rng, n_max=6)
             prices = solve_exact(g).prices
             prefs = EdgeSet(g, range(g.edge_count))  # prefer everything
-            m = preallocate(g, prices, prefs)
+            m = preallocate(optimal_edges(g, prices), prefs)
             union = set()
             for opt in brute_force_min_weight_pms(g):
                 union.update(opt.edge_indices)
