@@ -30,8 +30,12 @@ to what it touched -- the vertices it reached, the edges it scanned and
 its heap operations -- because the potential update and the reset of the
 search state visit the reached vertices only. The heap holds right
 vertices alone; each left vertex a search reaches is scanned once, when
-its mate settles. One O(n) pass at the end turns the stored potentials
-into prices. Both solvers read the graph's own edge columns.
+its mate settles. A search skips each relaxation beyond its bound, the
+least distance of a free right vertex it has reached (Jonker and
+Volgenant, 1987): it ends at a free vertex no farther than the bound, so
+a skipped entry could neither pop nor move a potential, and every output
+and count is as without it. One O(n) pass at the end turns the stored
+potentials into prices. Both solvers read the graph's own edge columns.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # the target distance only has to adjust the bases of the vertices its
     # search reached at a smaller distance.
     # Initial feasible potentials: row minimums absorb negative weights.
-    left_base = [min(wt[e] for e in left_edges(u)) for u in range(n)]
+    left_base = [min(map(wt.__getitem__, left_edges(u))) for u in range(n)]
     right_base = [0] * n
     offset = 0
     mate_left: list[int | None] = [None] * n
@@ -121,16 +125,20 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
         reached_left = [(source, 0)]  # (left vertex, distance) per scan
         touched_right: list[int] = []
         heap: list[tuple[int, int]] = []
+        bound = math.inf  # least distance of a free right vertex reached
         u, d = source, 0
         while True:
             # Scan u at distance d. Reduced costs are non-negative, so no
             # edge lowers the distance of a settled right vertex; the
             # matched edge, tight and back to the vertex that reached u,
-            # fails the same test.
+            # fails the same test. An entry beyond the bound would pop after
+            # the search ends and move no potential: skip it, keep ties.
             base = d - left_base[u]
             for e in left_edges(u):
                 v = right_of[e]
                 nd = base + wt[e] - right_base[v]
+                if nd > bound:
+                    continue
                 dv = dist_right[v]
                 if dv is None:
                     touched_right.append(v)
@@ -139,6 +147,8 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                 dist_right[v] = nd
                 reach_edge[v] = e
                 heappush(heap, (nd, v))
+                if mate_right[v] is None:
+                    bound = nd
             while heap:  # settle the nearest right vertex; skip stale entries
                 d, v = heappop(heap)
                 if d == dist_right[v]:

@@ -11,7 +11,10 @@ its larger side on the left, and pin that view, ``transforms._tall``;
 ``HOPCROFT_KARP_AS_GIVEN_DIGESTS`` pin the graphs as given.
 ``SOLVE_EXACT_DIGESTS`` pin the exact solver's matching, prices and work
 counts on square graphs of four weight families and on the three
-balanced reductions of unbalanced graphs. Print them again with
+balanced reductions of unbalanced graphs. ``SOLVE_EXACT_DENSE_DIGESTS``
+pin the same on complete graphs of three weight families, where a search
+reaches every right vertex at once; they were recorded before each search
+was bounded by its nearest free right vertex. Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -83,6 +86,17 @@ SOLVE_EXACT_DIGESTS = {
     5: "c08c9c8292c2a01abcaacfe1b1a94a2847b4e6bd936a741896c4680c1f0ec816",
     6: "2b25b6706fe799a146e8949410d76fbd4482384a1e344c22d269080d6cb79b6d",
     7: "9aaf59c4c10fcab7ba8351505f8edb5c0e49dac075ed89d772035e91107ce80f",
+}
+
+SOLVE_EXACT_DENSE_DIGESTS = {
+    0: "c3af41011e1087cb2b40052ba1513c33a788072474ac94c14a2a3a11a8745821",
+    1: "24988b4b46935dca2b2c39504ae4f91a3f0b3014a8f1efc38a3660271cef0baf",
+    2: "111067c56bf76931d3dc1f73bc7b90c01c6a8fc0cbdf861b7d68888676b0dc5f",
+    3: "469a6c4f8915a8101cfc869a1a8321003ad8684f02ded1ef0fc318f035ec8932",
+    4: "92479850241b28abd2af941f6029ee9f7f2d97848b8a60eb78fb914c3a524125",
+    5: "271d5d1edf27084d5fe1930080cf4501872dcd6ee8c8cced80e673e04b210a0f",
+    6: "c3a49771f107b6f933665436015ed31f52966c90c70b48ce8866bfb772538abf",
+    7: "fe509e579c4382f427823d77c898f1ca3b787e99a8fecccbb37da2f093b4bbd7",
 }
 
 
@@ -179,6 +193,25 @@ def enumeration_digests(seed: int, make=tie_graph) -> tuple[str, str]:
             _digest(m.edge_indices for m in optima))
 
 
+def complete_graph(seed: int, weigh) -> WeightedBipartiteGraph:
+    """Complete square graph, 20-60 per side, weights drawn by ``weigh``
+    and shuffled edge order."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    edges = [(u, v, weigh(rng)) for u in range(n) for v in range(n)]
+    rng.shuffle(edges)
+    return WeightedBipartiteGraph(n, n, edges)
+
+
+def _solve_exact_results(graphs) -> str:
+    results = []
+    for g in graphs:
+        r = solve_exact(g)
+        results.append((r.matching.edge_indices, r.prices.left_num, r.prices.right_num,
+                        r.prices.den, r.stats.phases, r.stats.iterations))
+    return _digest(results)
+
+
 def solve_exact_digest(seed: int) -> str:
     """Matching, prices and stats of ``solve_exact`` on the square graph of
     ``seed`` in each weight family, then on the doubled, half-doubled and
@@ -186,12 +219,15 @@ def solve_exact_digest(seed: int) -> str:
     graphs = [tie_graph(seed, weigh) for weigh in WEIGHT_FAMILIES]
     graphs += [reduce(unbalanced_graph(seed)).graph
                for reduce in (first_doubling, second_doubling, artificial_vertices)]
-    results = []
-    for g in graphs:
-        r = solve_exact(g)
-        results.append((r.matching.edge_indices, r.prices.left_num, r.prices.right_num,
-                        r.prices.den, r.stats.phases, r.stats.iterations))
-    return _digest(results)
+    return _solve_exact_results(graphs)
+
+
+def solve_exact_dense_digest(seed: int) -> str:
+    """Matching, prices and stats of ``solve_exact`` on the complete graph
+    of ``seed`` with weights in {0, 1, 2}, in [-50, 50] and in
+    [-2^40, 2^40]."""
+    return _solve_exact_results(complete_graph(seed, weigh)
+                                for weigh in (_tie_weight, *WEIGHT_FAMILIES[2:]))
 
 
 def _as_given(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
@@ -241,6 +277,11 @@ def test_solve_exact_pinned(seed):
     assert solve_exact_digest(seed) == SOLVE_EXACT_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(SOLVE_EXACT_DENSE_DIGESTS))
+def test_solve_exact_dense_pinned(seed):
+    assert solve_exact_dense_digest(seed) == SOLVE_EXACT_DENSE_DIGESTS[seed]
+
+
 if __name__ == "__main__":
     print("ENUMERATION_DIGESTS = {")
     for seed in sorted(ENUMERATION_DIGESTS):
@@ -259,4 +300,7 @@ if __name__ == "__main__":
     print("}\n\nSOLVE_EXACT_DIGESTS = {")
     for seed in sorted(SOLVE_EXACT_DIGESTS):
         print(f'    {seed}: "{solve_exact_digest(seed)}",')
+    print("}\n\nSOLVE_EXACT_DENSE_DIGESTS = {")
+    for seed in sorted(SOLVE_EXACT_DENSE_DIGESTS):
+        print(f'    {seed}: "{solve_exact_dense_digest(seed)}",')
     print("}")

@@ -69,6 +69,21 @@ class TestSolveExact:
             solve_exact(g)
         assert pushes == []
 
+    def test_search_stops_at_nearest_free_vertex(self, monkeypatch):
+        # Each row lists its weight-0 diagonal edge first, so every search
+        # reaches a free right vertex at distance 0 with its first push and
+        # skips the other n - 1 edges, at distance 1000: n pushes, not n^2.
+        pushes = []
+        monkeypatch.setattr(bipmatch.solvers, "heappush",
+                            lambda heap, item: pushes.append(item) or heappush(heap, item))
+        n = 30
+        g = WeightedBipartiteGraph(n, n, [(u, v, 0 if v == u else 1000) for u in range(n)
+                                          for v in sorted(range(n), key=lambda v: v != u)])
+        r = solve_exact(g)
+        assert len(pushes) == n
+        assert r.matching.weight() == 0
+        assert check_complementary_slackness(g, r.matching, r.prices)
+
     def test_infeasible_messages_match_auction(self):
         rng = random.Random(4242)
         infeasible = 0
