@@ -7,8 +7,8 @@ perfect matching problem on a modified graph:
 
 * "doubling" mirrors the graph with heavy link edges; works always.
 * "half-doubling" drops half the links; needs every task coverable.
-* "artificial" pads the task side with dummy tasks; same requirement,
-  cheapest when the imbalance is small.
+* "artificial" pads the task side with dummy tasks; same requirement;
+  use it only for a gap of a few vertices.
 """
 
 from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING,

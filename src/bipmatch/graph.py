@@ -177,7 +177,8 @@ class WeightedBipartiteGraph:
 
     def _edge_subset(self, edge_indices: Iterable[int] | None) -> tuple[int, ...]:
         """The distinct indices of an edge subset in increasing order; all
-        edges for None. Raises ValueError for an index outside the graph,
+        edges for None. Raises TypeError for an index that is not an int
+        (a bool or None included) and ValueError for one outside the graph,
         so a negative index never wraps round to another edge.
 
         An increasing input, such as an enumeration frame's subset, is
@@ -186,6 +187,9 @@ class WeightedBipartiteGraph:
         if edge_indices is None:
             return tuple(range(len(self._left_of)))
         subset = tuple(edge_indices)
+        if not set(map(type, subset)) <= {int}:
+            for e in subset:
+                _check_int(e, "edge index")
         if not all(map(lt, subset, subset[1:])):
             subset = tuple(sorted(set(subset)))
         if subset and (subset[0] < 0 or subset[-1] >= len(self._left_of)):

@@ -11,8 +11,8 @@ original graph:
 * half doubling: the same without the right-side links (link weight is a
   free constant k). Needs a matching covering the smaller side.
 * padding: add artificial right vertices joined to every left vertex at
-  constant cost k. Also needs a matching covering the smaller side, and
-  stays small when the imbalance is small.
+  constant cost k. Also needs a matching covering the smaller side; it
+  adds n*(n-s) edges, and nothing on a square graph.
 
 The reductions read a graph with its larger side on the left (``_tall``),
 so n >= s and "right side" means the smaller side; the parent of a
@@ -39,10 +39,6 @@ PADDING = "artificial"
 AUTO = "auto"
 
 STRATEGIES = (FULL_DOUBLING, HALF_DOUBLING, PADDING)
-
-# Imbalance ratio below which auto-selection prefers padding over half
-# doubling; a tuning default, not part of any contract.
-SMALL_IMBALANCE_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -155,20 +151,19 @@ def _covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
 
 def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     """Pick a transformation: full doubling when the smaller side cannot be
-    covered, padding for small imbalance, half doubling otherwise."""
+    covered, padding on a square graph, which it leaves as it is, and half
+    doubling on every other graph."""
     if not _covers_smaller_side(graph):
         return FULL_DOUBLING
-    s, n = sorted((graph.n_left, graph.n_right))
-    if (n - s) * SMALL_IMBALANCE_RATIO <= n:
-        return PADDING
-    return HALF_DOUBLING
+    return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
 
 
 def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
                        k: int) -> tuple[TransformedInstance, SolveResult]:
-    """Resolve AUTO, check that the strategy applies to the graph with at
-    most one maximum-cardinality matching run, transform, and solve the
-    balanced instance exactly."""
+    """Check k, resolve AUTO, check that the strategy applies to the graph
+    with at most one maximum-cardinality matching run, transform, and solve
+    the balanced instance exactly."""
+    _check_weight(k)
     if strategy == AUTO:
         # Picks a strategy that needs coverage only when coverage holds.
         strategy = choose_strategy(graph)

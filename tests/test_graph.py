@@ -319,6 +319,16 @@ class TestEdgeSet:
         with pytest.raises(ValueError):
             EdgeSet(fig1, [-1])
 
+    @pytest.mark.parametrize("kind", [Matching, EdgeSet])
+    def test_non_int_index_rejected(self, fig1, kind):
+        # A bool is not an edge index, and a missing edge's None is refused
+        # where the set is built, not when it is first read.
+        missing = fig1.edge_index(0, 2)
+        assert missing is None
+        for bad in (0.5, True, missing):
+            with pytest.raises(TypeError, match=f"^edge index must be an integer, got {bad}$"):
+                kind(fig1, [0, bad])
+
     def test_json_in_input_orientation(self):
         g = WeightedBipartiteGraph(2, 3, [(0, 2, 1), (1, 0, 1), (0, 0, 1)])
         assert EdgeSet(g, [0, 1, 2]).to_json() == {"edges": [[1, 1], [1, 3], [2, 1]]}

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, CoverageRequired,
-                      Matching, WeightedBipartiteGraph, artificial_vertices,
-                      choose_strategy, first_doubling, max_cardinality_matching,
-                      optimal_edges, optimal_edges_general, optimum_matching,
-                      restrict_back, second_doubling, solve_exact)
+from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
+                      CoverageRequired, Matching, WeightedBipartiteGraph,
+                      artificial_vertices, choose_strategy, first_doubling,
+                      max_cardinality_matching, optimal_edges,
+                      optimal_edges_general, optimum_matching, restrict_back,
+                      second_doubling, solve_exact)
 
 from conftest import (brute_force_optimum, brute_force_optimum_matchings,
                       make_any_graph, make_feasible_square)
@@ -218,6 +219,32 @@ class TestOptimumMatching:
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2)])
         assert choose_strategy(g) == FULL_DOUBLING
         assert optimum_matching(g, AUTO).cardinality == 1
+
+    def test_auto_pads_square_graphs_only(self):
+        square = make_feasible_square(random.Random(31), n_max=6)
+        tall = WeightedBipartiteGraph(9, 8, [(u, v, u + v) for u in range(9)
+                                             for v in range(8) if v in (u, u - 1)])
+        wide = WeightedBipartiteGraph(8, 9, [(v, u, w) for u, v, w in tall.edges])
+        uncovered = WeightedBipartiteGraph(9, 8, tall.edges[:-2])
+        assert max_cardinality_matching(tall).cardinality == 8
+        assert max_cardinality_matching(uncovered).cardinality == 7
+        assert choose_strategy(square) == PADDING
+        assert choose_strategy(tall) == choose_strategy(wide) == HALF_DOUBLING
+        assert choose_strategy(uncovered) == FULL_DOUBLING
+        for g in (square, tall, wide, uncovered):
+            chosen = optimum_matching(g, choose_strategy(g))
+            assert optimum_matching(g, AUTO).edge_indices == chosen.edge_indices
+
+    @pytest.mark.parametrize("strategy", STRATEGIES + (AUTO,))
+    @pytest.mark.parametrize("k, error", [(1.5, TypeError), (True, TypeError),
+                                          (2**41, ValueError)])
+    def test_k_checked_whatever_the_strategy(self, strategy, k, error):
+        coverable = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
+        uncoverable = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (2, 0, 3)])
+        for g in (coverable, uncoverable):
+            for run in (optimum_matching, optimal_edges_general):
+                with pytest.raises(error):
+                    run(g, strategy, k)
 
     @pytest.mark.parametrize("strategy, expected", [
         (AUTO, 1), (PADDING, 1), (HALF_DOUBLING, 1), (FULL_DOUBLING, 0)])
