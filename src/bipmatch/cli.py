@@ -1,7 +1,7 @@
 """Command-line front end.
 
-One verb per pipeline, JSON on stdout by default (deterministic: sorted
-keys, one object per line), diagnostics on stderr. Exit codes: 0 success,
+One verb per pipeline, JSON on stdout (deterministic: sorted keys, one
+object per line), diagnostics on stderr. Exit codes: 0 success,
 1 infeasible instance (or failed check), 2 bad input, 3 internal error.
 
     bipmatch solve instance.bip [--solver exact|auction|rounding]
@@ -10,7 +10,7 @@ keys, one object per line), diagnostics on stderr. Exit codes: 0 success,
     bipmatch opt-edges instance.bip [--prices prices.json]
     bipmatch enumerate instance.bip [--prices ...] [--limit N]
     bipmatch preallocate instance.bip --prefs prefs.txt [--prices ...]
-    bipmatch optimum instance.bip [--transform doubling|half-doubling|artificial|auto] [--k K]
+    bipmatch optimum instance.bip [--transform doubling|half-doubling|artificial|auto]
     bipmatch check instance.bip --matching result.json [--prices prices.json]
 """
 
@@ -26,8 +26,7 @@ from . import transforms
 from .allowed import optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings
 from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
-from .graph import (MAX_ABS_WEIGHT, Matching, WeightedBipartiteGraph, matching_from_json,
-                    parse_instance)
+from .graph import Matching, WeightedBipartiteGraph, matching_from_json, parse_instance
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, dual_objective, dual_violations, edge_slacks,
                      edge_with_slack, prices_from_json, prices_to_json)
@@ -55,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(verb, run, help_text):
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("instance", help="instance file (p bip / e lines)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
         p.set_defaults(run=run)
         return p
 
@@ -79,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform",
                    choices=transforms.STRATEGIES + (transforms.AUTO,),
                    default=transforms.AUTO)
-    p.add_argument("--k", type=int, default=0,
-                   help="free link/padding weight constant")
     p = add("check", _cmd_check,
             "validate a matching/prices pair as an optimality certificate")
     p.add_argument("--matching", required=True,
@@ -127,55 +123,35 @@ def _certificate(graph: WeightedBipartiteGraph,
     return result.prices, result.matching
 
 
-def _emit(payload: dict, fmt: str, text: Callable[[], str]) -> None:
-    """Print ``payload`` as JSON, or the line ``text`` builds, which only
-    the text format calls for."""
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text())
-
-
-def _matching_text(matching: Matching) -> str:
-    pairs = " ".join(f"({i},{j})" for i, j in
-                     matching.graph.original_pairs(matching.edge_indices))
-    return (f"cardinality {matching.cardinality}, weight {matching.weight()}: "
-            f"{pairs}" if pairs else
-            f"cardinality {matching.cardinality}, weight {matching.weight()}: (empty)")
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_solve(args) -> int:
     graph = _load_instance(args.instance)
     result = _SOLVERS[args.solver](graph)
-    _emit(result.to_json(), args.format,
-          lambda: _matching_text(result.matching)
-          + f"\ndual objective {dual_objective(result.prices)}")
+    _emit(result.to_json())
     return EXIT_OK
 
 
 def _cmd_duals(args) -> int:
     graph = _load_instance(args.instance)
     result = _SOLVERS[args.solver](graph)
-    _emit(prices_to_json(graph, result.prices), args.format,
-          lambda: f"dual objective {dual_objective(result.prices)} "
-          f"(denominator {result.prices.den})")
+    _emit(prices_to_json(graph, result.prices))
     return EXIT_OK
 
 
 def _cmd_gcs(args) -> int:
     graph = _load_instance(args.instance)
     prices, _ = _certificate(graph, args.prices)
-    payload = gcs_to_json(graph, prices)
-    _emit(payload, args.format,
-          lambda: f"{len(payload['edges'])} tight of {graph.edge_count} edges")
+    _emit(gcs_to_json(graph, prices))
     return EXIT_OK
 
 
 def _cmd_opt_edges(args) -> int:
     graph = _load_instance(args.instance)
     edges = optimal_edges(graph, *_certificate(graph, args.prices))
-    _emit(edges.to_json(), args.format,
-          lambda: f"{len(edges)} of {graph.edge_count} edges lie in some optimal matching")
+    _emit(edges.to_json())
     return EXIT_OK
 
 
@@ -203,7 +179,7 @@ def _cmd_enumerate(args) -> int:
         raise ParseError("--limit must be non-negative")
     graph = _load_instance(args.instance)
     matchings = iter_min_weight_perfect_matchings(graph, *_certificate(graph, args.prices))
-    render = _json_lines(graph) if args.format == "json" else _matching_text
+    render = _json_lines(graph)
     for matching in islice(matchings, args.limit):
         print(render(matching))
     return EXIT_OK
@@ -213,20 +189,15 @@ def _cmd_preallocate(args) -> int:
     graph = _load_instance(args.instance)
     prefs = parse_preferences(_read(args.prefs), graph)
     matching = preallocate(optimal_edges(graph, *_certificate(graph, args.prices)), prefs)
-    satisfied = sum(1 for e in matching if e in prefs)
     payload = matching.to_json()
-    payload["preferred"] = satisfied
-    _emit(payload, args.format,
-          lambda: _matching_text(matching) + f"\npreferred edges used: {satisfied}")
+    payload["preferred"] = sum(1 for e in matching if e in prefs)
+    _emit(payload)
     return EXIT_OK
 
 
 def _cmd_optimum(args) -> int:
-    if abs(args.k) > MAX_ABS_WEIGHT:
-        raise ParseError(f"--k {args.k} exceeds the weight bound {MAX_ABS_WEIGHT}")
     graph = _load_instance(args.instance)
-    matching = transforms.optimum_matching(graph, args.transform, args.k)
-    _emit(matching.to_json(), args.format, lambda: _matching_text(matching))
+    _emit(transforms.optimum_matching(graph, args.transform).to_json())
     return EXIT_OK
 
 
@@ -258,16 +229,13 @@ def _cmd_check(args) -> int:
     if loose is not None:
         named = edge_with_slack(graph, loose, slacks[loose], prices.den)
         problems.append(f"matched edge {named} is not tight")
-    ok = not problems
-    payload = {
-        "valid": ok,
+    _emit({
+        "valid": not problems,
         "problems": problems,
         "weight": matching.weight(),
         "dual_objective": str(dual_objective(prices)),
-    }
-    _emit(payload, args.format,
-          lambda: "certificate valid" if ok else "certificate INVALID: " + "; ".join(problems))
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+    })
+    return EXIT_INFEASIBLE if problems else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import repeat
-from operator import add, lt, mul
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -181,8 +181,8 @@ class WeightedBipartiteGraph:
         (a bool or None included) and ValueError for one outside the graph,
         so a negative index never wraps round to another edge.
 
-        An increasing input, such as an enumeration frame's subset, is
-        kept in its order after one comparison pass; any other is sorted.
+        Every input is sorted: on an increasing one, sorting costs about
+        what a pass checking its order would.
         """
         if edge_indices is None:
             return tuple(range(len(self._left_of)))
@@ -190,8 +190,7 @@ class WeightedBipartiteGraph:
         if not set(map(type, subset)) <= {int}:
             for e in subset:
                 _check_int(e, "edge index")
-        if not all(map(lt, subset, subset[1:])):
-            subset = tuple(sorted(set(subset)))
+        subset = tuple(sorted(set(subset)))
         if subset and (subset[0] < 0 or subset[-1] >= len(self._left_of)):
             bad = subset[0] if subset[0] < 0 else subset[-1]
             raise ValueError(f"edge index {bad} out of range")
@@ -345,7 +344,7 @@ def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
     pairs = data.get("edges") if isinstance(data, dict) else None
     if not isinstance(pairs, (list, tuple)):
         raise ParseError("matching JSON must contain an 'edges' list")
-    indices = []
+    indices: set[int] = set()
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(label) is int for label in pair)):
@@ -354,7 +353,9 @@ def matching_from_json(graph: WeightedBipartiteGraph, data: dict) -> Matching:
         e = graph.original_edge_index(i, j)
         if e is None:
             raise ParseError(f"matching references unknown edge ({i}, {j})")
-        indices.append(e)
+        if e in indices:
+            raise ParseError(f"matching lists edge ({i}, {j}) twice")
+        indices.add(e)
     try:
         return Matching(graph, indices)
     except ValueError as exc:  # two edges share a vertex

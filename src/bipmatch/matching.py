@@ -17,8 +17,7 @@ Each later phase starts from the list of left vertices still free, in
 index order, and resets only the layers its own search set, so a phase
 costs what it visits rather than the number of left vertices. Edge
 endpoints are read from the graph's flat per-edge columns, and a subset
-given in increasing order, as the tight subgraph gives its edges, is
-taken without sorting it again (``_edge_subset``).
+is taken in increasing index order (``_edge_subset`` sorts it).
 """
 
 from __future__ import annotations

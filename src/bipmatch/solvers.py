@@ -232,13 +232,11 @@ def solve_auction(graph: WeightedBipartiteGraph,
     _require_square(graph)
     n = graph.n_left
     stats = SolveStats()
-    if n == 0:
-        return SolveResult(Matching(graph, []), DualPrices([], [], n + 1), stats)
     # A vertex without edges would let the bidding run long before the
     # bound fires, and a lone-option bid adds ``big``, so its prices say
     # nothing about feasibility: check once up front instead.
     _refuse_isolated_vertex(graph)
-    check_first = min(map(len, graph._adj_left)) < 2
+    check_first = min(map(len, graph._adj_left), default=2) < 2
     if check_first:
         _perfect_matching(graph)
 

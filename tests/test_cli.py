@@ -1,4 +1,4 @@
-"""End-to-end command-line behavior: verbs, formats, exit codes."""
+"""End-to-end command-line behavior: verbs, JSON output, exit codes."""
 
 import json
 import sys
@@ -12,6 +12,7 @@ from bipmatch.cli import main
 from conftest import FIG1_TEXT
 
 TIES_PATH = str(Path(__file__).parent / "golden" / "ties.bip")
+WIDE_PATH = str(Path(__file__).parent / "golden" / "wide.bip")
 SWAPPED_PATH = str(Path(__file__).parent / "golden" / "swapped.bip")
 
 INFEASIBLE_TEXT = """\
@@ -57,27 +58,6 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", fig1_path, "--solver", solver)
         assert code == 0
         assert json.loads(out)["matching"]["weight"] == 3
-
-    def test_solve_text_format(self, capsys, fig1_path):
-        code, out, _ = run(capsys, "solve", fig1_path, "--format", "text")
-        assert code == 0
-        assert "weight 3" in out
-
-    @pytest.mark.parametrize("argv", [["solve"], ["duals"], ["optimum"],
-                                      ["preallocate", "--prefs", "{prefs}"]],
-                             ids=lambda argv: argv[0])
-    def test_json_builds_no_text(self, capsys, monkeypatch, fig1_path, tmp_path, argv):
-        prefs = tmp_path / "prefs.txt"
-        prefs.write_text("f 1 1\n")
-
-        def refuse(*args):
-            raise AssertionError("text output built for --format json")
-        monkeypatch.setattr(bipmatch.cli, "_matching_text", refuse)
-        monkeypatch.setattr(bipmatch.cli, "dual_objective", refuse)
-        code, out, _ = run(capsys, argv[0], fig1_path,
-                           *[a.format(prefs=prefs) for a in argv[1:]])
-        assert code == 0
-        json.loads(out)
 
     def test_deterministic_output(self, capsys, fig1_path):
         outs = {run(capsys, "solve", fig1_path)[1] for _ in range(3)}
@@ -347,15 +327,6 @@ class TestOptimum:
         assert payload["weight"] == 3
         assert payload["edges"] == [[2, 1]]
 
-    def test_k_flag(self, capsys, tmp_path):
-        path = tmp_path / "wide.bip"
-        path.write_text(WIDE_TEXT)
-        for k in ("-3", "0", "7"):
-            code, out, _ = run(capsys, "optimum", str(path),
-                               "--transform", "half-doubling", "--k", k)
-            assert code == 0
-            assert json.loads(out)["weight"] == 3
-
     def test_coverage_required_exit_1(self, capsys, tmp_path):
         path = tmp_path / "uncov.bip"
         path.write_text("p bip 2 2 2\ne 1 1 1\ne 2 1 2\n")
@@ -431,9 +402,6 @@ class TestCheck:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert json.loads(out)["problems"] == problems
-        code, out, _ = run(capsys, *argv, "--format", "text")
-        assert code == 1
-        assert out == "certificate INVALID: " + "; ".join(problems) + "\n"
 
     def test_bool_denominator_exit_2(self, capsys, fig1_path, tmp_path):
         matching = tmp_path / "m.json"
@@ -543,14 +511,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "line 1: a side of 1099511627776 vertices exceeds both" in err
 
-    def test_k_beyond_weight_bound_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "wide.bip"
-        path.write_text(WIDE_TEXT)
-        code, out, err = run(capsys, "optimum", str(path), "--transform", "artificial",
-                             "--k", str(2**40 + 1))
-        assert code == 2
-        assert out == ""
-        assert "--k" in err
+    @pytest.mark.parametrize("argv", [
+        ["solve", "FIG1", "--format", "json"],
+        ["solve", "FIG1", "--format", "text"],
+        ["optimum", WIDE_PATH, "--k", "0"],
+    ], ids=["format-json", "format-text", "k"])
+    def test_removed_option_exit_2(self, capsys, fig1_path, argv):
+        # Output is JSON only, and optimum has no free weight constant.
+        code, out, err = run(capsys, *[fig1_path if a == "FIG1" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
     def test_edges_not_a_list_exit_2(self, capsys, fig1_path, tmp_path):
         code, out, err = self._check(capsys, fig1_path, tmp_path, {"edges": 7})
@@ -568,11 +538,11 @@ class TestExitCodes:
         assert out == ""
         assert f"{clash} shares a vertex" in err
 
-    def test_same_edge_listed_twice_is_one_edge(self, capsys, fig1_path, tmp_path):
-        code, out, _ = self._check(capsys, fig1_path, tmp_path,
-                                   {"edges": [[1, 1], [2, 2], [3, 3], [2, 2]]})
-        assert code == 0
-        assert json.loads(out)["valid"] is True
+    def test_same_edge_listed_twice_exit_2(self, capsys, fig1_path, tmp_path):
+        code, out, err = self._check(capsys, fig1_path, tmp_path,
+                                     {"edges": [[1, 1], [2, 2], [3, 3], [2, 2]]})
+        assert (code, out) == (2, "")
+        assert "error: matching lists edge (2, 2) twice" in err
 
     @pytest.mark.parametrize("prices_text", [
         # Python refuses integers over 4300 digits with a plain ValueError.

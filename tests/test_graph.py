@@ -299,6 +299,12 @@ class TestMatching:
         with pytest.raises(ParseError, match="unknown edge"):
             matching_from_json(fig1, {"edges": [[1, 3]]})
 
+    def test_json_edge_listed_twice(self):
+        # A repeat is a malformed file, not one edge.
+        g = WeightedBipartiteGraph(1, 1, [(0, 0, 5)])
+        with pytest.raises(ParseError, match=r"^matching lists edge \(1, 1\) twice$"):
+            matching_from_json(g, {"edges": [[1, 1], [1, 1]]})
+
 
 class TestEdgeSet:
     def test_sorted_distinct_indices(self, fig1):

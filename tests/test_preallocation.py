@@ -24,6 +24,11 @@ class TestParsePreferences:
         with pytest.raises(ParseError, match="malformed"):
             parse_preferences("f 1\n", fig1)
 
+    def test_non_integer_field(self, fig1):
+        with pytest.raises(ParseError) as err:
+            parse_preferences("f 1 x\n", fig1)
+        assert str(err.value) == "line 1: non-integer preference field in 'f 1 x'"
+
 
 class TestPreallocate:
     def test_unsatisfiable_preference(self, fig1, fig1_p1):

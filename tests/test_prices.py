@@ -53,6 +53,20 @@ class TestDualPrices:
         with pytest.raises(TypeError, match="got bool"):
             call(fig1, Matching(fig1, M_STAR), fig1_p1)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda g, p: DualPrices.from_values([Fraction(1, 3)], [0], den=2),
+         ValueError, "price 1/3 not representable with denominator 2"),
+        (lambda g, p: prices_from_json(g, {"den": 1, "pi": [0, 0]}),
+         ParseError, "price JSON must contain 'den', 'pi', 'p': 'p'"),
+        (lambda g, p: check_eps_optimal(g, Matching(WeightedBipartiteGraph(
+            1, 1, [(0, 0, 0)]), [0]), p, 0),
+         ValueError, "matching belongs to a different graph"),
+    ], ids=["from_values", "prices_from_json", "check_eps_optimal"])
+    def test_error_messages(self, fig1, fig1_p1, call, error, message):
+        with pytest.raises(error) as err:
+            call(fig1, fig1_p1)
+        assert str(err.value) == message
+
     def test_bool_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator"):
             DualPrices([1], [2], True)

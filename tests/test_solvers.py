@@ -177,6 +177,15 @@ class TestSolveAuction:
         with pytest.raises(ValueError):
             solve_auction(fig1, 0)
 
+    @pytest.mark.parametrize("eps_final, error", [
+        (0, ValueError), (-1, ValueError), (0.5, TypeError), ("x", TypeError),
+        (True, TypeError)])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_eps_final_checked_on_every_graph(self, n, eps_final, error):
+        g = WeightedBipartiteGraph(n, n, [(0, 0, 1)] if n else [])
+        with pytest.raises(error, match="eps_final"):
+            solve_auction(g, eps_final)
+
     def test_infeasible(self):
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 1)])
         with pytest.raises(Infeasible):
