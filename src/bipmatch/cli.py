@@ -113,13 +113,15 @@ def _load_prices(graph: WeightedBipartiteGraph, path: str) -> DualPrices:
 
 def _certificate(graph: WeightedBipartiteGraph,
                  path: str | None) -> tuple[DualPrices, Matching | None]:
-    """The prices in ``path``, with no matching, or else the rounding's
-    optimal prices with its perfect matching, which they hold tight and
-    which spares ``opt-edges``, ``enumerate`` and ``preallocate`` a
-    matching search."""
+    """The prices in ``path``, with no matching, or else the warm-started
+    exact solver's optimal prices with its perfect matching, which they
+    hold tight and which spares ``opt-edges``, ``enumerate`` and
+    ``preallocate`` a matching search. Those verbs print what every
+    optimal certificate gives, so which solver computes it is a matter of
+    speed alone."""
     if path is not None:
         return _load_prices(graph, path), None
-    result = solve_via_rounding(graph)
+    result = solve_exact(graph, warm=True)
     return result.prices, result.matching
 
 
@@ -143,7 +145,12 @@ def _cmd_duals(args) -> int:
 
 def _cmd_gcs(args) -> int:
     graph = _load_instance(args.instance)
-    prices, _ = _certificate(graph, args.prices)
+    # The printed slacks depend on the certificate: computed ones come from
+    # the rounding, whatever ``_certificate`` uses.
+    if args.prices is None:
+        prices = solve_via_rounding(graph).prices
+    else:
+        prices = _load_prices(graph, args.prices)
     _emit(gcs_to_json(graph, prices))
     return EXIT_OK
 

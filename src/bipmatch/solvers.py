@@ -15,27 +15,39 @@ Two independent routes to an optimal primal-dual pair:
   the price-rounding step, which restores an exact optimality certificate
   without touching the matching.
 
-Both solvers start with one O(m) pass that looks for a vertex without
-edges and, on finding one, let Hopcroft-Karp word the Infeasible message
-before any search or bid. Past that pass, ``solve_exact`` is its own
-feasibility check: a search that empties its heap proves there is no
-perfect matching. On an infeasible instance the auction's prices would
-rise forever, so ``solve_auction`` runs Hopcroft-Karp once: up front when
-some left vertex has one edge, otherwise only if a price passes the bound
-its docstring states. A feasible instance rarely reaches the bound and
-then runs none.
+``solve_exact`` has two starts, one loop. Both starts take the row
+minimums as left potentials, so every reduced cost is non-negative. The
+cold start, the default, keeps every right potential at 0 and the matching
+empty, and searches from every left vertex in index order. The warm start
+(``warm=True``; Jonker and Volgenant, 1987) also raises each right
+potential to the least reduced cost into its vertex, runs Hopcroft-Karp
+once on the edges then tight, and searches only from the left vertices
+that run leaves free. Either way every matched edge is tight and every
+reduced cost non-negative when the searches begin, which is all the search
+loop relies on.
 
-Cost of the exact solver: each of the n searches costs time proportional
-to what it touched -- the vertices it reached, the edges it scanned and
-its heap operations -- because the potential update and the reset of the
-search state visit the reached vertices only. The heap holds right
-vertices alone; each left vertex a search reaches is scanned once, when
-its mate settles. A search skips each relaxation beyond its bound, the
-least distance of a free right vertex it has reached (Jonker and
-Volgenant, 1987): it ends at a free vertex no farther than the bound, so
-a skipped entry could neither pop nor move a potential, and every output
-and count is as without it. One O(n) pass at the end turns the stored
-potentials into prices. Both solvers read the graph's own edge columns.
+Both solvers, under either start, begin with one O(m) pass that looks for
+a vertex without edges and, on finding one, let Hopcroft-Karp word the
+Infeasible message before any search, matching or bid. Past that pass,
+``solve_exact`` is its own feasibility check: when a perfect matching
+exists, an augmenting path starts at every free left vertex, so a search
+that empties its heap proves there is none. On an infeasible instance the
+auction's prices would rise forever, so ``solve_auction`` runs
+Hopcroft-Karp once: up front when some left vertex has one edge, otherwise
+only if a price passes the bound its docstring states. A feasible instance
+rarely reaches the bound and then runs none.
+
+Cost of the exact solver: each search costs time proportional to what it
+touched -- the vertices it reached, the edges it scanned and its heap
+operations -- because the potential update and the reset of the search
+state visit the reached vertices only. The heap holds right vertices
+alone; each left vertex a search reaches is scanned once, when its mate
+settles. A search skips each relaxation beyond its bound, the least
+distance of a free right vertex it has reached (Jonker and Volgenant,
+1987): it ends at a free vertex no farther than the bound, so a skipped
+entry could neither pop nor move a potential, and every output and count
+is as without it. One O(n) pass at the end turns the stored potentials
+into prices. Both solvers read the graph's own edge columns.
 """
 
 from __future__ import annotations
@@ -45,16 +57,19 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import count
 
 from .graph import Matching, WeightedBipartiteGraph
-from .matching import _perfect_matching, _require_square
+from .matching import _perfect_matching, _require_square, max_cardinality_matching
 from .prices import DualPrices, RationalLike, _as_fraction, prices_to_json, round_to_optimal
 
 
 @dataclass
 class SolveStats:
     """Coarse work counters: scaling phases and primitive iterations
-    (augmentations for the exact solver, bids for the auction)."""
+    (augmenting path searches for the exact solver, bids for the auction).
+    The exact solver's cold start searches once per left vertex, its warm
+    start once per left vertex its Hopcroft-Karp run leaves free."""
 
     phases: int = 0
     iterations: int = 0
@@ -82,13 +97,22 @@ def _refuse_isolated_vertex(graph: WeightedBipartiteGraph) -> None:
         _perfect_matching(graph)
 
 
-def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
+def solve_exact(graph: WeightedBipartiteGraph, warm: bool = False) -> SolveResult:
     """Minimum-weight perfect matching with integral optimal prices.
 
     Successive shortest paths: potentials keep every reduced cost
     non-negative, each Dijkstra pass augments the matching by one edge and
     shifts the potentials so the new matched edges are exactly tight. The
     returned pair always satisfies the complementary-slackness checker.
+
+    The cold start (the default) begins with the empty matching and
+    searches from every left vertex in index order. The warm start
+    (``warm=True``, after Jonker and Volgenant, 1987) also raises each
+    right potential to the least reduced cost into it and takes a maximum
+    matching of the edges then tight, from one Hopcroft-Karp run; it
+    searches only from the left vertices that run leaves free. Both give
+    an optimal pair of the same weight, but where optima tie they may give
+    different matchings and prices.
 
     Raises NotSquare for unequal sides and Infeasible when no perfect
     matching exists.
@@ -114,6 +138,22 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     offset = 0
     mate_left: list[int | None] = [None] * n
     mate_right: list[int | None] = [None] * n
+    if warm:
+        # Column pass: every right potential rises to the least reduced
+        # cost into its vertex (finite: no vertex is isolated), so every
+        # reduced cost stays non-negative and each right vertex gains a
+        # tight edge. A maximum matching of the tight edges is tight, as
+        # the loop below requires of its matching.
+        reduced = [w - left_base[u] for w, u in zip(wt, left_of)]
+        right_base = [math.inf] * n
+        for r, v in zip(reduced, right_of):
+            if r < right_base[v]:
+                right_base[v] = r
+        tight = [e for e, r, v in zip(count(), reduced, right_of) if r == right_base[v]]
+        mate_left = list(max_cardinality_matching(graph, tight)._mate_left)
+        for e in mate_left:
+            if e is not None:
+                mate_right[right_of[e]] = e
 
     # Search state, allocated once. Each pass resets exactly the entries it
     # touched; reach_edge needs no reset, since an augmenting path only
@@ -121,7 +161,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     dist_right: list[int | None] = [None] * n
     reach_edge: list[int] = [-1] * n  # edge that reached each right vertex
 
-    for source in range(n):
+    for source in [u for u in range(n) if mate_left[u] is None]:
         reached_left = [(source, 0)]  # (left vertex, distance) per scan
         touched_right: list[int] = []
         heap: list[tuple[int, int]] = []

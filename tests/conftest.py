@@ -9,6 +9,7 @@ import pytest
 
 import bipmatch.enumeration
 import bipmatch.matching
+import bipmatch.solvers
 import bipmatch.transforms
 from bipmatch import (DualPrices, Matching, WeightedBipartiteGraph, check_eps_optimal,
                       max_cardinality_matching)
@@ -51,15 +52,17 @@ def fig1_p2():
 def hk_calls(monkeypatch):
     """Hopcroft-Karp runs made while the test runs, one list entry per run:
     those through ``matching._perfect_matching`` (the solvers, the
-    allowed-edge filter and the tight-subgraph entry), the transforms'
-    coverage checks and ``iter_perfect_matchings``' root."""
+    allowed-edge filter and the tight-subgraph entry), the warm start of
+    ``solve_exact``, the transforms' coverage checks and
+    ``iter_perfect_matchings``' root."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return max_cardinality_matching(*args, **kwargs)
 
-    for module in (bipmatch.matching, bipmatch.transforms, bipmatch.enumeration):
+    for module in (bipmatch.matching, bipmatch.solvers, bipmatch.transforms,
+                   bipmatch.enumeration):
         monkeypatch.setattr(module, "max_cardinality_matching", counting)
     return calls
 

@@ -5,7 +5,9 @@ its counts off their arguments and results: ``build_gcs(...).edge_count``,
 ``len(optimal_edges(...))``, the solvers' stats and the chosen strategy.
 This test runs every verb the benchmark runs through ``cli.main`` under
 that tracer, so a renamed function or attribute fails here as well as in
-``python3 bench/run.py --selftest``. The tracer file is only read.
+``python3 bench/run.py --selftest``. No benchmark verb reaches the auction,
+so ``solve --solver rounding`` runs too, for the auction's counts. The
+tracer file is only read.
 """
 
 import contextlib
@@ -35,6 +37,7 @@ def test_every_bench_verb_records_its_counts(tmp_path):
     solved = tmp_path / "solved.json"
     runs = [
         ("solve", ["solve", ties], 0),
+        ("solve", ["solve", ties, "--solver", "rounding"], 0),
         ("check", ["check", ties, "--matching", str(solved)], 0),
         ("opt-edges", ["opt-edges", ties], 0),
         ("preallocate", ["preallocate", ties, "--prefs", str(GOLDEN / "ties.prefs")], 0),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bipmatch.cli
+import bipmatch.solvers
 from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
@@ -160,11 +161,13 @@ class TestOptEdges:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The solver's matching is tight under its prices, so only the
-        # SCC pass runs; supplied prices come without a matching.
+        # The warm start's one Hopcroft-Karp run is the only one: its
+        # matching is tight under its prices, so only the SCC pass follows.
+        # Supplied prices come without a matching.
         code, out, _ = run(capsys, "opt-edges", fig1_path)
         assert code == 0
-        assert hk_calls == []
+        assert len(hk_calls) == 1
+        hk_calls.clear()
         prices = tmp_path / "prices.json"
         prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
         code, with_prices, _ = run(capsys, "opt-edges", fig1_path, "--prices", str(prices))
@@ -222,11 +225,13 @@ class TestEnumerate:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The rounding's matching roots the search; supplied prices come
-        # without a matching, so the root runs Hopcroft-Karp once.
+        # The certificate's matching roots the search, so the warm start's
+        # run is the only one; supplied prices come without a matching, so
+        # the root runs Hopcroft-Karp once.
         code, out, _ = run(capsys, "enumerate", fig1_path)
         assert code == 0
-        assert hk_calls == []
+        assert len(hk_calls) == 1
+        hk_calls.clear()
         prices = tmp_path / "prices.json"
         prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
         code, with_prices, _ = run(capsys, "enumerate", fig1_path, "--prices", str(prices))
@@ -276,14 +281,15 @@ class TestPreallocate:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The rounding's matching gives the optimal edges; supplied prices
-        # come without a matching, so Hopcroft-Karp runs once, and the
-        # answer is the same.
+        # The certificate's matching gives the optimal edges, so the warm
+        # start's run is the only one; supplied prices come without a
+        # matching, so Hopcroft-Karp runs once, and the answer is the same.
         prefs = tmp_path / "prefs.txt"
         prefs.write_text("f 1 2\n")
         code, out, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs))
         assert code == 0
-        assert hk_calls == []
+        assert len(hk_calls) == 1
+        hk_calls.clear()
         prices = tmp_path / "prices.json"
         prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
         code, with_prices, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs),
@@ -312,6 +318,41 @@ class TestPreallocate:
         assert code == 2
         assert out == ""
         assert "unknown edge" in err
+
+
+class TestHallViolator:
+    """A 200x200 graph with no perfect matching, no isolated vertex and no
+    left vertex of degree 1: left 1 sees right 1 and 200, left 2 sees
+    right 198-199, and lefts 3-200 see only rights 1-197."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        pairs = [(1, 1), (1, 200), (2, 198), (2, 199)]
+        pairs += [(i, j) for i in range(3, 201) for j in range(1, 198)]
+        path = tmp_path / "hall.bip"
+        path.write_text(f"p bip 200 200 {len(pairs)}\n"
+                        + "".join(f"e {i} {j} 0\n" for i, j in pairs))
+        return str(path)
+
+    def test_certificate_verbs_refuse_without_the_auction(self, capsys, monkeypatch,
+                                                          tmp_path, instance):
+        # The certificate's exact search proves infeasibility itself; the
+        # auction would only reach its Hopcroft-Karp check once a price
+        # passes its bound.
+        code, out, err = run(capsys, "solve", instance)
+        assert (code, out) == (1, "")
+        assert err == ("infeasible: no perfect matching: maximum cardinality is 199 of "
+                       "200; vertices u200 and v199 stay uncovered\n")
+
+        def no_auction(*args, **kwargs):
+            raise AssertionError("solve_auction was called")
+
+        monkeypatch.setattr(bipmatch.solvers, "solve_auction", no_auction)
+        prefs = tmp_path / "prefs.txt"
+        prefs.write_text("f 1 1\n")
+        for argv in (["opt-edges", instance], ["enumerate", instance],
+                     ["preallocate", instance, "--prefs", str(prefs)]):
+            assert run(capsys, *argv) == (1, "", err), argv
 
 
 class TestOptimum:

@@ -1,5 +1,8 @@
 """Property tests for both solvers: certificates check out in exact
-integers and the optimum weight agrees with scipy's assignment solver."""
+integers and the optimum weight agrees with scipy's assignment solver.
+The exact solver's warm start gives the cold start's optimum weight, with
+its own valid certificate, and refuses an infeasible graph in the same
+words."""
 
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bipmatch import (MAX_ABS_WEIGHT, WeightedBipartiteGraph,  # noqa: E402
+from bipmatch import (MAX_ABS_WEIGHT, Infeasible, WeightedBipartiteGraph,  # noqa: E402
                       check_complementary_slackness, check_eps_optimal,
                       solve_auction, solve_exact, solve_via_rounding)
 
@@ -27,12 +30,15 @@ WEIGHTS = {
 
 
 @st.composite
-def feasible_squares(draw, weights, max_n=6):
-    """A square graph with a hidden perfect matching, extra edges and a
-    shuffled edge order (the order decides ties)."""
+def squares(draw, weights, max_n=6, feasible=True):
+    """A square graph with extra edges and a shuffled edge order (the order
+    decides ties). It hides a perfect matching when ``feasible`` is set and
+    otherwise need not have one."""
     n = draw(st.integers(0, max_n))
-    perm = draw(st.permutations(range(n)))
-    cells = {(u, perm[u]) for u in range(n)}
+    cells = set()
+    if feasible:
+        perm = draw(st.permutations(range(n)))
+        cells = {(u, perm[u]) for u in range(n)}
     if n:
         cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         cells |= draw(st.sets(cell, max_size=n * n))
@@ -64,6 +70,24 @@ def check_exact(graph: WeightedBipartiteGraph) -> None:
     assert r.stats.iterations == graph.n_left
 
 
+def check_warm_against_cold(graph: WeightedBipartiteGraph) -> None:
+    """Both starts of ``solve_exact`` agree on the optimum weight, each
+    with a valid integral certificate, or raise the same Infeasible."""
+    try:
+        cold = solve_exact(graph)
+    except Infeasible as refused:
+        with pytest.raises(Infeasible) as warm_refused:
+            solve_exact(graph, warm=True)
+        assert str(warm_refused.value) == str(refused)
+        return
+    warm = solve_exact(graph, warm=True)
+    assert warm.matching.is_perfect
+    assert warm.prices.den == 1
+    assert check_complementary_slackness(graph, warm.matching, warm.prices)
+    assert warm.matching.weight() == cold.matching.weight()
+    assert warm.stats.iterations <= graph.n_left
+
+
 def check_auction_and_rounding(graph: WeightedBipartiteGraph) -> None:
     n = graph.n_left
     approx = solve_auction(graph)
@@ -84,6 +108,14 @@ SMALLEST = [
     WeightedBipartiteGraph(1, 1, [(0, 0, -MAX_ABS_WEIGHT)]),
     WeightedBipartiteGraph(1, 1, [(0, 0, MAX_ABS_WEIGHT)]),
 ]
+# Infeasible squares without an isolated vertex, which both starts must
+# refuse after their searches rather than up front.
+SMALLEST_INFEASIBLE = [
+    WeightedBipartiteGraph(3, 3, [(0, 0, MAX_ABS_WEIGHT), (1, 0, -MAX_ABS_WEIGHT),
+                                  (2, 0, 0), (2, 1, 1), (2, 2, 2)]),
+    WeightedBipartiteGraph(4, 4, [(u, v, (u + v) % 3) for u in range(3) for v in range(2)]
+                           + [(3, v, 0) for v in range(4)]),
+]
 KINDS = pytest.mark.parametrize("kind", sorted(WEIGHTS))
 RANDOM = settings(deadline=None, max_examples=60)
 
@@ -91,18 +123,34 @@ RANDOM = settings(deadline=None, max_examples=60)
 @pytest.mark.parametrize("graph", SMALLEST, ids=["empty", "zero", "min", "max"])
 def test_smallest_instances(graph):
     check_exact(graph)
+    check_warm_against_cold(graph)
     check_auction_and_rounding(graph)
+
+
+@pytest.mark.parametrize("graph", SMALLEST_INFEASIBLE, ids=["3x3", "4x4"])
+def test_smallest_infeasible_instances(graph):
+    with pytest.raises(Infeasible):
+        solve_exact(graph)
+    check_warm_against_cold(graph)
 
 
 @KINDS
 @RANDOM
 @given(data=st.data())
 def test_exact(kind, data):
-    check_exact(data.draw(feasible_squares(WEIGHTS[kind])))
+    check_exact(data.draw(squares(WEIGHTS[kind])))
 
 
 @KINDS
 @RANDOM
 @given(data=st.data())
 def test_auction_and_rounding(kind, data):
-    check_auction_and_rounding(data.draw(feasible_squares(WEIGHTS[kind])))
+    check_auction_and_rounding(data.draw(squares(WEIGHTS[kind])))
+
+
+@KINDS
+@RANDOM
+@given(data=st.data())
+def test_warm_start_matches_cold_start(kind, data):
+    feasible = data.draw(st.booleans())
+    check_warm_against_cold(data.draw(squares(WEIGHTS[kind], feasible=feasible)))

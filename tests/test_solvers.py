@@ -106,6 +106,41 @@ class TestSolveExact:
         solve_exact(fig1)
         assert hk_calls == []
 
+    def test_warm_start_fig1(self, hk_calls, fig1):
+        # Row minimums (1, 1, 1) and column pass (0, 0, 0) leave the edges of
+        # weight 1 tight; they hold the optimum, so no search runs.
+        r = solve_exact(fig1, warm=True)
+        assert r.matching.edge_indices == M_STAR
+        assert check_complementary_slackness(fig1, r.matching, r.prices)
+        assert r.stats.iterations == 0
+        assert len(hk_calls) == 1
+
+    def test_warm_start_searches_from_free_vertices_only(self):
+        # Weight 0 on left vertex 1's edges and on right vertex 1's, 1
+        # elsewhere: both passes leave exactly those edges tight, which
+        # match two pairs, so n - 2 searches remain.
+        n = 6
+        g = WeightedBipartiteGraph(n, n, [(u, v, 0 if 0 in (u, v) else 1)
+                                          for u in range(n) for v in range(n)])
+        r = solve_exact(g, warm=True)
+        cold = solve_exact(g)
+        assert (r.stats.iterations, cold.stats.iterations) == (n - 2, n)
+        assert r.matching.weight() == cold.matching.weight() == n - 2
+        assert check_complementary_slackness(g, r.matching, r.prices)
+
+    def test_warm_start_refuses_in_the_same_words(self, hk_calls):
+        # No isolated vertex, so both starts search; the warm one runs
+        # Hopcroft-Karp on its tight edges and again to word the refusal.
+        g = WeightedBipartiteGraph(3, 3, [(0, 0, 5), (1, 0, -5), (2, 0, 0),
+                                          (2, 1, 1), (2, 2, 2)])
+        with pytest.raises(Infeasible) as cold:
+            solve_exact(g)
+        assert len(hk_calls) == 1
+        with pytest.raises(Infeasible) as warm:
+            solve_exact(g, warm=True)
+        assert str(warm.value) == str(cold.value)
+        assert len(hk_calls) == 3
+
     def test_not_square(self):
         g = WeightedBipartiteGraph(2, 1, [(0, 0, 1), (1, 0, 1)])
         with pytest.raises(NotSquare):
