@@ -113,15 +113,15 @@ def _load_prices(graph: WeightedBipartiteGraph, path: str) -> DualPrices:
 
 def _certificate(graph: WeightedBipartiteGraph,
                  path: str | None) -> tuple[DualPrices, Matching | None]:
-    """The prices in ``path``, with no matching, or else the warm-started
-    exact solver's optimal prices with its perfect matching, which they
-    hold tight and which spares ``opt-edges``, ``enumerate`` and
+    """The prices in ``path``, with no matching, or else the exact
+    solver's optimal prices with its perfect matching, which they hold
+    tight and which spares ``opt-edges``, ``enumerate`` and
     ``preallocate`` a matching search. Those verbs print what every
     optimal certificate gives, so which solver computes it is a matter of
     speed alone."""
     if path is not None:
         return _load_prices(graph, path), None
-    result = solve_exact(graph, warm=True)
+    result = solve_exact(graph)
     return result.prices, result.matching
 
 

@@ -15,27 +15,21 @@ Two independent routes to an optimal primal-dual pair:
   the price-rounding step, which restores an exact optimality certificate
   without touching the matching.
 
-``solve_exact`` has two starts, one loop. Both starts take the row
-minimums as left potentials, so every reduced cost is non-negative. The
-cold start, the default, keeps every right potential at 0 and the matching
-empty, and searches from every left vertex in index order. The warm start
-(``warm=True``; Jonker and Volgenant, 1987) also raises each right
-potential to the least reduced cost into its vertex, runs Hopcroft-Karp
-once on the edges then tight, and searches only from the left vertices
-that run leaves free. Either way every matched edge is tight and every
-reduced cost non-negative when the searches begin, which is all the search
-loop relies on.
+``solve_exact`` starts warm (Jonker and Volgenant, 1987). The row
+minimums become the left potentials, and each right potential rises to the
+least reduced cost into its vertex, so every reduced cost is non-negative
+and every right vertex has a tight edge. One Hopcroft-Karp run matches the
+tight edges, and the search loop runs only from the left vertices that run
+leaves free. Every matched edge is then tight and every reduced cost
+non-negative, which is all the search loop relies on.
 
-Both solvers, under either start, begin with one O(m) pass that looks for
-a vertex without edges and, on finding one, let Hopcroft-Karp word the
-Infeasible message before any search, matching or bid. Past that pass,
-``solve_exact`` is its own feasibility check: when a perfect matching
-exists, an augmenting path starts at every free left vertex, so a search
-that empties its heap proves there is none. On an infeasible instance the
-auction's prices would rise forever, so ``solve_auction`` runs
-Hopcroft-Karp once: up front when some left vertex has one edge, otherwise
-only if a price passes the bound its docstring states. A feasible instance
-rarely reaches the bound and then runs none.
+``solve_exact`` begins with one O(m) pass that looks for a vertex without
+edges and, on finding one, lets Hopcroft-Karp word the Infeasible message
+before any search. Past that pass, it is its own feasibility check: when a
+perfect matching exists, an augmenting path starts at every free left
+vertex, so a search that empties its heap proves there is none. On an
+infeasible instance the auction's prices would rise forever, so
+``solve_auction`` runs Hopcroft-Karp once, before its first bid.
 
 Cost of the exact solver: each search costs time proportional to what it
 touched -- the vertices it reached, the edges it scanned and its heap
@@ -68,8 +62,8 @@ from .prices import DualPrices, RationalLike, _as_fraction, prices_to_json, roun
 class SolveStats:
     """Coarse work counters: scaling phases and primitive iterations
     (augmenting path searches for the exact solver, bids for the auction).
-    The exact solver's cold start searches once per left vertex, its warm
-    start once per left vertex its Hopcroft-Karp run leaves free."""
+    The exact solver searches once per left vertex its start's
+    Hopcroft-Karp run leaves free."""
 
     phases: int = 0
     iterations: int = 0
@@ -88,16 +82,7 @@ class SolveResult:
         }
 
 
-def _refuse_isolated_vertex(graph: WeightedBipartiteGraph) -> None:
-    """Raise Infeasible, through ``_perfect_matching``, when a vertex of a
-    non-empty square graph has no edge: one O(m) pass, which answers
-    such an instance before any augmenting path search or bid."""
-    n = graph.n_left
-    if n and (min(map(len, graph._adj_left)) == 0 or len(set(graph._right_of)) < n):
-        _perfect_matching(graph)
-
-
-def solve_exact(graph: WeightedBipartiteGraph, warm: bool = False) -> SolveResult:
+def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     """Minimum-weight perfect matching with integral optimal prices.
 
     Successive shortest paths: potentials keep every reduced cost
@@ -105,21 +90,21 @@ def solve_exact(graph: WeightedBipartiteGraph, warm: bool = False) -> SolveResul
     shifts the potentials so the new matched edges are exactly tight. The
     returned pair always satisfies the complementary-slackness checker.
 
-    The cold start (the default) begins with the empty matching and
-    searches from every left vertex in index order. The warm start
-    (``warm=True``, after Jonker and Volgenant, 1987) also raises each
-    right potential to the least reduced cost into it and takes a maximum
-    matching of the edges then tight, from one Hopcroft-Karp run; it
-    searches only from the left vertices that run leaves free. Both give
-    an optimal pair of the same weight, but where optima tie they may give
-    different matchings and prices.
+    The start (after Jonker and Volgenant, 1987) takes the row minimums as
+    left potentials, raises each right potential to the least reduced cost
+    into it and takes a maximum matching of the edges then tight, from one
+    Hopcroft-Karp run. The searches run only from the left vertices that
+    run leaves free, in index order.
 
     Raises NotSquare for unequal sides and Infeasible when no perfect
     matching exists.
     """
     _require_square(graph)
-    _refuse_isolated_vertex(graph)
     n = graph.n_left
+    # A vertex without edges has no row or column minimum: one O(m) pass
+    # finds it and lets Hopcroft-Karp word the refusal before the start.
+    if n and (min(map(len, graph._adj_left)) == 0 or len(set(graph._right_of)) < n):
+        _perfect_matching(graph)
     stats = SolveStats(phases=0, iterations=0)
 
     left_edges = graph.left_edges
@@ -132,28 +117,25 @@ def solve_exact(graph: WeightedBipartiteGraph, warm: bool = False) -> SolveResul
     # search reads the bases alone, and a pass that shifts every vertex by
     # the target distance only has to adjust the bases of the vertices its
     # search reached at a smaller distance.
-    # Initial feasible potentials: row minimums absorb negative weights.
+    # Row pass: left potentials at the row minimums absorb negative
+    # weights. Column pass: every right potential rises to the least
+    # reduced cost into its vertex (finite: no vertex is isolated). Every
+    # reduced cost stays non-negative, each right vertex gains a tight
+    # edge, and a maximum matching of the tight edges is tight, as the
+    # loop below requires of its matching.
     left_base = [min(map(wt.__getitem__, left_edges(u))) for u in range(n)]
-    right_base = [0] * n
+    reduced = [w - left_base[u] for w, u in zip(wt, left_of)]
+    right_base = [math.inf] * n
+    for r, v in zip(reduced, right_of):
+        if r < right_base[v]:
+            right_base[v] = r
     offset = 0
-    mate_left: list[int | None] = [None] * n
+    tight = [e for e, r, v in zip(count(), reduced, right_of) if r == right_base[v]]
+    mate_left = list(max_cardinality_matching(graph, tight)._mate_left)
     mate_right: list[int | None] = [None] * n
-    if warm:
-        # Column pass: every right potential rises to the least reduced
-        # cost into its vertex (finite: no vertex is isolated), so every
-        # reduced cost stays non-negative and each right vertex gains a
-        # tight edge. A maximum matching of the tight edges is tight, as
-        # the loop below requires of its matching.
-        reduced = [w - left_base[u] for w, u in zip(wt, left_of)]
-        right_base = [math.inf] * n
-        for r, v in zip(reduced, right_of):
-            if r < right_base[v]:
-                right_base[v] = r
-        tight = [e for e, r, v in zip(count(), reduced, right_of) if r == right_base[v]]
-        mate_left = list(max_cardinality_matching(graph, tight)._mate_left)
-        for e in mate_left:
-            if e is not None:
-                mate_right[right_of[e]] = e
+    for e in mate_left:
+        if e is not None:
+            mate_right[right_of[e]] = e
 
     # Search state, allocated once. Each pass resets exactly the entries it
     # touched; reach_edge needs no reset, since an augmenting path only
@@ -258,27 +240,16 @@ def solve_auction(graph: WeightedBipartiteGraph,
     Larger eps_final values are accepted (the matching may then be
     suboptimal by up to n*eps_final); floats are rejected.
 
-    Hopcroft-Karp runs at most once: up front when some vertex has no edge
-    or some left vertex has one, and otherwise only
-    when a price passes (2n+1) * (2*W*scale + eps0), in the scaled units of
-    the bidding, with W the largest |weight| and eps0 the first phase's
-    epsilon. It raises Infeasible or lets bidding go on with no further
-    check. On an infeasible instance every bid raises a price, so some
-    price passes any bound; the bound decides only when the check runs,
-    never an answer.
+    Hopcroft-Karp runs once, before the first bid: on an instance without
+    a perfect matching every bid raises a price and the bidding would
+    never end.
     Raises NotSquare for unequal sides and Infeasible when no perfect
     matching exists.
     """
     _require_square(graph)
     n = graph.n_left
     stats = SolveStats()
-    # A vertex without edges would let the bidding run long before the
-    # bound fires, and a lone-option bid adds ``big``, so its prices say
-    # nothing about feasibility: check once up front instead.
-    _refuse_isolated_vertex(graph)
-    check_first = min(map(len, graph._adj_left), default=2) < 2
-    if check_first:
-        _perfect_matching(graph)
+    _perfect_matching(graph)
 
     if eps_final is None:
         eps = Fraction(1, n + 1)
@@ -303,8 +274,6 @@ def solve_auction(graph: WeightedBipartiteGraph,
         levels.append(level)
         level = max(level // 4, eps_scaled)
     levels.append(eps_scaled)
-    bound = math.inf if check_first else (
-        (2 * n + 1) * (2 * graph.max_abs_weight * scale + levels[0]))
 
     for eps_now in levels:
         stats.phases += 1
@@ -327,11 +296,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
             if second_val is None:
                 second_val = best_val - big  # lone option: bid high to lock it
             v = right_of[best_e]
-            bid = price[v] + best_val - second_val + eps_now
-            price[v] = bid
-            if bid > bound:
-                _perfect_matching(graph)
-                bound = math.inf
+            price[v] += best_val - second_val + eps_now
             previous = owner[v]
             if previous is not None:
                 assigned[previous] = None

@@ -51,9 +51,10 @@ def fig1_p2():
 @pytest.fixture
 def hk_calls(monkeypatch):
     """Hopcroft-Karp runs made while the test runs, one list entry per run:
-    those through ``matching._perfect_matching`` (the solvers, the
-    allowed-edge filter and the tight-subgraph entry), the warm start of
-    ``solve_exact``, the transforms' coverage checks and
+    the one in each start of ``solve_exact``; those through
+    ``matching._perfect_matching`` (the auction's check before bidding,
+    the exact solver's refusal, the allowed-edge filter and the
+    tight-subgraph entry); the transforms' coverage checks; and
     ``iter_perfect_matchings``' root."""
     calls = []
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from heapq import heappush
 from pathlib import Path
 
 import pytest
@@ -161,8 +162,8 @@ class TestOptEdges:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The warm start's one Hopcroft-Karp run is the only one: its
-        # matching is tight under its prices, so only the SCC pass follows.
+        # The start's one Hopcroft-Karp run is the only one: its matching
+        # is tight under its prices, so only the SCC pass follows.
         # Supplied prices come without a matching.
         code, out, _ = run(capsys, "opt-edges", fig1_path)
         assert code == 0
@@ -225,9 +226,9 @@ class TestEnumerate:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The certificate's matching roots the search, so the warm start's
-        # run is the only one; supplied prices come without a matching, so
-        # the root runs Hopcroft-Karp once.
+        # The certificate's matching roots the search, so the solver's start
+        # runs the only Hopcroft-Karp; supplied prices come without a
+        # matching, so the root runs Hopcroft-Karp once.
         code, out, _ = run(capsys, "enumerate", fig1_path)
         assert code == 0
         assert len(hk_calls) == 1
@@ -281,14 +282,15 @@ class TestPreallocate:
 
     def test_certificate_matching_needs_no_hopcroft_karp(self, capsys, fig1_path,
                                                          tmp_path, hk_calls):
-        # The certificate's matching gives the optimal edges, so the warm
-        # start's run is the only one; supplied prices come without a
-        # matching, so Hopcroft-Karp runs once, and the answer is the same.
+        # The certificate's matching gives the optimal edges, so the two
+        # runs are the starts of the certificate and of the 0/1 re-solve;
+        # supplied prices come without a matching, so Hopcroft-Karp checks
+        # them once before the re-solve, and the answer is the same.
         prefs = tmp_path / "prefs.txt"
         prefs.write_text("f 1 2\n")
         code, out, _ = run(capsys, "preallocate", fig1_path, "--prefs", str(prefs))
         assert code == 0
-        assert len(hk_calls) == 1
+        assert len(hk_calls) == 2
         hk_calls.clear()
         prices = tmp_path / "prices.json"
         prices.write_text(json.dumps({"den": 1, "pi": [-2, 0, 1], "p": [3, 1, 0]}))
@@ -296,7 +298,7 @@ class TestPreallocate:
                                    "--prices", str(prices))
         assert code == 0
         assert with_prices == out
-        assert len(hk_calls) == 1
+        assert len(hk_calls) == 2
 
     def test_unknown_preference_exit_2(self, capsys, fig1_path, tmp_path):
         prefs = tmp_path / "prefs.txt"
@@ -325,6 +327,9 @@ class TestHallViolator:
     left vertex of degree 1: left 1 sees right 1 and 200, left 2 sees
     right 198-199, and lefts 3-200 see only rights 1-197."""
 
+    REFUSAL = ("infeasible: no perfect matching: maximum cardinality is 199 of "
+               "200; vertices u200 and v199 stay uncovered\n")
+
     @pytest.fixture
     def instance(self, tmp_path):
         pairs = [(1, 1), (1, 200), (2, 198), (2, 199)]
@@ -336,13 +341,9 @@ class TestHallViolator:
 
     def test_certificate_verbs_refuse_without_the_auction(self, capsys, monkeypatch,
                                                           tmp_path, instance):
-        # The certificate's exact search proves infeasibility itself; the
-        # auction would only reach its Hopcroft-Karp check once a price
-        # passes its bound.
+        # The certificate's exact search proves infeasibility itself.
         code, out, err = run(capsys, "solve", instance)
-        assert (code, out) == (1, "")
-        assert err == ("infeasible: no perfect matching: maximum cardinality is 199 of "
-                       "200; vertices u200 and v199 stay uncovered\n")
+        assert (code, out, err) == (1, "", self.REFUSAL)
 
         def no_auction(*args, **kwargs):
             raise AssertionError("solve_auction was called")
@@ -353,6 +354,30 @@ class TestHallViolator:
         for argv in (["opt-edges", instance], ["enumerate", instance],
                      ["preallocate", instance, "--prefs", str(prefs)]):
             assert run(capsys, *argv) == (1, "", err), argv
+
+    @pytest.mark.parametrize("verb", ["solve", "duals"])
+    def test_exact_solver_refuses_within_2n_pushes(self, capsys, monkeypatch, instance,
+                                                   verb):
+        # Every edge is tight, so the start matches 199 pairs and one search
+        # is left: it reaches each of rights 1-197 once (197 pushes) before
+        # its heap empties. 200 searches from an empty matching pushed 39207.
+        pushes = []
+        monkeypatch.setattr(bipmatch.solvers, "heappush",
+                            lambda heap, item: pushes.append(item) or heappush(heap, item))
+        assert run(capsys, verb, instance) == (1, "", self.REFUSAL)
+        assert 0 < len(pushes) < 2 * 200
+
+    @pytest.mark.parametrize("argv", [["gcs"], ["solve", "--solver", "auction"],
+                                      ["solve", "--solver", "rounding"]],
+                             ids=["gcs", "solve-auction", "solve-rounding"])
+    def test_auction_refuses_before_bidding(self, capsys, monkeypatch, instance, argv):
+        # Each bidding phase begins by queueing every left vertex: the
+        # refusal must come before the first queue is made.
+        def no_bidding(*args, **kwargs):
+            raise AssertionError("the auction began to bid")
+
+        monkeypatch.setattr(bipmatch.solvers, "deque", no_bidding)
+        assert run(capsys, argv[0], instance, *argv[1:]) == (1, "", self.REFUSAL)
 
 
 class TestOptimum:

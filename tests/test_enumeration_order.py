@@ -13,8 +13,9 @@ its larger side on the left, and pin that view, ``transforms._tall``;
 counts on square graphs of four weight families and on the three
 balanced reductions of unbalanced graphs. ``SOLVE_EXACT_DENSE_DIGESTS``
 pin the same on complete graphs of three weight families, where a search
-reaches every right vertex at once; they were recorded before each search
-was bounded by its nearest free right vertex. Print them again with
+reaches every right vertex at once. Both were recorded when the solver's
+one start became the column pass and a Hopcroft-Karp run on the tight
+edges. Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -78,25 +79,25 @@ HOPCROFT_KARP_AS_GIVEN_DIGESTS = {
 }
 
 SOLVE_EXACT_DIGESTS = {
-    0: "f9c4ba98a3466e185e34a9d9f23a442eb09d2024b0698076b36f44a5bfdad05e",
-    1: "b7bcfbc0de00da277d3e0281f0ea1940bf32e453f763b5d1a9339f6116a6cc06",
-    2: "3d5e800e76b2482ad9f4a628bccb61d0c08f1757edac786f5122aa9e16839a71",
-    3: "dfe43bcff9392c765aee63f5d6f39e2ad4c2db702b24c55ed03ebed85c39adbe",
-    4: "acbc55b78f3a236eaa2aa4fe25220b004041dafb185f3ba543b8847e07c53cf4",
-    5: "c08c9c8292c2a01abcaacfe1b1a94a2847b4e6bd936a741896c4680c1f0ec816",
-    6: "2b25b6706fe799a146e8949410d76fbd4482384a1e344c22d269080d6cb79b6d",
-    7: "9aaf59c4c10fcab7ba8351505f8edb5c0e49dac075ed89d772035e91107ce80f",
+    0: "bfea8c9fca24a49f751ba7c63bdbe2eebaee4c184df23de8874dcaf861d95f5e",
+    1: "2fe60ec2d17eec7fae0b1f6abfbda3c9294019081414b3365144eeba5af7d70b",
+    2: "83d36d0321ec1209c152987a64eb77a54ece9c614f003453c9abaef2f9baef1d",
+    3: "60d91f1fee19a25f49dc8ca3444affa0a9ca325b9e4d9075e87c445c59d3ecc9",
+    4: "79c9276f4b7e0b6edfc112935b8b623c87795563c372fc53fb656ee3fa2ca639",
+    5: "a3aaa72225d4bd6a990e2d0002f8785321c799a5bddb412542da907ae318324a",
+    6: "2af0c9c0cad9e1996c6f0ab1c1f6d59d252d9bda63b2d24a6600bb6d3ac8cedc",
+    7: "5f0f9b51274d068565de4bb17fd293c0748b0015b0e7b3118c6d5504e44312d4",
 }
 
 SOLVE_EXACT_DENSE_DIGESTS = {
-    0: "c3af41011e1087cb2b40052ba1513c33a788072474ac94c14a2a3a11a8745821",
-    1: "24988b4b46935dca2b2c39504ae4f91a3f0b3014a8f1efc38a3660271cef0baf",
-    2: "111067c56bf76931d3dc1f73bc7b90c01c6a8fc0cbdf861b7d68888676b0dc5f",
-    3: "469a6c4f8915a8101cfc869a1a8321003ad8684f02ded1ef0fc318f035ec8932",
-    4: "92479850241b28abd2af941f6029ee9f7f2d97848b8a60eb78fb914c3a524125",
-    5: "271d5d1edf27084d5fe1930080cf4501872dcd6ee8c8cced80e673e04b210a0f",
-    6: "c3a49771f107b6f933665436015ed31f52966c90c70b48ce8866bfb772538abf",
-    7: "fe509e579c4382f427823d77c898f1ca3b787e99a8fecccbb37da2f093b4bbd7",
+    0: "3404af361522543334c0d323813ffbabe71af76d0694d5e478e8a0a3157792fc",
+    1: "ea0efdb5526a3ef2ec1f44daadc9ae81ddf276a04ff074cc602529d2ee43e817",
+    2: "cc6a23326e5632a7fde7813eb800ef67ee7943b1f72f5e4ca2af39f4c97e9e16",
+    3: "020e86eaf16fe02b5ff3ab55dffd232bb613b1e9fd7b1d395e501dfc16fd7a76",
+    4: "f520f56f923e6a99ede420d94d7c2584957d1f75226441d44887ece541260b82",
+    5: "993c26a3c0cbb22a38a5af6031a3bd65fa77e6f26e11e5208be89042dc400973",
+    6: "4e7cf03f716d73e5d9ed0271ec101cc8703f9d69525dc3a7c817bd7aea126f2a",
+    7: "e49d9c2a8d2a61bf045f40400dc92f42f8be6f2c4a0682c62b50d00bb634a1a0",
 }
 
 

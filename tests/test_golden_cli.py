@@ -81,6 +81,23 @@ def test_enumerate_same_with_prices_from_duals(name, tmp_path):
     assert (result["exit"], result["stdout"]) == (0, _expected()[f"{name}-enumerate"]["stdout"])
 
 
+@pytest.mark.parametrize("name", SQUARE)
+def test_recorded_certificates_hold(name, tmp_path):
+    # Every recorded solve output passes ``check``, and the recorded duals,
+    # given as --prices, give the recorded optimal edges.
+    expected = _expected()
+    for solver in ("exact", "rounding"):
+        result_file = tmp_path / f"{solver}.json"
+        result_file.write_text(expected[f"{name}-solve-{solver}"]["stdout"])
+        result = _run(["check", f"{name}.bip", "--matching", str(result_file)])
+        assert result["exit"] == 0, solver
+        assert json.loads(result["stdout"])["valid"] is True, solver
+    prices = tmp_path / "prices.json"
+    prices.write_text(expected[f"{name}-duals"]["stdout"])
+    result = _run(["opt-edges", f"{name}.bip", "--prices", str(prices)])
+    assert (result["exit"], result["stdout"]) == (0, expected[f"{name}-opt-edges"]["stdout"])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_golden_cli.py --record")

@@ -1,8 +1,7 @@
 """Property tests for both solvers: certificates check out in exact
 integers and the optimum weight agrees with scipy's assignment solver.
-The exact solver's warm start gives the cold start's optimum weight, with
-its own valid certificate, and refuses an infeasible graph in the same
-words."""
+The exact solver refuses a graph without a perfect matching in the words
+of the one perfect-matching check."""
 
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from bipmatch import (MAX_ABS_WEIGHT, Infeasible, WeightedBipartiteGraph,  # noqa: E402
                       check_complementary_slackness, check_eps_optimal,
                       solve_auction, solve_exact, solve_via_rounding)
+from bipmatch.matching import _perfect_matching  # noqa: E402
 
 WEIGHTS = {
     "ties": st.integers(0, 2),
@@ -62,30 +62,22 @@ def lsa_weight(graph: WeightedBipartiteGraph) -> int:
 
 
 def check_exact(graph: WeightedBipartiteGraph) -> None:
+    """``solve_exact`` gives an integral certificate at scipy's weight,
+    searching at most once per left vertex, or raises the Infeasible of
+    ``_perfect_matching``."""
+    try:
+        _perfect_matching(graph)
+    except Infeasible as checked:
+        with pytest.raises(Infeasible) as refused:
+            solve_exact(graph)
+        assert str(refused.value) == str(checked)
+        return
     r = solve_exact(graph)
     assert r.matching.is_perfect
     assert r.prices.den == 1
     assert check_complementary_slackness(graph, r.matching, r.prices)
     assert r.matching.weight() == lsa_weight(graph)
-    assert r.stats.iterations == graph.n_left
-
-
-def check_warm_against_cold(graph: WeightedBipartiteGraph) -> None:
-    """Both starts of ``solve_exact`` agree on the optimum weight, each
-    with a valid integral certificate, or raise the same Infeasible."""
-    try:
-        cold = solve_exact(graph)
-    except Infeasible as refused:
-        with pytest.raises(Infeasible) as warm_refused:
-            solve_exact(graph, warm=True)
-        assert str(warm_refused.value) == str(refused)
-        return
-    warm = solve_exact(graph, warm=True)
-    assert warm.matching.is_perfect
-    assert warm.prices.den == 1
-    assert check_complementary_slackness(graph, warm.matching, warm.prices)
-    assert warm.matching.weight() == cold.matching.weight()
-    assert warm.stats.iterations <= graph.n_left
+    assert r.stats.iterations <= graph.n_left
 
 
 def check_auction_and_rounding(graph: WeightedBipartiteGraph) -> None:
@@ -108,8 +100,8 @@ SMALLEST = [
     WeightedBipartiteGraph(1, 1, [(0, 0, -MAX_ABS_WEIGHT)]),
     WeightedBipartiteGraph(1, 1, [(0, 0, MAX_ABS_WEIGHT)]),
 ]
-# Infeasible squares without an isolated vertex, which both starts must
-# refuse after their searches rather than up front.
+# Infeasible squares without an isolated vertex, which the exact solver
+# must refuse after its searches rather than up front.
 SMALLEST_INFEASIBLE = [
     WeightedBipartiteGraph(3, 3, [(0, 0, MAX_ABS_WEIGHT), (1, 0, -MAX_ABS_WEIGHT),
                                   (2, 0, 0), (2, 1, 1), (2, 2, 2)]),
@@ -123,22 +115,22 @@ RANDOM = settings(deadline=None, max_examples=60)
 @pytest.mark.parametrize("graph", SMALLEST, ids=["empty", "zero", "min", "max"])
 def test_smallest_instances(graph):
     check_exact(graph)
-    check_warm_against_cold(graph)
     check_auction_and_rounding(graph)
 
 
 @pytest.mark.parametrize("graph", SMALLEST_INFEASIBLE, ids=["3x3", "4x4"])
 def test_smallest_infeasible_instances(graph):
     with pytest.raises(Infeasible):
-        solve_exact(graph)
-    check_warm_against_cold(graph)
+        _perfect_matching(graph)
+    check_exact(graph)
 
 
 @KINDS
 @RANDOM
 @given(data=st.data())
 def test_exact(kind, data):
-    check_exact(data.draw(squares(WEIGHTS[kind])))
+    feasible = data.draw(st.booleans())
+    check_exact(data.draw(squares(WEIGHTS[kind], feasible=feasible)))
 
 
 @KINDS
@@ -146,11 +138,3 @@ def test_exact(kind, data):
 @given(data=st.data())
 def test_auction_and_rounding(kind, data):
     check_auction_and_rounding(data.draw(squares(WEIGHTS[kind])))
-
-
-@KINDS
-@RANDOM
-@given(data=st.data())
-def test_warm_start_matches_cold_start(kind, data):
-    feasible = data.draw(st.booleans())
-    check_warm_against_cold(data.draw(squares(WEIGHTS[kind], feasible=feasible)))

@@ -11,6 +11,7 @@ from bipmatch import (MAX_ABS_WEIGHT, Infeasible, NotSquare, WeightedBipartiteGr
                       check_complementary_slackness, check_eps_optimal, dual_objective,
                       max_cardinality_matching, solve_auction, solve_exact,
                       solve_via_rounding)
+from bipmatch.matching import _perfect_matching
 
 from conftest import FIG1_EDGES, M_STAR, brute_force_min_weight_pms, make_feasible_square
 
@@ -52,8 +53,10 @@ class TestSolveExact:
         g = WeightedBipartiteGraph(n, n, edges)
         with pytest.raises(Infeasible, match=f"maximum cardinality is {uncovered} stay"):
             solve_exact(g)
-        # Up front for an isolated vertex, otherwise once a search has failed.
-        assert len(hk_calls) == 1
+        # Up front for an isolated vertex, before the start runs. Otherwise
+        # the start runs once and the refusal once, after a search failed.
+        isolated = min(len({u for u, _v, _w in edges}), len({v for _u, v, _w in edges})) < n
+        assert len(hk_calls) == (1 if isolated else 2)
 
     def test_isolated_vertex_refused_before_any_search(self, monkeypatch):
         # A 200x200 complete graph without right vertex 200: the O(m) test
@@ -70,18 +73,32 @@ class TestSolveExact:
         assert pushes == []
 
     def test_search_stops_at_nearest_free_vertex(self, monkeypatch):
-        # Each row lists its weight-0 diagonal edge first, so every search
-        # reaches a free right vertex at distance 0 with its first push and
-        # skips the other n - 1 edges, at distance 1000: n pushes, not n^2.
+        # Ten blocks of three: left a, b, c and right x, y, z, with weights
+        # a-x = b-x = c-y = c-z = 0 and a-y = a-z = b-y = b-z = 1. Every
+        # other pair weighs 1000 and each row lists it last. Both passes
+        # leave the weight-0 edges tight, so the start matches x and one of
+        # y, z, and one search per block remains, from a or b. That search
+        # pushes its three block neighbours: y and z at distance 1, one of
+        # them free, which bounds the search at 1, and x at 0. It skips the
+        # 27 edges at 1000, and scanning x's mate or c at distance 0 or 1
+        # pushes nothing new: 3 pushes per block, 30 in all, not 300.
         pushes = []
         monkeypatch.setattr(bipmatch.solvers, "heappush",
                             lambda heap, item: pushes.append(item) or heappush(heap, item))
         n = 30
-        g = WeightedBipartiteGraph(n, n, [(u, v, 0 if v == u else 1000) for u in range(n)
-                                          for v in sorted(range(n), key=lambda v: v != u)])
+        cheap = {(0, 0): 0, (1, 0): 0, (2, 1): 0, (2, 2): 0,
+                 (0, 1): 1, (0, 2): 1, (1, 1): 1, (1, 2): 1}
+
+        def weight(u, v):
+            return cheap.get((u % 3, v % 3), 1000) if u // 3 == v // 3 else 1000
+
+        g = WeightedBipartiteGraph(n, n, [(u, v, weight(u, v)) for u in range(n)
+                                          for v in sorted(range(n),
+                                                          key=lambda v: weight(u, v) == 1000)])
         r = solve_exact(g)
+        assert r.stats.iterations == n // 3
         assert len(pushes) == n
-        assert r.matching.weight() == 0
+        assert r.matching.weight() == n // 3
         assert check_complementary_slackness(g, r.matching, r.prices)
 
     def test_infeasible_messages_match_auction(self):
@@ -103,13 +120,15 @@ class TestSolveExact:
         assert infeasible > 100
 
     def test_feasible_runs_no_hopcroft_karp(self, hk_calls, fig1):
+        # The start's run on the tight edges is the only one: a feasible
+        # graph needs no feasibility check.
         solve_exact(fig1)
-        assert hk_calls == []
+        assert len(hk_calls) == 1
 
     def test_warm_start_fig1(self, hk_calls, fig1):
         # Row minimums (1, 1, 1) and column pass (0, 0, 0) leave the edges of
         # weight 1 tight; they hold the optimum, so no search runs.
-        r = solve_exact(fig1, warm=True)
+        r = solve_exact(fig1)
         assert r.matching.edge_indices == M_STAR
         assert check_complementary_slackness(fig1, r.matching, r.prices)
         assert r.stats.iterations == 0
@@ -122,24 +141,23 @@ class TestSolveExact:
         n = 6
         g = WeightedBipartiteGraph(n, n, [(u, v, 0 if 0 in (u, v) else 1)
                                           for u in range(n) for v in range(n)])
-        r = solve_exact(g, warm=True)
-        cold = solve_exact(g)
-        assert (r.stats.iterations, cold.stats.iterations) == (n - 2, n)
-        assert r.matching.weight() == cold.matching.weight() == n - 2
+        r = solve_exact(g)
+        assert r.stats.iterations == n - 2
+        assert r.matching.weight() == n - 2
         assert check_complementary_slackness(g, r.matching, r.prices)
 
     def test_warm_start_refuses_in_the_same_words(self, hk_calls):
-        # No isolated vertex, so both starts search; the warm one runs
-        # Hopcroft-Karp on its tight edges and again to word the refusal.
+        # No isolated vertex, so the search loop runs: Hopcroft-Karp runs on
+        # the tight edges and again to word the refusal, in the words of the
+        # one perfect-matching check.
         g = WeightedBipartiteGraph(3, 3, [(0, 0, 5), (1, 0, -5), (2, 0, 0),
                                           (2, 1, 1), (2, 2, 2)])
-        with pytest.raises(Infeasible) as cold:
+        with pytest.raises(Infeasible) as refused:
             solve_exact(g)
-        assert len(hk_calls) == 1
-        with pytest.raises(Infeasible) as warm:
-            solve_exact(g, warm=True)
-        assert str(warm.value) == str(cold.value)
-        assert len(hk_calls) == 3
+        assert len(hk_calls) == 2
+        with pytest.raises(Infeasible) as checked:
+            _perfect_matching(g)
+        assert str(refused.value) == str(checked.value)
 
     def test_not_square(self):
         g = WeightedBipartiteGraph(2, 1, [(0, 0, 1), (1, 0, 1)])
@@ -227,35 +245,35 @@ class TestSolveAuction:
             solve_auction(g)
 
     def test_no_hopcroft_karp_at_minimum_degree_two(self, hk_calls, fig1):
-        # Every left vertex of fig1 has two edges: no lone-option bid.
+        # Every left vertex of fig1 has two edges, and still the one
+        # feasibility check runs before bidding, and no other.
         solve_auction(fig1)
-        assert hk_calls == []
+        assert len(hk_calls) == 1
 
     def test_checks_feasibility_up_front(self, hk_calls):
-        # Left vertex 1 has one edge, so a lone-option bid could hide an
-        # infeasible instance: one check runs before bidding.
+        # Left vertex 1 has one edge, so a lone-option bid adds ``big`` to a
+        # price: the check before bidding is the only one.
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2), (1, 1, 3)])
         assert solve_auction(g).matching.weight() == 4
         assert len(hk_calls) == 1
 
     @pytest.mark.parametrize("edges", [
-        # A left vertex with one edge: checked up front.
+        # A left vertex with one edge.
         [(0, 0, 1), (1, 0, 1)],
-        # Left degrees two, right vertex 3 isolated: checked up front.
+        # Left degrees two, right vertex 3 isolated.
         [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)],
         # Left degrees two, no right vertex isolated, left vertices 2-4 see
-        # only right vertices 1 and 2: the price bound fires.
+        # only right vertices 1 and 2.
         [(0, 2, 0), (0, 3, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0),
          (3, 1, 0)],
         # A 200x200 complete graph without right vertex 200, at zero and at
-        # +-2^40 weights: checked up front, where waiting for the price
-        # bound took seconds of bidding.
+        # +-2^40 weights.
         *[[(u, v, (-1) ** (u * v) * weight) for u in range(200) for v in range(199)]
           for weight in (0, MAX_ABS_WEIGHT)],
         # A 200x200 graph in which left vertices 1-3 see only right vertices
         # 1 and 2 and the rest see every right vertex, at zero and at +-2^40
         # weights: no vertex is isolated and every left degree is at least
-        # two, so the price bound fires.
+        # two.
         *[[(u, v, (-1) ** (u * v) * weight) for u in range(200)
            for v in (range(2) if u < 3 else range(200))]
           for weight in (0, MAX_ABS_WEIGHT)],
