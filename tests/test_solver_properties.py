@@ -1,7 +1,8 @@
 """Property tests for both solvers: certificates check out in exact
 integers and the optimum weight agrees with scipy's assignment solver.
-The exact solver refuses a graph without a perfect matching in the words
-of the one perfect-matching check."""
+The exact solver's warm start agrees with a cold start, scipy's, on
+feasibility and optimum weight, and refuses a graph without a perfect
+matching in the words of the one perfect-matching check."""
 
 from fractions import Fraction
 
@@ -80,6 +81,21 @@ def check_exact(graph: WeightedBipartiteGraph) -> None:
     assert r.stats.iterations <= graph.n_left
 
 
+def check_warm_against_cold(graph: WeightedBipartiteGraph) -> None:
+    """The warm start of ``solve_exact`` and a cold start -- scipy's
+    shortest augmenting paths, which begin at zero potentials and an empty
+    assignment -- both refuse the graph, or agree on the optimum weight."""
+    try:
+        cold = lsa_weight(graph)
+    except ValueError:
+        with pytest.raises(Infeasible):
+            _perfect_matching(graph)
+        check_exact(graph)
+        return
+    check_exact(graph)
+    assert solve_exact(graph).matching.weight() == cold
+
+
 def check_auction_and_rounding(graph: WeightedBipartiteGraph) -> None:
     n = graph.n_left
     approx = solve_auction(graph)
@@ -129,8 +145,7 @@ def test_smallest_infeasible_instances(graph):
 @RANDOM
 @given(data=st.data())
 def test_exact(kind, data):
-    feasible = data.draw(st.booleans())
-    check_exact(data.draw(squares(WEIGHTS[kind], feasible=feasible)))
+    check_exact(data.draw(squares(WEIGHTS[kind])))
 
 
 @KINDS
@@ -138,3 +153,11 @@ def test_exact(kind, data):
 @given(data=st.data())
 def test_auction_and_rounding(kind, data):
     check_auction_and_rounding(data.draw(squares(WEIGHTS[kind])))
+
+
+@KINDS
+@RANDOM
+@given(data=st.data())
+def test_warm_start_matches_cold_start(kind, data):
+    feasible = data.draw(st.booleans())
+    check_warm_against_cold(data.draw(squares(WEIGHTS[kind], feasible=feasible)))
