@@ -2,13 +2,15 @@
 
 With more workers than tasks (or missing skills) the target becomes the
 optimum matching: match as many pairs as possible, and among those pick
-the cheapest. Three reductions turn this into a plain minimum-weight
-perfect matching problem on a modified graph:
+the cheapest. The default, "auto", solves a graph whose every task can
+be covered directly, from the task side. Three reductions turn the
+problem into a plain minimum-weight perfect matching problem on a
+modified graph:
 
-* "doubling" mirrors the graph with heavy link edges; works always.
+* "doubling" mirrors the graph with heavy link edges; works always, and
+  "auto" uses it when some task cannot be covered.
 * "half-doubling" drops half the links; needs every task coverable.
-* "artificial" pads the task side with dummy tasks; same requirement;
-  use it only for a gap of a few vertices.
+* "artificial" pads the task side with dummy tasks; same requirement.
 """
 
 from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING,

@@ -4,7 +4,10 @@ Two independent routes to an optimal primal-dual pair:
 
 * ``solve_exact`` -- successive shortest augmenting paths with integer
   vertex potentials (Dijkstra on reduced costs). Emits integral optimal
-  prices directly.
+  prices directly. Its loop also runs on a wide graph (n_left <=
+  n_right), where it finds a minimum-weight matching that covers the
+  left side: ``transforms.optimum_matching`` solves a coverable
+  unbalanced graph that way, without a transformed graph.
 * ``solve_auction`` -- an epsilon-scaling auction run on integer-rescaled
   weights, with epsilon divided by 4 per phase: about
   log4(W*(n+1)) + 1 phases at the default epsilon, for W the largest
@@ -21,7 +24,12 @@ least reduced cost into its vertex, so every reduced cost is non-negative
 and every right vertex has a tight edge. One Hopcroft-Karp run matches the
 tight edges, and the search loop runs only from the left vertices that run
 leaves free. Every matched edge is then tight and every reduced cost
-non-negative, which is all the search loop relies on.
+non-negative, which is all the search loop relies on. A wide graph skips
+the column pass and starts every right potential at 0. A matching that
+covers the left side is optimal when, beyond those two conditions, every
+free right vertex has the largest right price (Ramshaw and Tarjan, 2012).
+The column pass would give the free right vertices unequal prices, and
+the loop never moves the price of a free vertex apart from the others.
 
 ``solve_exact`` begins with one O(m) pass that looks for a vertex without
 edges and, on finding one, lets Hopcroft-Karp word the Infeasible message
@@ -35,13 +43,14 @@ Cost of the exact solver: each search costs time proportional to what it
 touched -- the vertices it reached, the edges it scanned and its heap
 operations -- because the potential update and the reset of the search
 state visit the reached vertices only. The heap holds right vertices
-alone; each left vertex a search reaches is scanned once, when its mate
-settles. A search skips each relaxation beyond its bound, the least
-distance of a free right vertex it has reached (Jonker and Volgenant,
-1987): it ends at a free vertex no farther than the bound, so a skipped
-entry could neither pop nor move a potential, and every output and count
-is as without it. One O(n) pass at the end turns the stored potentials
-into prices. Both solvers read the graph's own edge columns.
+alone, each entry one int, distance * n_right + vertex; each left vertex
+a search reaches is scanned once, when its mate settles. A search skips
+each relaxation beyond its bound, the least distance of a free right
+vertex it has reached (Jonker and Volgenant, 1987): it ends at a free
+vertex no farther than the bound, so a skipped entry could neither pop
+nor move a potential, and every output and count is as without it. One
+O(n) pass at the end turns the stored potentials into prices. Both
+solvers read the graph's own edge columns.
 """
 
 from __future__ import annotations
@@ -100,15 +109,25 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     matching exists.
     """
     _require_square(graph)
-    n = graph.n_left
-    # A vertex without edges has no row or column minimum: one O(m) pass
-    # finds it and lets Hopcroft-Karp word the refusal before the start.
-    if n and (min(map(len, graph._adj_left)) == 0 or len(set(graph._right_of)) < n):
+    return _cover_left(graph)
+
+
+def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
+    """``solve_exact`` without its side check, on any graph with n_left <=
+    n_right: a minimum-weight matching that covers the left side, with
+    integral optimal prices. A wide graph skips the column pass (see the
+    module docstring). Raises Infeasible when no matching covers the left
+    side."""
+    n, n_right = graph.n_left, graph.n_right
+    square = n == n_right
+    adj_left = graph._adj_left
+    left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of
+    # A left vertex without edges has no row minimum, and on a square graph
+    # a right vertex without edges has no column minimum: one O(m) pass
+    # finds either and lets Hopcroft-Karp word the refusal before the start.
+    if n and (min(map(len, adj_left)) == 0 or square and len(set(right_of)) < n):
         _perfect_matching(graph)
     stats = SolveStats(phases=0, iterations=0)
-
-    left_edges = graph.left_edges
-    left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of
 
     # Potentials are kept as base values plus one shared offset:
     #     left potential of u  = left_base[u] - offset
@@ -116,23 +135,28 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # The offset cancels in every reduced cost w - left - right, so the
     # search reads the bases alone, and a pass that shifts every vertex by
     # the target distance only has to adjust the bases of the vertices its
-    # search reached at a smaller distance.
+    # search reached at a smaller distance. No free right vertex is nearer
+    # than the target, so none is adjusted: on a wide graph all of them
+    # keep right base 0, the largest.
     # Row pass: left potentials at the row minimums absorb negative
-    # weights. Column pass: every right potential rises to the least
-    # reduced cost into its vertex (finite: no vertex is isolated). Every
-    # reduced cost stays non-negative, each right vertex gains a tight
-    # edge, and a maximum matching of the tight edges is tight, as the
-    # loop below requires of its matching.
-    left_base = [min(map(wt.__getitem__, left_edges(u))) for u in range(n)]
+    # weights. Column pass, on a square graph only: every right potential
+    # rises to the least reduced cost into its vertex (finite: no vertex is
+    # isolated), so each right vertex gains a tight edge. On a wide graph
+    # it would leave the free right vertices at unequal prices. Every
+    # reduced cost stays non-negative, and a maximum matching of the tight
+    # edges is tight, as the loop below requires of its matching.
+    left_base = [min(map(wt.__getitem__, adj)) for adj in adj_left]
     reduced = [w - left_base[u] for w, u in zip(wt, left_of)]
-    right_base = [math.inf] * n
-    for r, v in zip(reduced, right_of):
-        if r < right_base[v]:
-            right_base[v] = r
+    right_base = [0] * n_right
+    if square:
+        right_base = [math.inf] * n
+        for r, v in zip(reduced, right_of):
+            if r < right_base[v]:
+                right_base[v] = r
     offset = 0
     tight = [e for e, r, v in zip(count(), reduced, right_of) if r == right_base[v]]
     mate_left = list(max_cardinality_matching(graph, tight)._mate_left)
-    mate_right: list[int | None] = [None] * n
+    mate_right: list[int | None] = [None] * n_right
     for e in mate_left:
         if e is not None:
             mate_right[right_of[e]] = e
@@ -140,13 +164,15 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
     # Search state, allocated once. Each pass resets exactly the entries it
     # touched; reach_edge needs no reset, since an augmenting path only
     # follows right vertices its own search reached.
-    dist_right: list[int | None] = [None] * n
-    reach_edge: list[int] = [-1] * n  # edge that reached each right vertex
+    dist_right: list[int | None] = [None] * n_right
+    reach_edge: list[int] = [-1] * n_right  # edge that reached each right vertex
 
     for source in [u for u in range(n) if mate_left[u] is None]:
         reached_left = [(source, 0)]  # (left vertex, distance) per scan
         touched_right: list[int] = []
-        heap: list[tuple[int, int]] = []
+        # Entries are d * n_right + v: both are non-negative ints, so the
+        # heap pops in (distance, vertex) order.
+        heap: list[int] = []
         bound = math.inf  # least distance of a free right vertex reached
         u, d = source, 0
         while True:
@@ -156,7 +182,7 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
             # fails the same test. An entry beyond the bound would pop after
             # the search ends and move no potential: skip it, keep ties.
             base = d - left_base[u]
-            for e in left_edges(u):
+            for e in adj_left[u]:
                 v = right_of[e]
                 nd = base + wt[e] - right_base[v]
                 if nd > bound:
@@ -168,15 +194,16 @@ def solve_exact(graph: WeightedBipartiteGraph) -> SolveResult:
                     continue
                 dist_right[v] = nd
                 reach_edge[v] = e
-                heappush(heap, (nd, v))
+                heappush(heap, nd * n_right + v)
                 if mate_right[v] is None:
                     bound = nd
             while heap:  # settle the nearest right vertex; skip stale entries
-                d, v = heappop(heap)
+                d, v = divmod(heappop(heap), n_right)
                 if d == dist_right[v]:
                     break
             else:
-                # No augmenting path from this source: no perfect matching.
+                # No augmenting path from this source: nothing covers the
+                # left side.
                 _perfect_matching(graph)
                 raise AssertionError("augmenting path search exhausted a feasible graph")
             m = mate_right[v]

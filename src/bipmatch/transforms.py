@@ -1,10 +1,16 @@
-"""Reductions from optimum matchings to minimum-weight perfect matchings.
+"""Optimum matchings of any graph, and the reductions to perfect matchings.
 
 An optimum matching is a maximum-cardinality matching of minimum weight.
-On unbalanced or infeasible graphs it is found by transforming the
-instance into a balanced one that always (or conditionally) has a perfect
-matching, solving there, and keeping only the edges that came from the
-original graph:
+On a graph whose smaller side can be covered, AUTO (the default) finds
+one directly: the exact solver's shortest-path loop runs from the
+smaller side, on the graph or on its transposed copy, with every free
+vertex of the larger side at one shared, largest price (Ramshaw and
+Tarjan, 2012). On a square graph that run is ``solve_exact``.
+
+On a graph whose smaller side cannot be covered, and whenever a strategy
+is named, the instance is transformed into a balanced one that always (or
+conditionally) has a perfect matching, solved there, and only the edges
+that came from the original graph are kept:
 
 * full doubling: mirror the whole graph, join every vertex to its mirror
   copy with heavy link edges (weight 2*s*W). Works unconditionally.
@@ -14,9 +20,10 @@ original graph:
   constant cost k. Also needs a matching covering the smaller side; it
   adds n*(n-s) edges, and nothing on a square graph.
 
-The reductions read a graph with its larger side on the left (``_tall``),
-so n >= s and "right side" means the smaller side; the parent of a
-transformed instance is still the caller's graph.
+``optimal_edges_general`` always transforms. The reductions read a graph
+with its larger side on the left (``_tall``), so n >= s and "right side"
+means the smaller side; the parent of a transformed instance is still
+the caller's graph.
 
 Every derived graph lists the parent's m edges first, in parent order:
 derived edge e < m is parent edge e, and the later ones (mirror copies,
@@ -31,7 +38,7 @@ from .allowed import optimal_edges
 from .errors import CoverageRequired
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
-from .solvers import SolveResult, solve_exact
+from .solvers import SolveResult, _cover_left, solve_exact
 
 FULL_DOUBLING = "doubling"
 HALF_DOUBLING = "half-doubling"
@@ -58,13 +65,17 @@ class TransformedInstance:
         return [e for e in edges if e < m]
 
 
-def _tall(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
-    """The graph with its larger side on the left: the graph itself, or a
-    copy with the sides exchanged in which edge e is still edge e."""
-    if graph.n_left >= graph.n_right:
-        return graph
+def _transposed(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
+    """A copy of the graph with the sides exchanged, in which edge e is
+    still edge e."""
     return WeightedBipartiteGraph._trusted(graph.n_right, graph.n_left,
                                            graph._right_of, graph._left_of, graph._weight_of)
+
+
+def _tall(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
+    """The graph with its larger side on the left: the graph itself or its
+    transposed copy."""
+    return graph if graph.n_left >= graph.n_right else _transposed(graph)
 
 
 def _mirrored(graph: WeightedBipartiteGraph,
@@ -152,7 +163,11 @@ def _covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
 def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     """Pick a transformation: full doubling when the smaller side cannot be
     covered, padding on a square graph, which it leaves as it is, and half
-    doubling on every other graph."""
+    doubling on every other graph.
+
+    AUTO reads the answer only as a coverage verdict: it transforms a
+    graph only when full doubling is picked, and solves every other graph
+    directly."""
     if not _covers_smaller_side(graph):
         return FULL_DOUBLING
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
@@ -188,11 +203,21 @@ def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
                      k: int = 0) -> Matching:
     """A maximum-cardinality matching of minimum weight.
 
-    Pipeline: transform, solve the balanced instance exactly, keep the
-    original edges. Half doubling and padding require a matching covering
-    the smaller side (CoverageRequired otherwise); full doubling works on
-    any graph.
+    AUTO solves a graph whose smaller side can be covered directly, with
+    no transformed graph: one run of the exact solver's loop from the
+    smaller side, on the transposed copy when that side is the right one.
+    On a square graph that run is ``solve_exact``. Any other graph, and
+    every named strategy, takes the pipeline: transform, solve the
+    balanced instance exactly, keep the original edges. Half doubling and
+    padding require a matching covering the smaller side (CoverageRequired
+    otherwise); full doubling works on any graph.
     """
+    if strategy == AUTO:
+        _check_weight(k)
+        strategy = choose_strategy(graph)  # the one coverage check
+        if strategy != FULL_DOUBLING:
+            wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
+            return Matching(graph, _cover_left(wide).matching.edge_indices)
     transformed, result = _solve_transformed(graph, strategy, k)
     return restrict_back(transformed, result.matching)
 

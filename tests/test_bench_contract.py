@@ -6,8 +6,10 @@ its counts off their arguments and results: ``build_gcs(...).edge_count``,
 This test runs every verb the benchmark runs through ``cli.main`` under
 that tracer, so a renamed function or attribute fails here as well as in
 ``python3 bench/run.py --selftest``. No benchmark verb reaches the auction,
-so ``solve --solver rounding`` runs too, for the auction's counts. The
-tracer file is only read.
+so ``solve --solver rounding`` runs too, for the auction's counts, and
+``optimum --transform half-doubling`` runs beside AUTO, which transforms
+only a graph whose smaller side cannot be covered. The tracer file is only
+read.
 """
 
 import contextlib
@@ -43,6 +45,9 @@ def test_every_bench_verb_records_its_counts(tmp_path):
         ("preallocate", ["preallocate", ties, "--prefs", str(GOLDEN / "ties.prefs")], 0),
         ("enumerate", ["enumerate", ties, "--limit", "50"], 0),
         ("optimum", ["optimum", swapped, "--transform", "auto"], 0),
+        # AUTO solves a coverable graph without transforming it; a named
+        # strategy still solves a transformed graph, for the blow-up ratio.
+        ("optimum", ["optimum", swapped, "--transform", "half-doubling"], 0),
         ("solve", ["solve", swapped], 1),  # not square
     ]
     tracer = spans.Tracer()

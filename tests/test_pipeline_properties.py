@@ -3,7 +3,9 @@ tight subgraph: ``optimum_matching`` under every strategy, the optimal
 edges of any graph, and preallocation. Graphs of any shape (either side
 larger, edgeless, with or without a matching covering the smaller side),
 compared with the brute-force optima of the test suite and, on sides up
-to 8, with the maximum cardinality networkx finds. On square graphs with
+to 8, with the maximum cardinality networkx finds. On sides up to 30,
+``optimum_matching``'s default, AUTO, agrees with scipy's rectangular
+assignment solver on cardinality and weight. On square graphs with
 sides up to 8, the optimal edges from a certificate's own matching equal
 those found through Hopcroft-Karp, and the ``enumerate`` JSON writer
 prints what ``json.dumps`` prints. On tie-heavy square graphs the
@@ -59,6 +61,38 @@ def graphs(draw, weights, square=False, max_side=6):
     return WeightedBipartiteGraph(n, s, [(u, v, w) for (u, v), w in zip(order, ws)])
 
 
+# The weight families above, drawn from a seeded generator: graphs with
+# sides up to 30 have too many edges to draw each weight through hypothesis.
+RANDOM_WEIGHTS = {
+    "ties": lambda rng: rng.randint(0, 2),
+    "small": lambda rng: rng.randint(-50, 50),
+    "huge": lambda rng: rng.choice([-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT, 1 - MAX_ABS_WEIGHT,
+                                    MAX_ABS_WEIGHT - 1,
+                                    rng.randint(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)]),
+}
+
+
+def rectangular_assignment(graph: WeightedBipartiteGraph) -> tuple[int, int]:
+    """(cardinality, weight) of an optimum matching, from scipy's
+    rectangular ``linear_sum_assignment``. Each edge earns a bonus larger
+    than the weight of any matching, as in the benchmark's oracle, so a
+    larger matching always costs less; a missing edge costs 0. Costs stay
+    below 2**47 in magnitude and every sum below 2**53, so the float
+    arithmetic is exact."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    if not graph.edge_count:
+        return 0, 0
+    span = 2 * graph.max_abs_weight + 1
+    bonus = span * (min(graph.n_left, graph.n_right) + 1)
+    cost = np.zeros((graph.n_left, graph.n_right))
+    for u, v, w in graph.edges:
+        cost[u, v] = w - bonus
+    rows, cols = scipy_optimize.linear_sum_assignment(cost)
+    chosen = [e for e in map(graph.edge_index, rows.tolist(), cols.tolist()) if e is not None]
+    return len(chosen), sum(map(graph.weight, chosen))
+
+
 def covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
     return brute_force_optimum(graph)[0] == min(graph.n_left, graph.n_right)
 
@@ -95,6 +129,30 @@ def test_optimum_cardinality_matches_networkx(kind, data):
         else:
             with pytest.raises(CoverageRequired):
                 optimum_matching(graph, strategy)
+
+
+@KINDS
+@RANDOM
+@given(n=st.integers(0, 30), s=st.integers(0, 30), cover=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+def test_auto_matches_rectangular_assignment(kind, n, s, cover, rng):
+    # Half the graphs hide a matching that covers the smaller side, so AUTO
+    # solves them directly; the others are often fully doubled. Every graph
+    # is also run with its sides exchanged.
+    cells = set()
+    if cover:
+        hidden = rng.sample(range(max(n, s)), min(n, s))
+        cells = {(i, j) if n <= s else (j, i) for i, j in enumerate(hidden)}
+    density = rng.random() ** 2
+    cells |= {(u, v) for u in range(n) for v in range(s) if rng.random() < density}
+    weight = RANDOM_WEIGHTS[kind]
+    edges = [(u, v, weight(rng)) for u, v in rng.sample(sorted(cells), len(cells))]
+    graph = WeightedBipartiteGraph(n, s, edges)
+    expected = rectangular_assignment(graph)
+    for g in (graph, WeightedBipartiteGraph(s, n, [(v, u, w) for u, v, w in edges])):
+        m = optimum_matching(g)
+        assert m.graph is g
+        assert (m.cardinality, m.weight()) == expected
 
 
 @KINDS

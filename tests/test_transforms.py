@@ -1,20 +1,36 @@
-"""Reductions from optimum matchings to perfect matchings."""
+"""Optimum matchings: the reductions to perfect matchings, and AUTO's direct run."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import bipmatch.transforms
 from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
                       CoverageRequired, Matching, WeightedBipartiteGraph,
                       artificial_vertices, choose_strategy, first_doubling,
                       max_cardinality_matching, optimal_edges,
-                      optimal_edges_general, optimum_matching, restrict_back,
-                      second_doubling, solve_exact)
+                      optimal_edges_general, optimum_matching, parse_instance,
+                      restrict_back, second_doubling, solve_exact)
 
 from conftest import (brute_force_optimum, brute_force_optimum_matchings,
                       make_any_graph, make_feasible_square)
 
 WIDE = [(0, 0, 5), (1, 0, 3)]  # two left vertices, one right vertex
+GOLDEN = Path(__file__).parent / "golden"
+TRANSFORMS = ("first_doubling", "second_doubling", "artificial_vertices")
+
+
+def _golden(name):
+    return parse_instance((GOLDEN / f"{name}.bip").read_text())
+
+
+def _forbid_transforms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("AUTO built a transformed graph")
+
+    for name in TRANSFORMS:
+        monkeypatch.setattr(bipmatch.transforms, name, refuse)
 
 
 def _links(t):
@@ -292,6 +308,45 @@ class TestOptimumMatching:
             assert first_doubling(g).graph.edge_count == 2 * m + n + s
             assert second_doubling(g).graph.edge_count == 2 * m + n
             assert artificial_vertices(g).graph.edge_count == m + n * (n - s)
+
+
+class TestAutoSolvesDirectly:
+    """AUTO transforms only a graph whose smaller side cannot be covered;
+    it solves every other graph with the exact solver's loop run from the
+    smaller side."""
+
+    @pytest.mark.parametrize("name", ["wide", "near_square", "swapped"])
+    def test_coverable_graph_is_not_transformed(self, name, hk_calls, monkeypatch):
+        g = _golden(name)
+        doubled = optimum_matching(g, FULL_DOUBLING)
+        _forbid_transforms(monkeypatch)
+        hk_calls.clear()
+        m = optimum_matching(g, AUTO)
+        # The coverage check and the start of the solver's loop.
+        assert len(hk_calls) == 2
+        assert m.graph is g
+        assert m.cardinality == min(g.n_left, g.n_right)
+        assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
+
+    def test_uncoverable_graph_is_fully_doubled(self, monkeypatch):
+        g = _golden("uncovered")
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return first_doubling(graph)
+
+        monkeypatch.setattr(bipmatch.transforms, "first_doubling", counting)
+        m = optimum_matching(g, AUTO)
+        assert calls == [g]
+        assert m.cardinality < min(g.n_left, g.n_right)
+
+    def test_square_graph_gets_solve_exact(self, monkeypatch):
+        _forbid_transforms(monkeypatch)
+        rng = random.Random(2323)
+        for _ in range(60):
+            g = make_feasible_square(rng, n_max=7)
+            assert optimum_matching(g, AUTO) == solve_exact(g).matching
 
 
 class TestOptimalEdgesGeneral:
