@@ -1,16 +1,23 @@
 """Optimum matchings of any graph, and the reductions to perfect matchings.
 
 An optimum matching is a maximum-cardinality matching of minimum weight.
-On a graph whose smaller side can be covered, AUTO (the default) finds
-one directly: the exact solver's shortest-path loop runs from the
+AUTO (the default) builds no transformed graph. On a graph whose smaller
+side can be covered, the exact solver's shortest-path loop runs from the
 smaller side, on the graph or on its transposed copy, with every free
 vertex of the larger side at one shared, largest price (Ramshaw and
 Tarjan, 2012). On a square graph that run is ``solve_exact``.
 
-On a graph whose smaller side cannot be covered, and whenever a strategy
-is named, the instance is transformed into a balanced one that always (or
-conditionally) has a perfect matching, solved there, and only the edges
-that came from the original graph are kept:
+A graph whose smaller side cannot be covered is split in two (Dulmage
+and Mendelsohn, 1958). The vertices X that alternating paths reach from
+the left vertices a maximum matching leaves free induce a graph whose
+right side can be covered, the other vertices one whose left side can,
+and no edge between the two lies in a maximum matching. AUTO runs the
+same loop once on each piece, from its coverable side, and joins the two
+matchings.
+
+When a strategy is named, the instance is transformed into a balanced
+one that always (or conditionally) has a perfect matching, solved there,
+and only the edges that came from the original graph are kept:
 
 * full doubling: mirror the whole graph, join every vertex to its mirror
   copy with heavy link edges (weight 2*s*W). Works unconditionally.
@@ -33,6 +40,7 @@ links, padding) have no parent counterpart. Nothing else records origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count
 
 from .allowed import optimal_edges
 from .errors import CoverageRequired
@@ -165,9 +173,9 @@ def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     covered, padding on a square graph, which it leaves as it is, and half
     doubling on every other graph.
 
-    AUTO reads the answer only as a coverage verdict: it transforms a
-    graph only when full doubling is picked, and solves every other graph
-    directly."""
+    AUTO reads the answer only as a coverage verdict: it splits a graph
+    when full doubling is picked, solves every other graph directly, and
+    transforms none."""
     if not _covers_smaller_side(graph):
         return FULL_DOUBLING
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
@@ -199,25 +207,84 @@ def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
     return transformed, solve_exact(transformed.graph)
 
 
+def _reached(graph: WeightedBipartiteGraph) -> tuple[list[bool], list[bool]]:
+    """Flags for the left and for the right vertices that alternating paths
+    reach from the left vertices a maximum matching leaves free.
+
+    Every reached right vertex is matched, or its path would augment, and
+    its mate is reached too; no edge leaves a reached left vertex for an
+    unreached right one. So the matching covers the right side of the
+    reached piece and the left side of the other. The unreached left and
+    the reached right vertices form a vertex cover as large as the
+    matching (Konig's theorem), so a maximum matching puts one cover vertex on each
+    edge, and an edge that joins two cover vertices, the only kind that
+    joins the pieces, lies in none."""
+    matching = max_cardinality_matching(graph)
+    left_of, right_of, adj_left = graph._left_of, graph._right_of, graph._adj_left
+    mate_of_right: list[int] = [-1] * graph.n_right
+    for e in matching:
+        mate_of_right[right_of[e]] = left_of[e]
+    reached_left = [e is None for e in matching._mate_left]
+    reached_right = [False] * graph.n_right
+    queue = [u for u, free in enumerate(reached_left) if free]
+    for u in queue:  # the loop also visits the mates appended below
+        for e in adj_left[u]:
+            v = right_of[e]
+            if not reached_right[v]:
+                reached_right[v] = True
+                w = mate_of_right[v]
+                reached_left[w] = True
+                queue.append(w)
+    return reached_left, reached_right
+
+
+def _cover_piece(graph: WeightedBipartiteGraph, reached_left: list[bool],
+                 reached_right: list[bool], reached: bool) -> list[int]:
+    """The parent edges of an optimum matching of the piece induced by the
+    vertices whose flag equals ``reached``: a compact copy, its vertices
+    renumbered in index order and its edges in parent order, solved by the
+    exact solver's loop from the covered side, on the transposed copy for
+    the reached piece."""
+    left_of, right_of, weight_of = graph._left_of, graph._right_of, graph._weight_of
+    # The new number of each vertex of the piece; the last entry counts them.
+    left_id = list(accumulate((flag == reached for flag in reached_left), initial=0))
+    right_id = list(accumulate((flag == reached for flag in reached_right), initial=0))
+    edges = [e for e, u, v in zip(count(), left_of, right_of)
+             if reached_left[u] == reached_right[v] == reached]
+    left = [left_id[left_of[e]] for e in edges]
+    right = [right_id[right_of[e]] for e in edges]
+    weight = [weight_of[e] for e in edges]
+    n_left, n_right = left_id[-1], right_id[-1]
+    piece = (WeightedBipartiteGraph._trusted(n_right, n_left, right, left, weight) if reached
+             else WeightedBipartiteGraph._trusted(n_left, n_right, left, right, weight))
+    return [edges[e] for e in _cover_left(piece).matching.edge_indices]
+
+
 def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
                      k: int = 0) -> Matching:
     """A maximum-cardinality matching of minimum weight.
 
-    AUTO solves a graph whose smaller side can be covered directly, with
-    no transformed graph: one run of the exact solver's loop from the
-    smaller side, on the transposed copy when that side is the right one.
-    On a square graph that run is ``solve_exact``. Any other graph, and
-    every named strategy, takes the pipeline: transform, solve the
-    balanced instance exactly, keep the original edges. Half doubling and
-    padding require a matching covering the smaller side (CoverageRequired
-    otherwise); full doubling works on any graph.
+    AUTO builds no transformed graph. It solves a graph whose smaller side
+    can be covered with one run of the exact solver's loop from the
+    smaller side, on the transposed copy when that side is the right one;
+    on a square graph that run is ``solve_exact``. Any other graph it
+    splits, with one more maximum-cardinality matching run, into two
+    pieces that can be covered, one from each side, and it joins one
+    such run on each (see the module docstring). Every named strategy
+    takes the pipeline: transform, solve the balanced instance exactly,
+    keep the original edges. Half doubling and padding require a matching
+    covering the smaller side (CoverageRequired otherwise); full doubling
+    works on any graph.
     """
     if strategy == AUTO:
         _check_weight(k)
         strategy = choose_strategy(graph)  # the one coverage check
-        if strategy != FULL_DOUBLING:
-            wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
-            return Matching(graph, _cover_left(wide).matching.edge_indices)
+        if strategy == FULL_DOUBLING:
+            flags = _reached(graph)
+            return Matching(graph, _cover_piece(graph, *flags, True)
+                            + _cover_piece(graph, *flags, False))
+        wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
+        return Matching(graph, _cover_left(wide).matching.edge_indices)
     transformed, result = _solve_transformed(graph, strategy, k)
     return restrict_back(transformed, result.matching)
 

@@ -6,10 +6,12 @@ its counts off their arguments and results: ``build_gcs(...).edge_count``,
 This test runs every verb the benchmark runs through ``cli.main`` under
 that tracer, so a renamed function or attribute fails here as well as in
 ``python3 bench/run.py --selftest``. No benchmark verb reaches the auction,
-so ``solve --solver rounding`` runs too, for the auction's counts, and
-``optimum --transform half-doubling`` runs beside AUTO, which transforms
-only a graph whose smaller side cannot be covered. The tracer file is only
-read.
+so ``solve --solver rounding`` runs too, for the auction's counts. AUTO
+transforms no graph: it runs on a coverable graph and on one whose
+smaller side cannot be covered, which it splits in two, and
+``optimum --transform half-doubling`` runs beside it, so that a
+transformed graph is solved for ``transforms.edge_blowup_ratio``. The
+tracer file is only read.
 """
 
 import contextlib
@@ -36,6 +38,7 @@ def load_spans() -> types.ModuleType:
 def test_every_bench_verb_records_its_counts(tmp_path):
     spans = load_spans()
     ties, swapped = str(GOLDEN / "ties.bip"), str(GOLDEN / "swapped.bip")
+    uncovered = str(GOLDEN / "uncovered.bip")
     solved = tmp_path / "solved.json"
     runs = [
         ("solve", ["solve", ties], 0),
@@ -45,8 +48,9 @@ def test_every_bench_verb_records_its_counts(tmp_path):
         ("preallocate", ["preallocate", ties, "--prefs", str(GOLDEN / "ties.prefs")], 0),
         ("enumerate", ["enumerate", ties, "--limit", "50"], 0),
         ("optimum", ["optimum", swapped, "--transform", "auto"], 0),
-        # AUTO solves a coverable graph without transforming it; a named
-        # strategy still solves a transformed graph, for the blow-up ratio.
+        ("optimum", ["optimum", uncovered, "--transform", "auto"], 0),
+        # AUTO transforms neither graph; a named strategy still solves a
+        # transformed graph, for the blow-up ratio.
         ("optimum", ["optimum", swapped, "--transform", "half-doubling"], 0),
         ("solve", ["solve", swapped], 1),  # not square
     ]

@@ -5,7 +5,9 @@ larger, edgeless, with or without a matching covering the smaller side),
 compared with the brute-force optima of the test suite and, on sides up
 to 8, with the maximum cardinality networkx finds. On sides up to 30,
 ``optimum_matching``'s default, AUTO, agrees with scipy's rectangular
-assignment solver on cardinality and weight. On square graphs with
+assignment solver on cardinality and weight. On graphs whose smaller side
+cannot be covered, which AUTO splits in two, it agrees with brute force on
+sides up to 6 and with scipy on sides up to 30. On square graphs with
 sides up to 8, the optimal edges from a certificate's own matching equal
 those found through Hopcroft-Karp, and the ``enumerate`` JSON writer
 prints what ``json.dumps`` prints. On tie-heavy square graphs the
@@ -17,13 +19,14 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import json  # noqa: E402
+import random  # noqa: E402
 from itertools import islice  # noqa: E402
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (AUTO, FULL_DOUBLING, MAX_ABS_WEIGHT, STRATEGIES,  # noqa: E402
-                      CoverageRequired, EdgeSet, WeightedBipartiteGraph,
+                      CoverageRequired, EdgeSet, WeightedBipartiteGraph, choose_strategy,
                       iter_min_weight_perfect_matchings, optimal_edges,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact,
                       solve_via_rounding)
@@ -153,6 +156,56 @@ def test_auto_matches_rectangular_assignment(kind, n, s, cover, rng):
         m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected
+
+
+def hall_violator(rng, n: int, s: int, weight) -> WeightedBipartiteGraph:
+    """A graph with sides n, s >= 1 whose smaller side (the left one when
+    the sides are equal) cannot be covered: a set D of a of its vertices
+    has edges only into a set of a - 1 vertices of the other side. When
+    a = 1, a vertex of D has no edges, and a piece of the split may have
+    an empty side. Every other cell is an edge with one random density, at
+    times 0 or 1, and the edges come in shuffled order."""
+    small, large = min(n, s), max(n, s)
+    a = rng.randint(1, small)
+    deficient, reach = set(rng.sample(range(small), a)), set(rng.sample(range(large), a - 1))
+    density = rng.choice([0.0, 1.0, rng.random(), rng.random() ** 2])
+    cells = [(x, y) for x in range(small) for y in range(large)
+             if (x not in deficient or y in reach) and rng.random() < density]
+    rng.shuffle(cells)
+    pairs = cells if n <= s else [(y, x) for x, y in cells]
+    return WeightedBipartiteGraph(n, s, [(u, v, weight(rng)) for u, v in pairs])
+
+
+def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None:
+    """AUTO on the graph and on its transposed copy, which violates Hall's
+    condition as well, gives the expected (cardinality, weight)."""
+    flipped = WeightedBipartiteGraph(graph.n_right, graph.n_left,
+                                     [(v, u, w) for u, v, w in graph.edges])
+    for g in (graph, flipped):
+        assert choose_strategy(g) == FULL_DOUBLING
+        m = optimum_matching(g, AUTO)
+        assert m.graph is g
+        assert (m.cardinality, m.weight()) == expected
+
+
+# 3 x 500 examples against brute force and 3 x 300 against scipy: AUTO's
+# split runs on 2400 Hall violators, each in both orientations. Hypothesis
+# draws a seed only: a graph with sides up to 30 takes hundreds of random
+# calls, each slow through ``st.randoms``.
+@KINDS
+@settings(deadline=None, max_examples=500)
+@given(n=st.integers(1, 6), s=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_auto_on_hall_violators_matches_brute_force(kind, n, s, seed):
+    graph = hall_violator(random.Random(seed), n, s, RANDOM_WEIGHTS[kind])
+    check_auto_on_hall_violator(graph, brute_force_optimum(graph))
+
+
+@KINDS
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 30), s=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_auto_on_hall_violators_matches_rectangular_assignment(kind, n, s, seed):
+    graph = hall_violator(random.Random(seed), n, s, RANDOM_WEIGHTS[kind])
+    check_auto_on_hall_violator(graph, rectangular_assignment(graph))
 
 
 @KINDS

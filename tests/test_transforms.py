@@ -311,9 +311,9 @@ class TestOptimumMatching:
 
 
 class TestAutoSolvesDirectly:
-    """AUTO transforms only a graph whose smaller side cannot be covered;
-    it solves every other graph with the exact solver's loop run from the
-    smaller side."""
+    """AUTO transforms no graph: it solves a coverable graph with the exact
+    solver's loop run from the smaller side, and any other graph with one
+    such run on each of the two pieces of its split."""
 
     @pytest.mark.parametrize("name", ["wide", "near_square", "swapped"])
     def test_coverable_graph_is_not_transformed(self, name, hk_calls, monkeypatch):
@@ -328,18 +328,18 @@ class TestAutoSolvesDirectly:
         assert m.cardinality == min(g.n_left, g.n_right)
         assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
 
-    def test_uncoverable_graph_is_fully_doubled(self, monkeypatch):
+    def test_uncoverable_graph_is_split_not_transformed(self, hk_calls, monkeypatch):
         g = _golden("uncovered")
-        calls = []
-
-        def counting(graph):
-            calls.append(graph)
-            return first_doubling(graph)
-
-        monkeypatch.setattr(bipmatch.transforms, "first_doubling", counting)
+        doubled = optimum_matching(g, FULL_DOUBLING)
+        _forbid_transforms(monkeypatch)
+        hk_calls.clear()
         m = optimum_matching(g, AUTO)
-        assert calls == [g]
+        # The coverage check, the split's maximum matching and the start of
+        # the solver's loop on each piece.
+        assert len(hk_calls) == 4
+        assert m.graph is g
         assert m.cardinality < min(g.n_left, g.n_right)
+        assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
 
     def test_square_graph_gets_solve_exact(self, monkeypatch):
         _forbid_transforms(monkeypatch)
@@ -347,6 +347,46 @@ class TestAutoSolvesDirectly:
         for _ in range(60):
             g = make_feasible_square(rng, n_max=7)
             assert optimum_matching(g, AUTO) == solve_exact(g).matching
+
+
+class TestSplit:
+    """AUTO's split, checked against brute force on every graph with sides
+    up to 4 drawn here: it holds for any graph, and AUTO uses it when the
+    smaller side cannot be covered."""
+
+    def test_pieces_cover_and_dropped_edges_lie_in_no_optimum(self):
+        rng = random.Random(2424)
+        split = 0
+        for _ in range(400):
+            g = make_any_graph(rng, n_max=4)
+            for h in (g, WeightedBipartiteGraph(g.n_right, g.n_left,
+                                                [(v, u, w) for u, v, w in g.edges])):
+                split += choose_strategy(h) == FULL_DOUBLING
+                self.check(h)
+        assert split > 50
+
+    @staticmethod
+    def check(g):
+        reached_left, reached_right = bipmatch.transforms._reached(g)
+        card = brute_force_optimum(g)[0]
+        for reached in (True, False):
+            lefts = [u for u in range(g.n_left) if reached_left[u] == reached]
+            rights = [v for v in range(g.n_right) if reached_right[v] == reached]
+            piece = [(lefts.index(u), rights.index(v), w) for u, v, w in g.edges
+                     if reached_left[u] == reached_right[v] == reached]
+            covered = brute_force_optimum(
+                WeightedBipartiteGraph(len(lefts), len(rights), piece))[0]
+            assert covered == len(rights if reached else lefts)
+        # No edge leaves a reached left vertex for an unreached right one,
+        # and an edge the other way lies in no maximum matching.
+        dropped = {e for e, (u, v, _w) in enumerate(g.edges)
+                   if reached_left[u] != reached_right[v]}
+        assert all(reached_right[g.endpoints(e)[1]] for e in dropped)
+        for e in dropped:
+            u, v = g.endpoints(e)
+            rest = WeightedBipartiteGraph(g.n_left, g.n_right, [
+                (a, b, w) for a, b, w in g.edges if a != u and b != v])
+            assert brute_force_optimum(rest)[0] + 1 < card
 
 
 class TestOptimalEdgesGeneral:
