@@ -9,8 +9,7 @@ unbalanced or infeasible instances.
 
 from .allowed import allowed_edges, optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings, iter_perfect_matchings
-from .errors import (CoverageRequired, Error, Infeasible, InfeasibleDual, NotSquare,
-                     ParseError)
+from .errors import Error, Infeasible, InfeasibleDual, NotSquare, ParseError
 from .graph import (MAX_ABS_WEIGHT, EdgeSet, Matching, WeightedBipartiteGraph,
                     matching_from_json, parse_instance, serialize_instance)
 from .matching import max_cardinality_matching
@@ -20,7 +19,7 @@ from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
                      prices_from_json, prices_to_json, round_to_optimal)
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
 from .tight import build_gcs, gcs_to_json
-from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
+from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING,
                          TransformedInstance, artificial_vertices,
                          choose_strategy, first_doubling, optimal_edges_general,
                          optimum_matching, restrict_back, second_doubling)
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUTO",
-    "CoverageRequired",
     "DualPrices",
     "EdgeSet",
     "Error",
@@ -42,7 +40,6 @@ __all__ = [
     "NotSquare",
     "PADDING",
     "ParseError",
-    "STRATEGIES",
     "SlackViolation",
     "SolveResult",
     "SolveStats",

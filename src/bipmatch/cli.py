@@ -10,7 +10,7 @@ object per line), diagnostics on stderr. Exit codes: 0 success,
     bipmatch opt-edges instance.bip [--prices prices.json]
     bipmatch enumerate instance.bip [--prices ...] [--limit N]
     bipmatch preallocate instance.bip --prefs prefs.txt [--prices ...]
-    bipmatch optimum instance.bip [--transform doubling|half-doubling|artificial|auto]
+    bipmatch optimum instance.bip [--transform auto]
     bipmatch check instance.bip --matching result.json [--prices prices.json]
 """
 
@@ -25,7 +25,7 @@ from typing import Callable
 from . import transforms
 from .allowed import optimal_edges
 from .enumeration import iter_min_weight_perfect_matchings
-from .errors import CoverageRequired, Error, Infeasible, NotSquare, ParseError
+from .errors import Error, Infeasible, NotSquare, ParseError
 from .graph import Matching, WeightedBipartiteGraph, matching_from_json, parse_instance
 from .preallocation import parse_preferences, preallocate
 from .prices import (DualPrices, dual_objective, dual_violations, edge_slacks,
@@ -74,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefs", required=True, help="preference file (f lines)")
     p.add_argument("--prices")
     p = add("optimum", _cmd_optimum, "maximum-cardinality matching of minimum weight")
-    p.add_argument("--transform",
-                   choices=transforms.STRATEGIES + (transforms.AUTO,),
-                   default=transforms.AUTO)
+    p.add_argument("--transform", choices=[transforms.AUTO], default=transforms.AUTO)
     p = add("check", _cmd_check,
             "validate a matching/prices pair as an optimality certificate")
     p.add_argument("--matching", required=True,
@@ -204,7 +202,7 @@ def _cmd_preallocate(args) -> int:
 
 def _cmd_optimum(args) -> int:
     graph = _load_instance(args.instance)
-    _emit(transforms.optimum_matching(graph, args.transform).to_json())
+    _emit(transforms.optimum_matching(graph).to_json())
     return EXIT_OK
 
 
@@ -253,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
         return args.run(args)
-    except (Infeasible, NotSquare, CoverageRequired) as exc:
+    except (Infeasible, NotSquare) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (Error, OSError) as exc:

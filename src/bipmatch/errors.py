@@ -31,8 +31,3 @@ class NotSquare(Error):
 
 class InfeasibleDual(Error):
     """Supplied prices violate dual feasibility on at least one edge."""
-
-
-class CoverageRequired(Error):
-    """The chosen transformation needs a matching covering the small side,
-    and none exists."""

@@ -1,7 +1,7 @@
 """Optimum matchings of any graph, and the reductions to perfect matchings.
 
 An optimum matching is a maximum-cardinality matching of minimum weight.
-AUTO (the default) builds no transformed graph. On a graph whose smaller
+``optimum_matching`` builds no transformed graph. On a graph whose smaller
 side can be covered, the exact solver's shortest-path loop runs from the
 smaller side, on the graph or on its transposed copy, with every free
 vertex of the larger side at one shared, largest price (Ramshaw and
@@ -11,13 +11,13 @@ A graph whose smaller side cannot be covered is split in two (Dulmage
 and Mendelsohn, 1958). The vertices X that alternating paths reach from
 the left vertices a maximum matching leaves free induce a graph whose
 right side can be covered, the other vertices one whose left side can,
-and no edge between the two lies in a maximum matching. AUTO runs the
-same loop once on each piece, from its coverable side, and joins the two
-matchings.
+and no edge between the two lies in a maximum matching. The same loop
+runs once on each piece, from its coverable side, and the two matchings
+are joined.
 
-When a strategy is named, the instance is transformed into a balanced
-one that always (or conditionally) has a perfect matching, solved there,
-and only the edges that came from the original graph are kept:
+The paper reduces the question to a perfect matching problem on a
+balanced graph, solved there; only the edges that came from the original
+graph are kept. The three reductions are its constructions:
 
 * full doubling: mirror the whole graph, join every vertex to its mirror
   copy with heavy link edges (weight 2*s*W). Works unconditionally.
@@ -26,6 +26,11 @@ and only the edges that came from the original graph are kept:
 * padding: add artificial right vertices joined to every left vertex at
   constant cost k. Also needs a matching covering the smaller side; it
   adds n*(n-s) edges, and nothing on a square graph.
+
+For a reduction t, ``restrict_back(t, solve_exact(t.graph).matching)``
+is an optimum of the parent. Without that coverage, half doubling and
+padding give a graph with no perfect matching: ``solve_exact`` raises
+``Infeasible``.
 
 ``optimal_edges_general`` always transforms. The reductions read a graph
 with its larger side on the left (``_tall``), so n >= s and "right side"
@@ -43,17 +48,14 @@ from dataclasses import dataclass
 from itertools import accumulate, count
 
 from .allowed import optimal_edges
-from .errors import CoverageRequired
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
-from .solvers import SolveResult, _cover_left, solve_exact
+from .solvers import _cover_left, solve_exact
 
 FULL_DOUBLING = "doubling"
 HALF_DOUBLING = "half-doubling"
 PADDING = "artificial"
 AUTO = "auto"
-
-STRATEGIES = (FULL_DOUBLING, HALF_DOUBLING, PADDING)
 
 
 @dataclass(frozen=True)
@@ -169,42 +171,17 @@ def _covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
 
 
 def choose_strategy(graph: WeightedBipartiteGraph) -> str:
-    """Pick a transformation: full doubling when the smaller side cannot be
+    """Pick a reduction: full doubling when the smaller side cannot be
     covered, padding on a square graph, which it leaves as it is, and half
     doubling on every other graph.
 
-    AUTO reads the answer only as a coverage verdict: it splits a graph
-    when full doubling is picked, solves every other graph directly, and
-    transforms none."""
+    ``optimum_matching`` reads the answer only as a coverage verdict: it
+    splits a graph when full doubling is picked, solves every other graph
+    directly, and transforms none. ``optimal_edges_general`` runs the
+    reduction picked."""
     if not _covers_smaller_side(graph):
         return FULL_DOUBLING
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
-
-
-def _solve_transformed(graph: WeightedBipartiteGraph, strategy: str,
-                       k: int) -> tuple[TransformedInstance, SolveResult]:
-    """Check k, resolve AUTO, check that the strategy applies to the graph
-    with at most one maximum-cardinality matching run, transform, and solve
-    the balanced instance exactly."""
-    _check_weight(k)
-    if strategy == AUTO:
-        # Picks a strategy that needs coverage only when coverage holds.
-        strategy = choose_strategy(graph)
-    elif strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
-                         f"{STRATEGIES + (AUTO,)}")
-    elif strategy != FULL_DOUBLING and not _covers_smaller_side(graph):
-        side = "right" if graph.n_left >= graph.n_right else "left"
-        raise CoverageRequired(
-            f"strategy {strategy!r} needs a matching covering the {side} side; "
-            f"use {FULL_DOUBLING!r} for this instance")
-    if strategy == FULL_DOUBLING:
-        transformed = first_doubling(graph)
-    elif strategy == HALF_DOUBLING:
-        transformed = second_doubling(graph, k)
-    else:
-        transformed = artificial_vertices(graph, k)
-    return transformed, solve_exact(transformed.graph)
 
 
 def _reached(graph: WeightedBipartiteGraph) -> tuple[list[bool], list[bool]]:
@@ -260,39 +237,34 @@ def _cover_piece(graph: WeightedBipartiteGraph, reached_left: list[bool],
     return [edges[e] for e in _cover_left(piece).matching.edge_indices]
 
 
-def optimum_matching(graph: WeightedBipartiteGraph, strategy: str = AUTO,
-                     k: int = 0) -> Matching:
+def optimum_matching(graph: WeightedBipartiteGraph) -> Matching:
     """A maximum-cardinality matching of minimum weight.
 
-    AUTO builds no transformed graph. It solves a graph whose smaller side
+    It builds no transformed graph. It solves a graph whose smaller side
     can be covered with one run of the exact solver's loop from the
     smaller side, on the transposed copy when that side is the right one;
     on a square graph that run is ``solve_exact``. Any other graph it
     splits, with one more maximum-cardinality matching run, into two
     pieces that can be covered, one from each side, and it joins one
-    such run on each (see the module docstring). Every named strategy
-    takes the pipeline: transform, solve the balanced instance exactly,
-    keep the original edges. Half doubling and padding require a matching
-    covering the smaller side (CoverageRequired otherwise); full doubling
-    works on any graph.
+    such run on each (see the module docstring).
     """
-    if strategy == AUTO:
-        _check_weight(k)
-        strategy = choose_strategy(graph)  # the one coverage check
-        if strategy == FULL_DOUBLING:
-            flags = _reached(graph)
-            return Matching(graph, _cover_piece(graph, *flags, True)
-                            + _cover_piece(graph, *flags, False))
-        wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
-        return Matching(graph, _cover_left(wide).matching.edge_indices)
-    transformed, result = _solve_transformed(graph, strategy, k)
-    return restrict_back(transformed, result.matching)
+    strategy = choose_strategy(graph)  # the one coverage check
+    if strategy == FULL_DOUBLING:
+        flags = _reached(graph)
+        return Matching(graph, _cover_piece(graph, *flags, True)
+                        + _cover_piece(graph, *flags, False))
+    wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
+    return Matching(graph, _cover_left(wide).matching.edge_indices)
 
 
-def optimal_edges_general(graph: WeightedBipartiteGraph, strategy: str = AUTO,
-                          k: int = 0) -> EdgeSet:
+def optimal_edges_general(graph: WeightedBipartiteGraph) -> EdgeSet:
     """All edges occurring in some optimum matching: the optimal edges of
-    the transformed instance, intersected with the original edges."""
-    transformed, result = _solve_transformed(graph, strategy, k)
+    the reduction ``choose_strategy`` picks, intersected with the original
+    edges."""
+    strategy = choose_strategy(graph)
+    transformed = (first_doubling(graph) if strategy == FULL_DOUBLING
+                   else second_doubling(graph) if strategy == HALF_DOUBLING
+                   else artificial_vertices(graph))
+    result = solve_exact(transformed.graph)
     lifted = optimal_edges(transformed.graph, result.prices, result.matching)
     return EdgeSet(graph, transformed.original_edge_indices(lifted.edge_indices))

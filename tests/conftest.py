@@ -11,8 +11,10 @@ import bipmatch.enumeration
 import bipmatch.matching
 import bipmatch.solvers
 import bipmatch.transforms
-from bipmatch import (DualPrices, Matching, WeightedBipartiteGraph, check_eps_optimal,
-                      max_cardinality_matching)
+from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING, DualPrices, EdgeSet, Matching,
+                      TransformedInstance, WeightedBipartiteGraph, artificial_vertices,
+                      check_eps_optimal, first_doubling, max_cardinality_matching,
+                      optimal_edges, restrict_back, second_doubling, solve_exact)
 
 # Canonical 3x3 fixture used throughout: two optimal price systems with
 # different tight subgraphs but the same (unique) optimal matching.
@@ -66,6 +68,25 @@ def hk_calls(monkeypatch):
                    bipmatch.enumeration):
         monkeypatch.setattr(module, "max_cardinality_matching", counting)
     return calls
+
+
+# The paper's reductions to perfect matchings, by ``choose_strategy``'s verdict.
+REDUCTIONS = {FULL_DOUBLING: first_doubling, HALF_DOUBLING: second_doubling,
+              PADDING: artificial_vertices}
+
+
+def reduced_optimum(transformed: TransformedInstance) -> Matching:
+    """An optimum matching of the parent through the paper's pipeline:
+    solve the balanced graph exactly and keep the parent's edges."""
+    return restrict_back(transformed, solve_exact(transformed.graph).matching)
+
+
+def reduced_optimal_edges(transformed: TransformedInstance) -> EdgeSet:
+    """The edges of the parent in some optimum matching: the optimal edges
+    of the balanced graph that came from the parent."""
+    result = solve_exact(transformed.graph)
+    lifted = optimal_edges(transformed.graph, result.prices, result.matching)
+    return EdgeSet(transformed.parent, transformed.original_edge_indices(lifted.edge_indices))
 
 
 def make_feasible_square(rng: random.Random, n_max: int = 7,

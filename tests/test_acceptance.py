@@ -13,10 +13,9 @@ from bipmatch import (DualPrices, WeightedBipartiteGraph, artificial_vertices, b
                       iter_min_weight_perfect_matchings, iter_perfect_matchings,
                       max_cardinality_matching, optimal_edges, optimum_matching,
                       round_to_optimal, second_doubling, solve_auction, solve_exact)
-from bipmatch.transforms import FULL_DOUBLING, HALF_DOUBLING, PADDING
 
 from conftest import (FIG1_EDGES, M_STAR, brute_force_min_weight_pms, brute_force_optimum,
-                      make_any_graph, make_feasible_square)
+                      make_any_graph, make_feasible_square, reduced_optimum)
 
 
 @contextmanager
@@ -153,14 +152,14 @@ def test_criterion_8_transforms():
             assert artificial_vertices(g).graph.edge_count == m + n * (n - s)
 
             card_star, w_star = brute_force_optimum(g)
-            full = optimum_matching(g, FULL_DOUBLING)
-            assert (full.cardinality, full.weight()) == (card_star, w_star)
+            for opt in (reduced_optimum(first_doubling(g)), optimum_matching(g)):
+                assert (opt.cardinality, opt.weight()) == (card_star, w_star)
 
             if max_cardinality_matching(g).cardinality == g.n_right:
                 outcomes = set()
-                for strategy in (HALF_DOUBLING, PADDING):
+                for reduce in (second_doubling, artificial_vertices):
                     for k in (-3, 0, 7):
-                        mm = optimum_matching(g, strategy, k)
+                        mm = reduced_optimum(reduce(g, k))
                         outcomes.add((mm.cardinality, mm.weight()))
                 assert outcomes == {(card_star, w_star)}
 

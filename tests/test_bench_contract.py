@@ -6,11 +6,10 @@ its counts off their arguments and results: ``build_gcs(...).edge_count``,
 This test runs every verb the benchmark runs through ``cli.main`` under
 that tracer, so a renamed function or attribute fails here as well as in
 ``python3 bench/run.py --selftest``. No benchmark verb reaches the auction,
-so ``solve --solver rounding`` runs too, for the auction's counts. AUTO
-transforms no graph: it runs on a coverable graph and on one whose
-smaller side cannot be covered, which it splits in two, and
-``optimum --transform half-doubling`` runs beside it, so that a
-transformed graph is solved for ``transforms.edge_blowup_ratio``. The
+so ``solve --solver rounding`` runs too, for the auction's counts.
+``optimum`` runs on a coverable graph and on one whose smaller side
+cannot be covered, which it splits in two; it transforms neither, so no
+run gives ``transforms.edge_blowup_ratio`` a transformed graph. The
 tracer file is only read.
 """
 
@@ -49,9 +48,6 @@ def test_every_bench_verb_records_its_counts(tmp_path):
         ("enumerate", ["enumerate", ties, "--limit", "50"], 0),
         ("optimum", ["optimum", swapped, "--transform", "auto"], 0),
         ("optimum", ["optimum", uncovered, "--transform", "auto"], 0),
-        # AUTO transforms neither graph; a named strategy still solves a
-        # transformed graph, for the blow-up ratio.
-        ("optimum", ["optimum", swapped, "--transform", "half-doubling"], 0),
         ("solve", ["solve", swapped], 1),  # not square
     ]
     tracer = spans.Tracer()
@@ -87,4 +83,3 @@ def test_every_bench_verb_records_its_counts(tmp_path):
     assert 0 < metrics["allowed.optimal_edge_ratio"] <= 1
     assert metrics["enumeration.outputs"] > 0
     assert metrics["solvers.solve_auction.bids"] > 0
-    assert metrics["transforms.edge_blowup_ratio"] > 0

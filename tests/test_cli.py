@@ -9,6 +9,7 @@ import pytest
 
 import bipmatch.cli
 import bipmatch.solvers
+from bipmatch import artificial_vertices, parse_instance, second_doubling, serialize_instance
 from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
@@ -381,12 +382,11 @@ class TestHallViolator:
 
 
 class TestOptimum:
-    @pytest.mark.parametrize("transform", ["doubling", "half-doubling",
-                                           "artificial", "auto"])
-    def test_wide_instance(self, capsys, tmp_path, transform):
+    @pytest.mark.parametrize("flags", [["--transform", "auto"], []], ids=["auto", "default"])
+    def test_wide_instance(self, capsys, tmp_path, flags):
         path = tmp_path / "wide.bip"
         path.write_text(WIDE_TEXT)
-        code, out, _ = run(capsys, "optimum", str(path), "--transform", transform)
+        code, out, _ = run(capsys, "optimum", str(path), *flags)
         assert code == 0
         payload = json.loads(out)
         assert payload["cardinality"] == 1
@@ -394,24 +394,19 @@ class TestOptimum:
         assert payload["edges"] == [[2, 1]]
 
     def test_coverage_required_exit_1(self, capsys, tmp_path):
+        # Right vertex 2 has no edge. Half doubling and padding need a
+        # matching covering the smaller side, so their balanced graphs have
+        # no perfect matching (exit 1); optimum answers the instance itself.
+        text = "p bip 3 2 2\ne 1 1 1\ne 2 1 2\n"
         path = tmp_path / "uncov.bip"
-        path.write_text("p bip 2 2 2\ne 1 1 1\ne 2 1 2\n")
-        code, _, err = run(capsys, "optimum", str(path),
-                           "--transform", "artificial")
-        assert code == 1
-
-    @pytest.mark.parametrize("shape, side", [("5 6", "left"), ("6 5", "right")])
-    def test_coverage_required_names_smaller_side(self, capsys, tmp_path, shape, side):
-        # Left vertices 1 and 2 (or, transposed, right vertices 1 and 2)
-        # both see only vertex 1 of the other side.
-        edges = [(1, 1, 1), (2, 1, 2), (3, 2, 0), (4, 3, 0), (5, 4, 0), (3, 5, 1)]
-        if shape == "6 5":
-            edges = [(j, i, w) for i, j, w in edges]
-        path = tmp_path / "uncovered.bip"
-        path.write_text(f"p bip {shape} 6\n" + "".join(f"e {i} {j} {w}\n" for i, j, w in edges))
-        code, _, err = run(capsys, "optimum", str(path), "--transform", "half-doubling")
-        assert code == 1
-        assert f"needs a matching covering the {side} side" in err
+        path.write_text(text)
+        graph = parse_instance(text)
+        for transformed in (second_doubling(graph), artificial_vertices(graph)):
+            reduced = tmp_path / "reduced.bip"
+            reduced.write_text(serialize_instance(transformed.graph))
+            assert run(capsys, "solve", str(reduced))[:2] == (1, "")
+        code, out, _ = run(capsys, "optimum", str(path))
+        assert (code, json.loads(out)["cardinality"]) == (0, 1)
 
 
 class TestCheck:
@@ -577,16 +572,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "line 1: a side of 1099511627776 vertices exceeds both" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "FIG1", "--format", "json"],
-        ["solve", "FIG1", "--format", "text"],
-        ["optimum", WIDE_PATH, "--k", "0"],
-    ], ids=["format-json", "format-text", "k"])
-    def test_removed_option_exit_2(self, capsys, fig1_path, argv):
-        # Output is JSON only, and optimum has no free weight constant.
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "FIG1", "--format", "json"], "unrecognized arguments: --format json"),
+        (["solve", "FIG1", "--format", "text"], "unrecognized arguments: --format text"),
+        (["optimum", WIDE_PATH, "--k", "0"], "unrecognized arguments: --k 0"),
+        *((["optimum", WIDE_PATH, "--transform", name], f"invalid choice: '{name}'")
+          for name in ("doubling", "half-doubling", "artificial")),
+    ], ids=["format-json", "format-text", "k", "transform-doubling",
+            "transform-half-doubling", "transform-artificial"])
+    def test_removed_option_exit_2(self, capsys, fig1_path, argv, message):
+        # Output is JSON only, and optimum has one route, with no free
+        # weight constant.
         code, out, err = run(capsys, *[fig1_path if a == "FIG1" else a for a in argv])
         assert (code, out) == (2, "")
-        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+        assert message in err
 
     def test_edges_not_a_list_exit_2(self, capsys, fig1_path, tmp_path):
         code, out, err = self._check(capsys, fig1_path, tmp_path, {"edges": 7})

@@ -1,12 +1,12 @@
 """Property tests for the three pipelines built on the transforms and the
-tight subgraph: ``optimum_matching`` under every strategy, the optimal
-edges of any graph, and preallocation. Graphs of any shape (either side
-larger, edgeless, with or without a matching covering the smaller side),
-compared with the brute-force optima of the test suite and, on sides up
-to 8, with the maximum cardinality networkx finds. On sides up to 30,
-``optimum_matching``'s default, AUTO, agrees with scipy's rectangular
+tight subgraph: ``optimum_matching`` and the paper's three reductions,
+the optimal edges of any graph, and preallocation. Graphs of any shape
+(either side larger, edgeless, with or without a matching covering the
+smaller side), compared with the brute-force optima of the test suite
+and, on sides up to 8, with the maximum cardinality networkx finds. On
+sides up to 30, ``optimum_matching`` agrees with scipy's rectangular
 assignment solver on cardinality and weight. On graphs whose smaller side
-cannot be covered, which AUTO splits in two, it agrees with brute force on
+cannot be covered, which it splits in two, it agrees with brute force on
 sides up to 6 and with scipy on sides up to 30. On square graphs with
 sides up to 8, the optimal edges from a certificate's own matching equal
 those found through Hopcroft-Karp, and the ``enumerate`` JSON writer
@@ -25,15 +25,16 @@ from itertools import islice  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bipmatch import (AUTO, FULL_DOUBLING, MAX_ABS_WEIGHT, STRATEGIES,  # noqa: E402
-                      CoverageRequired, EdgeSet, WeightedBipartiteGraph, choose_strategy,
+from bipmatch import (FULL_DOUBLING, MAX_ABS_WEIGHT, EdgeSet, Infeasible,  # noqa: E402
+                      WeightedBipartiteGraph, choose_strategy,
                       iter_min_weight_perfect_matchings, optimal_edges,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact,
                       solve_via_rounding)
 from bipmatch.cli import _json_lines  # noqa: E402
 
-from conftest import (brute_force_optimum, brute_force_optimum_matchings,  # noqa: E402
-                      networkx_cardinality)
+from conftest import (REDUCTIONS, brute_force_optimum,  # noqa: E402
+                      brute_force_optimum_matchings, networkx_cardinality,
+                      reduced_optimal_edges, reduced_optimum)
 
 WEIGHTS = {
     "ties": st.integers(0, 2),
@@ -100,21 +101,33 @@ def covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
     return brute_force_optimum(graph)[0] == min(graph.n_left, graph.n_right)
 
 
+def solvable_reductions(graph: WeightedBipartiteGraph, covered: bool):
+    """(verdict, reduction) for each reduction of ``graph`` with a perfect
+    matching: all three when the smaller side can be covered, else full
+    doubling alone, after checking that ``solve_exact`` refuses the other
+    two with ``Infeasible``."""
+    for strategy, reduce in REDUCTIONS.items():
+        transformed = reduce(graph)
+        if covered or strategy == FULL_DOUBLING:
+            yield strategy, transformed
+        else:
+            with pytest.raises(Infeasible):
+                solve_exact(transformed.graph)
+
+
 @KINDS
 @RANDOM
 @given(data=st.data())
 def test_optimum_matching_every_strategy(kind, data):
     graph = data.draw(graphs(WEIGHTS[kind]))
     expected = brute_force_optimum(graph)
-    covered = covers_smaller_side(graph)
-    for strategy in STRATEGIES + (AUTO,):
-        if not covered and strategy not in (FULL_DOUBLING, AUTO):
-            with pytest.raises(CoverageRequired):
-                optimum_matching(graph, strategy)
-            continue
-        m = optimum_matching(graph, strategy)
+    for strategy, transformed in solvable_reductions(graph, covers_smaller_side(graph)):
+        m = reduced_optimum(transformed)
         assert m.graph is graph
         assert (m.cardinality, m.weight()) == expected, strategy
+    m = optimum_matching(graph)
+    assert m.graph is graph
+    assert (m.cardinality, m.weight()) == expected
 
 
 @KINDS
@@ -122,26 +135,24 @@ def test_optimum_matching_every_strategy(kind, data):
 @given(data=st.data())
 def test_optimum_cardinality_matches_networkx(kind, data):
     # Sides up to 8, beyond the brute-force optima above. Coverage of the
-    # smaller side decides which strategies apply.
+    # smaller side decides which reductions have a perfect matching.
     graph = data.draw(graphs(WEIGHTS[kind], max_side=8))
     cardinality = networkx_cardinality(graph)
     covered = cardinality == min(graph.n_left, graph.n_right)
-    for strategy in STRATEGIES + (AUTO,):
-        if covered or strategy in (FULL_DOUBLING, AUTO):
-            assert optimum_matching(graph, strategy).cardinality == cardinality, strategy
-        else:
-            with pytest.raises(CoverageRequired):
-                optimum_matching(graph, strategy)
+    assert optimum_matching(graph).cardinality == cardinality
+    for strategy, transformed in solvable_reductions(graph, covered):
+        assert reduced_optimum(transformed).cardinality == cardinality, strategy
 
 
 @KINDS
 @RANDOM
 @given(n=st.integers(0, 30), s=st.integers(0, 30), cover=st.booleans(),
-       rng=st.randoms(use_true_random=False))
-def test_auto_matches_rectangular_assignment(kind, n, s, cover, rng):
+       seed=st.integers(0, 2**32 - 1))
+def test_auto_matches_rectangular_assignment(kind, n, s, cover, seed):
     # Half the graphs hide a matching that covers the smaller side, so AUTO
-    # solves them directly; the others are often fully doubled. Every graph
-    # is also run with its sides exchanged.
+    # solves them directly; the others are often split. Every graph is also
+    # run with its sides exchanged.
+    rng = random.Random(seed)
     cells = set()
     if cover:
         hidden = rng.sample(range(max(n, s)), min(n, s))
@@ -183,15 +194,15 @@ def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None
                                      [(v, u, w) for u, v, w in graph.edges])
     for g in (graph, flipped):
         assert choose_strategy(g) == FULL_DOUBLING
-        m = optimum_matching(g, AUTO)
+        m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected
 
 
 # 3 x 500 examples against brute force and 3 x 300 against scipy: AUTO's
 # split runs on 2400 Hall violators, each in both orientations. Hypothesis
-# draws a seed only: a graph with sides up to 30 takes hundreds of random
-# calls, each slow through ``st.randoms``.
+# draws a seed only, here and wherever a test makes many random calls:
+# each is slow through ``st.randoms``.
 @KINDS
 @settings(deadline=None, max_examples=500)
 @given(n=st.integers(1, 6), s=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -214,13 +225,9 @@ def test_auto_on_hall_violators_matches_rectangular_assignment(kind, n, s, seed)
 def test_optimal_edges_are_union_of_optima(kind, data):
     graph = data.draw(graphs(WEIGHTS[kind]))
     union = set().union(*brute_force_optimum_matchings(graph))
-    covered = covers_smaller_side(graph)
-    for strategy in STRATEGIES + (AUTO,):
-        if not covered and strategy not in (FULL_DOUBLING, AUTO):
-            with pytest.raises(CoverageRequired):
-                optimal_edges_general(graph, strategy)
-            continue
-        assert set(optimal_edges_general(graph, strategy).edge_indices) == union, strategy
+    assert set(optimal_edges_general(graph).edge_indices) == union
+    for strategy, transformed in solvable_reductions(graph, covers_smaller_side(graph)):
+        assert set(reduced_optimal_edges(transformed).edge_indices) == union, strategy
 
 
 @KINDS
@@ -275,13 +282,14 @@ def test_enumeration_does_not_depend_on_certificate(data):
 
 
 @settings(deadline=None, max_examples=150)
-@given(n=st.integers(5, 8), rng=st.randoms(use_true_random=False))
-def test_preallocation_does_not_depend_on_certificate(n, rng):
+@given(n=st.integers(5, 8), seed=st.integers(0, 2**32 - 1))
+def test_preallocation_does_not_depend_on_certificate(n, seed):
     # Tie-heavy square graphs, about 60% of the cells edges and about 30% of
     # the edges preferred. The exact and the rounding prices often make
     # different tight subgraphs here, but one set of optimal edges, and
     # preallocate answers on that set. Sides start at 5: on smaller graphs,
     # solving on the tight subgraph instead rarely changes the tie-break.
+    rng = random.Random(seed)
     cells = set(enumerate(rng.sample(range(n), n)))
     cells |= {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.6}
     graph = WeightedBipartiteGraph(n, n, [(u, v, rng.choice((0, 0, 1, 2)))

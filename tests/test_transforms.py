@@ -1,4 +1,5 @@
-"""Optimum matchings: the reductions to perfect matchings, and AUTO's direct run."""
+"""Optimum matchings: the reductions to perfect matchings, and
+``optimum_matching``'s direct run (AUTO)."""
 
 import random
 from pathlib import Path
@@ -6,15 +7,15 @@ from pathlib import Path
 import pytest
 
 import bipmatch.transforms
-from bipmatch import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, STRATEGIES,
-                      CoverageRequired, Matching, WeightedBipartiteGraph,
-                      artificial_vertices, choose_strategy, first_doubling,
-                      max_cardinality_matching, optimal_edges,
+from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING, Infeasible, Matching,
+                      WeightedBipartiteGraph, artificial_vertices, choose_strategy,
+                      first_doubling, max_cardinality_matching, optimal_edges,
                       optimal_edges_general, optimum_matching, parse_instance,
                       restrict_back, second_doubling, solve_exact)
 
-from conftest import (brute_force_optimum, brute_force_optimum_matchings,
-                      make_any_graph, make_feasible_square)
+from conftest import (REDUCTIONS, brute_force_optimum, brute_force_optimum_matchings,
+                      make_any_graph, make_feasible_square, reduced_optimal_edges,
+                      reduced_optimum)
 
 WIDE = [(0, 0, 5), (1, 0, 3)]  # two left vertices, one right vertex
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,8 +76,8 @@ class TestFirstDoubling:
                                           (1, 1, 2**40), (2, 1, 7)])
         t = first_doubling(g)
         assert t.graph.max_abs_weight == 2 * 2 * 2**40
-        doubled = optimum_matching(g, FULL_DOUBLING)
-        padded = optimum_matching(g, PADDING)
+        doubled = reduced_optimum(t)
+        padded = reduced_optimum(artificial_vertices(g))
         assert doubled.cardinality == padded.cardinality == 2
         assert doubled.weight() == padded.weight() == 7 - 2**40
         assert doubled.weight() == brute_force_optimum(g)[1]
@@ -108,7 +109,7 @@ class TestSecondDoubling:
         results = set()
         for k in (0, 7):
             t = second_doubling(fig1, k)
-            m = restrict_back(t, solve_exact(t.graph).matching)
+            m = reduced_optimum(t)
             results.add((m.cardinality, m.weight()))
         assert len(results) == 1
 
@@ -134,7 +135,7 @@ class TestRightLarger:
     def test_every_transform_restricts_to_the_callers_graph(self):
         g = WeightedBipartiteGraph(1, 2, [(0, 0, 5), (0, 1, 3)])
         for t in (first_doubling(g), second_doubling(g), artificial_vertices(g)):
-            m = restrict_back(t, solve_exact(t.graph).matching)
+            m = reduced_optimum(t)
             assert m.graph is g
             assert [g.endpoints(e) for e in m] == [(0, 1)]
 
@@ -200,8 +201,7 @@ class TestRestrictBack:
             if max_cardinality_matching(g).cardinality != g.n_right:
                 continue
             covered += 1
-            t = second_doubling(g)
-            m = restrict_back(t, solve_exact(t.graph).matching)
+            m = reduced_optimum(second_doubling(g))
             assert m.cardinality == g.n_right
         assert covered > 10
 
@@ -209,8 +209,8 @@ class TestRestrictBack:
 class TestOptimumMatching:
     def test_wide_instance_every_strategy(self):
         g = WeightedBipartiteGraph(2, 1, WIDE)
-        for strategy in (FULL_DOUBLING, HALF_DOUBLING, PADDING, AUTO):
-            m = optimum_matching(g, strategy)
+        for m in (*(reduced_optimum(reduce(g)) for reduce in REDUCTIONS.values()),
+                  optimum_matching(g)):
             assert m.cardinality == 1
             assert m.weight() == 3
 
@@ -219,22 +219,25 @@ class TestOptimumMatching:
         for _ in range(100):
             g = make_feasible_square(rng, n_max=6)
             w_star = solve_exact(g).matching.weight()
-            for strategy in (FULL_DOUBLING, HALF_DOUBLING, PADDING):
-                m = optimum_matching(g, strategy)
+            for reduce in REDUCTIONS.values():
+                m = reduced_optimum(reduce(g))
                 assert m.cardinality == g.n_left
                 assert m.weight() == w_star
 
     def test_coverage_required(self):
+        # Half doubling and padding need a matching covering the smaller
+        # side: without one their balanced graph has no perfect matching.
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2)])  # v1 uncoverable
-        for strategy in (HALF_DOUBLING, PADDING):
-            with pytest.raises(CoverageRequired):
-                optimum_matching(g, strategy)
-        assert optimum_matching(g, FULL_DOUBLING).cardinality == 1
+        for t in (second_doubling(g), artificial_vertices(g)):
+            with pytest.raises(Infeasible):
+                solve_exact(t.graph)
+        assert reduced_optimum(first_doubling(g)).cardinality == 1
+        assert optimum_matching(g).cardinality == 1
 
     def test_auto_falls_back_to_full_doubling(self):
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2)])
         assert choose_strategy(g) == FULL_DOUBLING
-        assert optimum_matching(g, AUTO).cardinality == 1
+        assert optimum_matching(g).cardinality == 1
 
     def test_auto_pads_square_graphs_only(self):
         square = make_feasible_square(random.Random(31), n_max=6)
@@ -248,41 +251,34 @@ class TestOptimumMatching:
         assert choose_strategy(tall) == choose_strategy(wide) == HALF_DOUBLING
         assert choose_strategy(uncovered) == FULL_DOUBLING
         for g in (square, tall, wide, uncovered):
-            chosen = optimum_matching(g, choose_strategy(g))
-            assert optimum_matching(g, AUTO).edge_indices == chosen.edge_indices
+            chosen = reduced_optimum(REDUCTIONS[choose_strategy(g)](g))
+            assert optimum_matching(g).edge_indices == chosen.edge_indices
 
-    @pytest.mark.parametrize("strategy", STRATEGIES + (AUTO,))
+    @pytest.mark.parametrize("strategy", [HALF_DOUBLING, PADDING])
     @pytest.mark.parametrize("k, error", [(1.5, TypeError), (True, TypeError),
                                           (2**41, ValueError)])
     def test_k_checked_whatever_the_strategy(self, strategy, k, error):
         coverable = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
         uncoverable = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (2, 0, 3)])
         for g in (coverable, uncoverable):
-            for run in (optimum_matching, optimal_edges_general):
-                with pytest.raises(error):
-                    run(g, strategy, k)
+            with pytest.raises(error):
+                REDUCTIONS[strategy](g, k)
 
-    @pytest.mark.parametrize("strategy, expected", [
-        (AUTO, 1), (PADDING, 1), (HALF_DOUBLING, 1), (FULL_DOUBLING, 0)])
-    def test_one_coverage_check_per_call(self, hk_calls, strategy, expected):
-        # One Hopcroft-Karp run decides the strategy and coverage, and full
-        # doubling needs none; the exact solver's start runs one more on
-        # the feasible transformed graph, and no feasibility check.
+    def test_one_coverage_check_per_call(self, hk_calls):
+        # One Hopcroft-Karp run decides coverage and the reduction; the
+        # exact solver's start runs one more, on the graph itself or on the
+        # feasible transformed graph, and no feasibility check.
         g = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
         for run in (optimum_matching, optimal_edges_general):
             hk_calls.clear()
-            run(g, strategy)
-            assert len(hk_calls) == expected + 1
-
-    def test_unknown_strategy(self, fig1):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            optimum_matching(fig1, "telepathic")
+            run(g)
+            assert len(hk_calls) == 2
 
     def test_full_doubling_matches_oracle(self):
         rng = random.Random(1234)
         for _ in range(150):
             g = make_any_graph(rng)
-            m = optimum_matching(g, FULL_DOUBLING)
+            m = reduced_optimum(first_doubling(g))
             assert (m.cardinality, m.weight()) == brute_force_optimum(g)
 
     def test_k_invariance(self):
@@ -293,10 +289,9 @@ class TestOptimumMatching:
             if max_cardinality_matching(g).cardinality != g.n_right:
                 continue
             checked += 1
-            for strategy in (HALF_DOUBLING, PADDING):
-                outcomes = {(optimum_matching(g, strategy, k).cardinality,
-                             optimum_matching(g, strategy, k).weight())
-                            for k in (-3, 0, 7)}
+            for reduce in (second_doubling, artificial_vertices):
+                outcomes = {(m.cardinality, m.weight()) for m in
+                            (reduced_optimum(reduce(g, k)) for k in (-3, 0, 7))}
                 assert len(outcomes) == 1
         assert checked > 10
 
@@ -318,10 +313,10 @@ class TestAutoSolvesDirectly:
     @pytest.mark.parametrize("name", ["wide", "near_square", "swapped"])
     def test_coverable_graph_is_not_transformed(self, name, hk_calls, monkeypatch):
         g = _golden(name)
-        doubled = optimum_matching(g, FULL_DOUBLING)
+        doubled = reduced_optimum(first_doubling(g))
         _forbid_transforms(monkeypatch)
         hk_calls.clear()
-        m = optimum_matching(g, AUTO)
+        m = optimum_matching(g)
         # The coverage check and the start of the solver's loop.
         assert len(hk_calls) == 2
         assert m.graph is g
@@ -330,10 +325,10 @@ class TestAutoSolvesDirectly:
 
     def test_uncoverable_graph_is_split_not_transformed(self, hk_calls, monkeypatch):
         g = _golden("uncovered")
-        doubled = optimum_matching(g, FULL_DOUBLING)
+        doubled = reduced_optimum(first_doubling(g))
         _forbid_transforms(monkeypatch)
         hk_calls.clear()
-        m = optimum_matching(g, AUTO)
+        m = optimum_matching(g)
         # The coverage check, the split's maximum matching and the start of
         # the solver's loop on each piece.
         assert len(hk_calls) == 4
@@ -346,7 +341,7 @@ class TestAutoSolvesDirectly:
         rng = random.Random(2323)
         for _ in range(60):
             g = make_feasible_square(rng, n_max=7)
-            assert optimum_matching(g, AUTO) == solve_exact(g).matching
+            assert optimum_matching(g) == solve_exact(g).matching
 
 
 class TestSplit:
@@ -392,26 +387,27 @@ class TestSplit:
 class TestOptimalEdgesGeneral:
     def test_wide_unique_optimum(self):
         g = WeightedBipartiteGraph(2, 1, WIDE)
-        assert [g.endpoints(e) for e in optimal_edges_general(g, AUTO)] == [(1, 0)]
+        assert [g.endpoints(e) for e in optimal_edges_general(g)] == [(1, 0)]
 
     def test_wide_equal_weights(self):
         g = WeightedBipartiteGraph(2, 1, [(0, 0, 4), (1, 0, 4)])
-        assert [g.endpoints(e) for e in optimal_edges_general(g, AUTO)] == [(0, 0), (1, 0)]
+        assert [g.endpoints(e) for e in optimal_edges_general(g)] == [(0, 0), (1, 0)]
 
     def test_balanced_agrees_with_direct_computation(self):
         rng = random.Random(1357)
         for _ in range(60):
             g = make_feasible_square(rng, n_max=6)
             direct = optimal_edges(g, solve_exact(g).prices)
-            for strategy in (FULL_DOUBLING, HALF_DOUBLING, PADDING):
-                assert optimal_edges_general(g, strategy).edge_indices == direct.edge_indices
+            assert optimal_edges_general(g).edge_indices == direct.edge_indices
+            for reduce in REDUCTIONS.values():
+                assert reduced_optimal_edges(reduce(g)).edge_indices == direct.edge_indices
 
     def test_union_of_optimum_matchings(self):
         rng = random.Random(8642)
         for _ in range(100):
             g = make_any_graph(rng)
-            found = set(optimal_edges_general(g, FULL_DOUBLING).edge_indices)
             union = set()
             for edge_set in brute_force_optimum_matchings(g):
                 union.update(edge_set)
-            assert found == union
+            assert set(reduced_optimal_edges(first_doubling(g)).edge_indices) == union
+            assert set(optimal_edges_general(g).edge_indices) == union
