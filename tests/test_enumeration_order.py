@@ -15,7 +15,11 @@ balanced reductions of unbalanced graphs. ``SOLVE_EXACT_DENSE_DIGESTS``
 pin the same on complete graphs of three weight families, where a search
 reaches every right vertex at once. Both were recorded when the solver's
 one start became the column pass and a Hopcroft-Karp run on the tight
-edges. Print them again with
+edges. ``OPTIMUM_DIGESTS`` pin ``optimum_matching``'s matching on tall,
+wide and square graphs, with and without a matching that covers the
+smaller side, in two weight families; they were recorded while every
+Hopcroft-Karp run of ``optimum_matching`` still read the graph as given.
+Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
 """
@@ -27,7 +31,8 @@ from itertools import islice
 import pytest
 
 from bipmatch import (MAX_ABS_WEIGHT, WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
-                      iter_perfect_matchings, max_cardinality_matching, solve_exact)
+                      iter_perfect_matchings, max_cardinality_matching, optimum_matching,
+                      solve_exact)
 from bipmatch.transforms import _tall, artificial_vertices, first_doubling, second_doubling
 
 LIMIT = 300
@@ -98,6 +103,17 @@ SOLVE_EXACT_DENSE_DIGESTS = {
     5: "993c26a3c0cbb22a38a5af6031a3bd65fa77e6f26e11e5208be89042dc400973",
     6: "4e7cf03f716d73e5d9ed0271ec101cc8703f9d69525dc3a7c817bd7aea126f2a",
     7: "e49d9c2a8d2a61bf045f40400dc92f42f8be6f2c4a0682c62b50d00bb634a1a0",
+}
+
+OPTIMUM_DIGESTS = {
+    0: "8c72021014c87687e4ba03b3c498e95c8529099cbd56cc52584d4f09a2d7a39c",
+    1: "836170fd9194cb52dfc65f770933b4ab845db75459c7cfaef660f510479d54de",
+    2: "c5420f04b7aaf115ab2cb7a32a0dd30c8a49fd9e5267713b39ad5f96fb6cba66",
+    3: "a217431d5c8bce8cb07cba78d6fe53d0fcccccfa680df87eca78f37308e0053b",
+    4: "e4b8d8a39ec22c128530b8195351a0b4b10091c6981dc4d54b8931b17215c90a",
+    5: "5ddbabc65c4c3f985b4eb3de590fde15b90deea4cfcbddce87d4094ce5041138",
+    6: "83fffdc5290eb1085e0d8a7cbf48cd26507a1afa745bbaa7a33a16cf14150ceb",
+    7: "1cd1f540f45a787b97ee13f7ee92e358457b0b455350c53cab7a9edb39f4079f",
 }
 
 
@@ -231,6 +247,46 @@ def solve_exact_dense_digest(seed: int) -> str:
                                 for weigh in (_tie_weight, *WEIGHT_FAMILIES[2:]))
 
 
+SHAPES = ("tall", "wide", "square")
+
+
+def optimum_graph(seed: int, shape: str, coverable: bool, weigh) -> WeightedBipartiteGraph:
+    """Graph of the given shape with a smaller side of 5-40 vertices (the
+    right side of a tall or square graph, the left side of a wide one)
+    and the larger side 1-40 larger, or as large on a square graph.
+    Coverable: a hidden matching covers the smaller side. Otherwise the
+    first t >= 2 vertices of the smaller side are joined only to the first
+    t - 1 of the larger side, so no matching covers it (a Hall violator).
+    Weights drawn by ``weigh``; shuffled edge order."""
+    rng = random.Random(seed)
+    s = rng.randint(5, 40)
+    n = s if shape == "square" else s + rng.randint(1, 40)
+    if coverable:
+        t = 0
+        cells = set(zip(rng.sample(range(n), s), range(s)))
+    else:
+        t = rng.randint(2, s)
+        cells = {(rng.randrange(t - 1), v) for v in range(t)}
+    for _ in range(n * rng.randint(2, 4)):
+        u, v = rng.randrange(n), rng.randrange(s)
+        if v >= t or u < t - 1:
+            cells.add((u, v))
+    edges = [(u, v, weigh(rng)) for u, v in sorted(cells)]
+    rng.shuffle(edges)
+    if shape == "wide":
+        return WeightedBipartiteGraph(s, n, [(v, u, w) for u, v, w in edges])
+    return WeightedBipartiteGraph(n, s, edges)
+
+
+def optimum_digest(seed: int) -> str:
+    """``optimum_matching``'s edges on the coverable graphs and the Hall
+    violators of seed ``seed`` in every shape, with weights in {0, 1, 2}
+    and in [-2^40, 2^40]."""
+    return _digest(optimum_matching(optimum_graph(seed, shape, coverable, weigh)).edge_indices
+                   for weigh in (_tie_weight, WEIGHT_FAMILIES[3])
+                   for coverable in (True, False) for shape in SHAPES)
+
+
 def _as_given(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     return graph
 
@@ -283,6 +339,11 @@ def test_solve_exact_dense_pinned(seed):
     assert solve_exact_dense_digest(seed) == SOLVE_EXACT_DENSE_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(OPTIMUM_DIGESTS))
+def test_optimum_pinned(seed):
+    assert optimum_digest(seed) == OPTIMUM_DIGESTS[seed]
+
+
 if __name__ == "__main__":
     print("ENUMERATION_DIGESTS = {")
     for seed in sorted(ENUMERATION_DIGESTS):
@@ -304,4 +365,7 @@ if __name__ == "__main__":
     print("}\n\nSOLVE_EXACT_DENSE_DIGESTS = {")
     for seed in sorted(SOLVE_EXACT_DENSE_DIGESTS):
         print(f'    {seed}: "{solve_exact_dense_digest(seed)}",')
+    print("}\n\nOPTIMUM_DIGESTS = {")
+    for seed in sorted(OPTIMUM_DIGESTS):
+        print(f'    {seed}: "{optimum_digest(seed)}",')
     print("}")
