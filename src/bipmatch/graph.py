@@ -67,7 +67,7 @@ class WeightedBipartiteGraph:
     """
 
     __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
-                 "_adj_left", "_max_abs_weight")
+                 "_adj", "_max_abs")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
@@ -114,22 +114,29 @@ class WeightedBipartiteGraph:
     def _build(self, n_left: int, n_right: int, left: list[int],
                right: list[int], weight: list[int]) -> None:
         """Store the three edge columns (left endpoint, right endpoint and
-        weight, indexed by edge) and index the edges by left vertex.
+        weight, indexed by edge). The matching, enumeration and solver
+        loops read these columns directly.
 
-        The matching, enumeration and solver loops read these columns
-        directly.
+        The edges by left vertex and the largest |weight| are built on
+        their first read, so a graph that is only transposed or printed,
+        such as a tall input of ``optimum``, never builds them.
         """
-        adj_left: list[list[int]] = [[] for _ in range(n_left)]
-        for e, u in enumerate(left):
-            adj_left[u].append(e)
-
         self._n_left = n_left
         self._n_right = n_right
         self._left_of = tuple(left)
         self._right_of = tuple(right)
         self._weight_of = tuple(weight)
-        self._adj_left = tuple(tuple(a) for a in adj_left)
-        self._max_abs_weight = max(map(abs, weight), default=0)
+        self._adj = self._max_abs = None
+
+    @property
+    def _adj_left(self) -> tuple[tuple[int, ...], ...]:
+        """The edge indices at each left vertex, in input order."""
+        if self._adj is None:
+            adj_left: list[list[int]] = [[] for _ in range(self._n_left)]
+            for e, u in enumerate(self._left_of):
+                adj_left[u].append(e)
+            self._adj = tuple(map(tuple, adj_left))
+        return self._adj
 
     # -- basic shape -------------------------------------------------------
 
@@ -148,7 +155,9 @@ class WeightedBipartiteGraph:
     @property
     def max_abs_weight(self) -> int:
         """Largest |weight| over all edges; 0 for edgeless graphs."""
-        return self._max_abs_weight
+        if self._max_abs is None:
+            self._max_abs = max(map(abs, self._weight_of), default=0)
+        return self._max_abs
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:

@@ -1,17 +1,21 @@
 """Optimum matchings of any graph, and the reductions to perfect matchings.
 
 An optimum matching is a maximum-cardinality matching of minimum weight.
-``optimum_matching`` builds no transformed graph. On a graph whose smaller
-side can be covered, the exact solver's shortest-path loop runs from the
-smaller side, on the graph or on its transposed copy, with every free
-vertex of the larger side at one shared, largest price (Ramshaw and
-Tarjan, 2012). On a square graph that run is ``solve_exact``.
+``optimum_matching`` builds no transformed graph, and it runs every
+search from the smaller side, so its work depends on that side (Ramshaw
+and Tarjan, 2012): it reads the graph through its wide copy, the graph
+itself or its transposed copy, in which edge e is still edge e. The
+coverage check, a maximum-matching run, runs on that copy. On a graph
+whose smaller side can be covered, the exact solver's shortest-path loop
+runs on it too, with every free vertex of the larger side at one shared,
+largest price. On a square graph that run is ``solve_exact``.
 
 A graph whose smaller side cannot be covered is split in two (Dulmage
 and Mendelsohn, 1958). The vertices X that alternating paths reach from
 the left vertices a maximum matching leaves free induce a graph whose
 right side can be covered, the other vertices one whose left side can,
-and no edge between the two lies in a maximum matching. The same loop
+and no edge between the two lies in a maximum matching. X is the same
+for every maximum matching, so the wide copy's serves. The same loop
 runs once on each piece, from its coverable side, and the two matchings
 are joined.
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count
+from typing import Iterable
 
 from .allowed import optimal_edges
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph, _check_weight
@@ -184,9 +189,11 @@ def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
 
 
-def _reached(graph: WeightedBipartiteGraph) -> tuple[list[bool], list[bool]]:
+def _reached(graph: WeightedBipartiteGraph,
+             matched: Iterable[int]) -> tuple[list[bool], list[bool]]:
     """Flags for the left and for the right vertices that alternating paths
-    reach from the left vertices a maximum matching leaves free.
+    reach from the left vertices the maximum matching ``matched`` (edge
+    indices) leaves free.
 
     Every reached right vertex is matched, or its path would augment, and
     its mate is reached too; no edge leaves a reached left vertex for an
@@ -195,13 +202,17 @@ def _reached(graph: WeightedBipartiteGraph) -> tuple[list[bool], list[bool]]:
     the reached right vertices form a vertex cover as large as the
     matching (Konig's theorem), so a maximum matching puts one cover vertex on each
     edge, and an edge that joins two cover vertices, the only kind that
-    joins the pieces, lies in none."""
-    matching = max_cardinality_matching(graph)
+    joins the pieces, lies in none.
+
+    The flags are the same for every maximum matching (Dulmage and
+    Mendelsohn, 1958), so ``optimum_matching`` passes the one it finds on
+    its wide copy, in which edge e is edge e of the graph."""
     left_of, right_of, adj_left = graph._left_of, graph._right_of, graph._adj_left
     mate_of_right: list[int] = [-1] * graph.n_right
-    for e in matching:
+    reached_left = [True] * graph.n_left
+    for e in matched:
         mate_of_right[right_of[e]] = left_of[e]
-    reached_left = [e is None for e in matching._mate_left]
+        reached_left[left_of[e]] = False
     reached_right = [False] * graph.n_right
     queue = [u for u, free in enumerate(reached_left) if free]
     for u in queue:  # the loop also visits the mates appended below
@@ -240,20 +251,21 @@ def _cover_piece(graph: WeightedBipartiteGraph, reached_left: list[bool],
 def optimum_matching(graph: WeightedBipartiteGraph) -> Matching:
     """A maximum-cardinality matching of minimum weight.
 
-    It builds no transformed graph. It solves a graph whose smaller side
-    can be covered with one run of the exact solver's loop from the
-    smaller side, on the transposed copy when that side is the right one;
-    on a square graph that run is ``solve_exact``. Any other graph it
-    splits, with one more maximum-cardinality matching run, into two
-    pieces that can be covered, one from each side, and it joins one
-    such run on each (see the module docstring).
+    It builds no transformed graph, and every maximum-matching run inside
+    it goes from the smaller side: it reads the graph through its wide
+    copy, the graph itself or, when the left side is the larger, its
+    transposed copy. A graph whose smaller side can be covered it solves
+    with one run of the exact solver's loop on that copy; on a square
+    graph that run is ``solve_exact``. Any other graph it splits, with
+    one more maximum-cardinality matching run, into two pieces that can
+    be covered, one from each side, and it joins one such run on each
+    (see the module docstring).
     """
-    strategy = choose_strategy(graph)  # the one coverage check
-    if strategy == FULL_DOUBLING:
-        flags = _reached(graph)
+    wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
+    if choose_strategy(wide) == FULL_DOUBLING:  # the one coverage check
+        flags = _reached(graph, max_cardinality_matching(wide))
         return Matching(graph, _cover_piece(graph, *flags, True)
                         + _cover_piece(graph, *flags, False))
-    wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
     return Matching(graph, _cover_left(wide).matching.edge_indices)
 
 

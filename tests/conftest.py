@@ -52,17 +52,17 @@ def fig1_p2():
 
 @pytest.fixture
 def hk_calls(monkeypatch):
-    """Hopcroft-Karp runs made while the test runs, one list entry per run:
-    the one in each start of ``solve_exact``; those through
-    ``matching._perfect_matching`` (the auction's check before bidding,
-    the exact solver's refusal, the allowed-edge filter and the
-    tight-subgraph entry); the transforms' coverage checks; and
-    ``iter_perfect_matchings``' root."""
+    """Hopcroft-Karp runs made while the test runs, one list entry per run
+    holding the graph it was given: the one in each start of
+    ``solve_exact``; those through ``matching._perfect_matching`` (the
+    auction's check before bidding, the exact solver's refusal, the
+    allowed-edge filter and the tight-subgraph entry); the transforms'
+    coverage checks; and ``iter_perfect_matchings``' root."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return max_cardinality_matching(*args, **kwargs)
+    def counting(graph, *args, **kwargs):
+        calls.append(graph)
+        return max_cardinality_matching(graph, *args, **kwargs)
 
     for module in (bipmatch.matching, bipmatch.solvers, bipmatch.transforms,
                    bipmatch.enumeration):

@@ -12,6 +12,7 @@ from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING, Infeasible, Matchin
                       first_doubling, max_cardinality_matching, optimal_edges,
                       optimal_edges_general, optimum_matching, parse_instance,
                       restrict_back, second_doubling, solve_exact)
+from bipmatch.transforms import _reached, _transposed
 
 from conftest import (REDUCTIONS, brute_force_optimum, brute_force_optimum_matchings,
                       make_any_graph, make_feasible_square, reduced_optimal_edges,
@@ -317,8 +318,10 @@ class TestAutoSolvesDirectly:
         _forbid_transforms(monkeypatch)
         hk_calls.clear()
         m = optimum_matching(g)
-        # The coverage check and the start of the solver's loop.
+        # The coverage check and the start of the solver's loop, both from
+        # the smaller side.
         assert len(hk_calls) == 2
+        assert all(h.n_left <= h.n_right for h in hk_calls)
         assert m.graph is g
         assert m.cardinality == min(g.n_left, g.n_right)
         assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
@@ -330,8 +333,9 @@ class TestAutoSolvesDirectly:
         hk_calls.clear()
         m = optimum_matching(g)
         # The coverage check, the split's maximum matching and the start of
-        # the solver's loop on each piece.
+        # the solver's loop on each piece, each from its smaller side.
         assert len(hk_calls) == 4
+        assert all(h.n_left <= h.n_right for h in hk_calls)
         assert m.graph is g
         assert m.cardinality < min(g.n_left, g.n_right)
         assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
@@ -351,18 +355,29 @@ class TestSplit:
 
     def test_pieces_cover_and_dropped_edges_lie_in_no_optimum(self):
         rng = random.Random(2424)
-        split = 0
+        split = several = 0
         for _ in range(400):
             g = make_any_graph(rng, n_max=4)
             for h in (g, WeightedBipartiteGraph(g.n_right, g.n_left,
                                                 [(v, u, w) for u, v, w in g.edges])):
                 split += choose_strategy(h) == FULL_DOUBLING
-                self.check(h)
+                several += self.check(h)
         assert split > 50
+        assert several > 200
 
     @staticmethod
-    def check(g):
-        reached_left, reached_right = bipmatch.transforms._reached(g)
+    def check(g) -> bool:
+        """Check the split of g; whether g has several maximum matchings."""
+        flags = _reached(g, max_cardinality_matching(g))
+        # Every maximum matching gives the same split: the one Hopcroft-Karp
+        # finds on the transposed copy, whose edge e is edge e of g, and
+        # each one brute force lists.
+        assert _reached(g, max_cardinality_matching(_transposed(g))) == flags
+        maximum = brute_force_optimum_matchings(WeightedBipartiteGraph(
+            g.n_left, g.n_right, [(u, v, 0) for u, v, _w in g.edges]))
+        for matched in maximum:
+            assert _reached(g, matched) == flags
+        reached_left, reached_right = flags
         card = brute_force_optimum(g)[0]
         for reached in (True, False):
             lefts = [u for u in range(g.n_left) if reached_left[u] == reached]
@@ -382,6 +397,7 @@ class TestSplit:
             rest = WeightedBipartiteGraph(g.n_left, g.n_right, [
                 (a, b, w) for a, b, w in g.edges if a != u and b != v])
             assert brute_force_optimum(rest)[0] + 1 < card
+        return len(maximum) > 1
 
 
 class TestOptimalEdgesGeneral:
