@@ -12,11 +12,17 @@ object per line), diagnostics on stderr. Exit codes: 0 success,
     bipmatch preallocate instance.bip --prefs prefs.txt [--prices ...]
     bipmatch optimum instance.bip [--transform auto]
     bipmatch check instance.bip --matching result.json [--prices prices.json]
+
+``main`` may be called repeatedly in one process; every call shares one
+parser, built on the first, and ``build_parser()`` returns a fresh one.
+That parser holds the ``_cmd_*`` functions, so patching one after the first
+call has no effect; ``_SOLVERS`` is still read on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -243,10 +249,12 @@ def _cmd_check(args) -> int:
     return EXIT_INFEASIBLE if problems else EXIT_OK
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: verbs, JSON output, exit codes."""
 
+import argparse
 import json
 import sys
 from heapq import heappush
@@ -14,9 +15,10 @@ from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
 
-TIES_PATH = str(Path(__file__).parent / "golden" / "ties.bip")
-WIDE_PATH = str(Path(__file__).parent / "golden" / "wide.bip")
-SWAPPED_PATH = str(Path(__file__).parent / "golden" / "swapped.bip")
+GOLDEN = Path(__file__).parent / "golden"
+TIES_PATH = str(GOLDEN / "ties.bip")
+WIDE_PATH = str(GOLDEN / "wide.bip")
+SWAPPED_PATH = str(GOLDEN / "swapped.bip")
 
 INFEASIBLE_TEXT = """\
 p bip 3 3 5
@@ -630,3 +632,58 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "internal error" in err and "simulated library bug" in err
+
+
+class TestParserReuse:
+    """``main`` shares one parser across calls in a process: no option,
+    default or error of one call reaches the next."""
+
+    EXPECTED = json.loads((GOLDEN / "expected.json").read_text())
+
+    def golden(self, case):
+        return self.EXPECTED[case]["stdout"]
+
+    def test_limit_does_not_leak(self, capsys):
+        first = self.golden("ties-enumerate").splitlines(keepends=True)[0]
+        assert run(capsys, "enumerate", TIES_PATH, "--limit", "1") == (0, first, "")
+        code, out, _ = run(capsys, "enumerate", TIES_PATH)
+        # ties.bip has 33 minimum-weight perfect matchings; the golden case
+        # stops at 20.
+        assert code == 0
+        assert out.startswith(self.golden("ties-enumerate"))
+        assert out.count("\n") == 33
+
+    def test_solver_does_not_leak(self, capsys):
+        assert run(capsys, "solve", TIES_PATH, "--solver", "auction")[:2] == (
+            0, self.golden("ties-solve-auction"))
+        assert run(capsys, "solve", TIES_PATH) == (0, self.golden("ties-solve-exact"), "")
+
+    def test_usage_error_does_not_leak(self, capsys):
+        code, out, err = run(capsys, "optimum", WIDE_PATH, "--transform", "doubling")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'doubling'" in err
+        assert run(capsys, "optimum", WIDE_PATH) == (0, self.golden("wide-optimum-auto"), "")
+
+    def test_help_then_verb(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: bipmatch")
+        assert run(capsys, "solve", TIES_PATH) == (0, self.golden("ties-solve-exact"), "")
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert bipmatch.cli.build_parser() is not bipmatch.cli.build_parser()
+        assert built  # the count sees every parser build_parser makes
+        run(capsys, "solve", TIES_PATH)  # warm-up: builds the shared parser
+        built.clear()
+        for argv in (["solve", TIES_PATH], ["duals", TIES_PATH], ["--help"],
+                     ["optimum", WIDE_PATH, "--k", "0"], ["enumerate", TIES_PATH]):
+            run(capsys, *argv)
+        assert built == []

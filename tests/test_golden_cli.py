@@ -68,6 +68,14 @@ def test_output_is_byte_identical(case):
     assert _run(_cases()[case]) == recorded
 
 
+def test_cases_in_reverse_order_in_one_process():
+    # main shares one parser across calls, so no case may depend on the
+    # calls that ran before it in the process.
+    expected = _expected()
+    for case, argv in reversed(sorted(_cases().items())):
+        assert _run(argv) == expected[case], case
+
+
 @pytest.mark.parametrize("name", SQUARE)
 def test_enumerate_same_with_prices_from_duals(name, tmp_path):
     duals = _run(["duals", f"{name}.bip"])

@@ -24,7 +24,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (MAX_ABS_WEIGHT, ParseError, WeightedBipartiteGraph,  # noqa: E402
@@ -221,11 +221,13 @@ def test_constructor_and_parser_accept_the_same_edges(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.data())
-def test_serialized_graphs_take_the_strided_path(n, s, data):
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)) | st.just((0, 0)), st.data())
+def test_serialized_graphs_take_the_strided_path(sides, data):
+    # At least max(n, s) edges: the empty graph, or both sides positive.
+    n, s = sides
     cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, s - 1)),
-                               unique=True, max_size=n * s) if n and s else st.just([]))
-    assume(max(n, s) <= len(cells))
+                               unique=True, min_size=max(n, s), max_size=n * s)
+                      if n else st.just([]))
     weight = st.integers(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
     graph = WeightedBipartiteGraph(n, s, [(u, v, data.draw(weight)) for u, v in cells])
     text = serialize_instance(graph)
