@@ -10,6 +10,12 @@ yields the union of all minimum-weight perfect matchings. Both results
 are ``EdgeSet``s of the parent graph. Given the perfect matching a solver
 returns with its prices, ``optimal_edges`` skips the matching search and
 costs one pass over the tight subgraph, linear in its edge count.
+
+With a hub, the same labels serve a wide graph's certificate whose free
+right vertices share the largest right price P (Ramshaw and Tarjan,
+2012): one node H stands for them all, so an alternating path from a
+matched right vertex priced P to a free one is a cycle through H.
+``transforms.optimal_edges_general`` labels its pieces so.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .tight import _tight_perfect_matching
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                mate_left: Sequence[int | None] | Mapping[int, int]) -> list[int]:
+                mate_left: Sequence[int | None] | Mapping[int, int],
+                hub: Sequence[int] = ()) -> list[int]:
     """Alternating-cycle labels of the edges of a subset: one label per
     edge, in the order of ``edge_indices``.
 
@@ -38,21 +45,26 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
     A matched right vertex has one way out, to its mate, so the search runs
     on the left vertices alone: the unmatched edge (u, v) becomes the arc
     from u to the mate of v. The matched edge at u lies on a cycle when
-    u's component holds more than one left vertex, and the unmatched edge
+    u's component holds more than one node, and the unmatched edge
     (u, v) when u and the mate of v share a component. Iterative Tarjan,
     so arbitrarily deep graphs cannot overflow the call stack. Only left
     vertices with an edge in the subset are visited, in index order.
+
+    ``hub`` lists the right vertices priced P, the largest right price,
+    which every free right vertex has. One more node H then stands for the
+    free ones: the unmatched edge (u, v) to a free v is the arc u -> H, and
+    H has an arc to the mate of each matched hub vertex. With no hub, an
+    edge to a free right vertex gets -1.
 
     The graph must have no parallel edges: an unmatched copy of the matched
     edge (u, v) would become the self-loop u -> u, which this reduction
     does not count as a cycle, so that copy would be dropped.
     """
     left_of, right_of = graph._left_of, graph._right_of
-    # The subset's left vertices in index order, numbered 0 to n-1. The
+    # The subset's left vertices in index order, numbered from 0. The
     # search state is kept by that number, so a call costs the size of its
     # subset, not of the graph.
     lefts = sorted(set(map(left_of.__getitem__, edge_indices)))
-    n = len(lefts)
     number = {u: i for i, u in enumerate(lefts)}
     partner: dict[int, int] = {}  # number of the left mate of each right vertex
     for i, u in enumerate(lefts):
@@ -60,23 +72,27 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
         if e is not None:
             partner[right_of[e]] = i
     # Arcs out of each numbered left vertex, in edge order, and per edge the
-    # numbers of its left vertex and of the mate of its right vertex (-1 if
-    # none). With no parallel edges, the two are equal exactly on a matched
-    # edge, which adds no arc.
+    # numbers of its left vertex and of the mate of its right vertex (for a
+    # free one, H after the left vertices, or -1). With no parallel edges,
+    # the two are equal exactly on a matched edge, which adds no arc.
+    free = len(lefts) if hub else -1
     succ: list[list[int]] = [[] for _ in lefts]
     ends = []
     for e in edge_indices:
         i = number[left_of[e]]
-        w = partner.get(right_of[e], -1)
+        w = partner.get(right_of[e], free)
         if w >= 0 and w != i:
             succ[i].append(w)
         ends.append((i, w))
+    if hub:
+        succ.append([partner[v] for v in hub if v in partner])
+    n = len(succ)  # nodes: the left vertices, then H if there is a hub
 
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
-    comp = [-1] * n  # component of each left vertex; -1 for a lone vertex
-    cycles = 0  # components of more than one left vertex so far
+    comp = [-1] * n  # component of each node; -1 for a lone node
+    cycles = 0  # components of more than one node so far
     stack: list[int] = []
     counter = 0
 
@@ -121,11 +137,11 @@ def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
 
 
 def _cycle_or_matched(graph: WeightedBipartiteGraph, subset: tuple[int, ...],
-                      matching: Matching) -> EdgeSet:
+                      matching: Matching, hub: Sequence[int] = ()) -> EdgeSet:
     """The edges of ``subset`` that lie in some perfect matching of it,
     given one perfect matching of it: the matched edges and those on an
-    alternating cycle."""
-    labels = _scc_labels(graph, subset, matching._mate_left)
+    alternating cycle, or with a ``hub`` on a cycle through H."""
+    labels = _scc_labels(graph, subset, matching._mate_left, hub)
     return EdgeSet(graph, [e for e, label in zip(subset, labels)
                            if label >= 0 or e in matching])
 

@@ -1,4 +1,4 @@
-"""Optimum matchings of any graph, and the reductions to perfect matchings.
+"""Optimum matchings and optimal edges of any graph, and the reductions.
 
 An optimum matching is a maximum-cardinality matching of minimum weight.
 ``optimum_matching`` builds no transformed graph, and it runs every
@@ -17,7 +17,7 @@ right side can be covered, the other vertices one whose left side can,
 and no edge between the two lies in a maximum matching. X is the same
 for every maximum matching, so the wide copy's serves. The same loop
 runs once on each piece, from its coverable side, and the two matchings
-are joined.
+are joined. ``optimal_edges_general`` labels the same pieces.
 
 The paper reduces the question to a perfect matching problem on a
 balanced graph, solved there; only the edges that came from the original
@@ -36,10 +36,10 @@ is an optimum of the parent. Without that coverage, half doubling and
 padding give a graph with no perfect matching: ``solve_exact`` raises
 ``Infeasible``.
 
-``optimal_edges_general`` always transforms. The reductions read a graph
-with its larger side on the left (``_tall``), so n >= s and "right side"
-means the smaller side; the parent of a transformed instance is still
-the caller's graph.
+No function here runs a reduction: they are the tests' oracle. They read
+a graph with its larger side on the left (``_tall``), so n >= s and
+"right side" means the smaller side; the parent of a transformed
+instance is still the caller's graph.
 
 Every derived graph lists the parent's m edges first, in parent order:
 derived edge e < m is parent edge e, and the later ones (mirror copies,
@@ -50,12 +50,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .allowed import optimal_edges
+from .allowed import _cycle_or_matched
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph, _check_weight
 from .matching import max_cardinality_matching
-from .solvers import _cover_left, solve_exact
+from .solvers import _cover_left
+from .tight import build_gcs
 
 FULL_DOUBLING = "doubling"
 HALF_DOUBLING = "half-doubling"
@@ -171,20 +172,15 @@ def restrict_back(transformed: TransformedInstance, matching: Matching) -> Match
                     transformed.original_edge_indices(matching.edge_indices))
 
 
-def _covers_smaller_side(graph: WeightedBipartiteGraph) -> bool:
-    return max_cardinality_matching(graph).cardinality == min(graph.n_left, graph.n_right)
-
-
 def choose_strategy(graph: WeightedBipartiteGraph) -> str:
     """Pick a reduction: full doubling when the smaller side cannot be
     covered, padding on a square graph, which it leaves as it is, and half
     doubling on every other graph.
 
-    ``optimum_matching`` reads the answer only as a coverage verdict: it
-    splits a graph when full doubling is picked, solves every other graph
-    directly, and transforms none. ``optimal_edges_general`` runs the
-    reduction picked."""
-    if not _covers_smaller_side(graph):
+    ``_pieces`` reads the answer only as a coverage verdict: it splits a
+    graph when full doubling is picked and keeps every other graph whole,
+    and no function here transforms a graph."""
+    if max_cardinality_matching(graph).cardinality < min(graph.n_left, graph.n_right):
         return FULL_DOUBLING
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
 
@@ -226,26 +222,33 @@ def _reached(graph: WeightedBipartiteGraph,
     return reached_left, reached_right
 
 
-def _cover_piece(graph: WeightedBipartiteGraph, reached_left: list[bool],
-                 reached_right: list[bool], reached: bool) -> list[int]:
-    """The parent edges of an optimum matching of the piece induced by the
-    vertices whose flag equals ``reached``: a compact copy, its vertices
-    renumbered in index order and its edges in parent order, solved by the
-    exact solver's loop from the covered side, on the transposed copy for
-    the reached piece."""
+def _pieces(graph: WeightedBipartiteGraph) -> list[tuple[WeightedBipartiteGraph, Sequence[int]]]:
+    """The pieces whose optima joined are the graph's, each with its
+    coverable side on the left, and the parent edge of each of its edges.
+    A coverable graph is one piece, its wide copy, in which edge e is still
+    edge e. Any other gives the two pieces of ``_reached``, each a compact
+    copy, its vertices renumbered in index order and its edges in parent
+    order, transposed for the reached piece."""
+    wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
+    if choose_strategy(wide) != FULL_DOUBLING:  # the one coverage check
+        return [(wide, range(graph.edge_count))]
+    reached_left, reached_right = _reached(graph, max_cardinality_matching(wide))
     left_of, right_of, weight_of = graph._left_of, graph._right_of, graph._weight_of
-    # The new number of each vertex of the piece; the last entry counts them.
-    left_id = list(accumulate((flag == reached for flag in reached_left), initial=0))
-    right_id = list(accumulate((flag == reached for flag in reached_right), initial=0))
-    edges = [e for e, u, v in zip(count(), left_of, right_of)
-             if reached_left[u] == reached_right[v] == reached]
-    left = [left_id[left_of[e]] for e in edges]
-    right = [right_id[right_of[e]] for e in edges]
-    weight = [weight_of[e] for e in edges]
-    n_left, n_right = left_id[-1], right_id[-1]
-    piece = (WeightedBipartiteGraph._trusted(n_right, n_left, right, left, weight) if reached
-             else WeightedBipartiteGraph._trusted(n_left, n_right, left, right, weight))
-    return [edges[e] for e in _cover_left(piece).matching.edge_indices]
+    pieces = []
+    for reached in (True, False):
+        # The new number of each vertex of the piece; the last entry counts them.
+        left_id = list(accumulate((flag == reached for flag in reached_left), initial=0))
+        right_id = list(accumulate((flag == reached for flag in reached_right), initial=0))
+        edges = [e for e, u, v in zip(count(), left_of, right_of)
+                 if reached_left[u] == reached_right[v] == reached]
+        left = [left_id[left_of[e]] for e in edges]
+        right = [right_id[right_of[e]] for e in edges]
+        weight = [weight_of[e] for e in edges]
+        n_left, n_right = left_id[-1], right_id[-1]
+        piece = (WeightedBipartiteGraph._trusted(n_right, n_left, right, left, weight) if reached
+                 else WeightedBipartiteGraph._trusted(n_left, n_right, left, right, weight))
+        pieces.append((piece, edges))
+    return pieces
 
 
 def optimum_matching(graph: WeightedBipartiteGraph) -> Matching:
@@ -259,24 +262,25 @@ def optimum_matching(graph: WeightedBipartiteGraph) -> Matching:
     graph that run is ``solve_exact``. Any other graph it splits, with
     one more maximum-cardinality matching run, into two pieces that can
     be covered, one from each side, and it joins one such run on each
-    (see the module docstring).
+    (see the module docstring and ``_pieces``).
     """
-    wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
-    if choose_strategy(wide) == FULL_DOUBLING:  # the one coverage check
-        flags = _reached(graph, max_cardinality_matching(wide))
-        return Matching(graph, _cover_piece(graph, *flags, True)
-                        + _cover_piece(graph, *flags, False))
-    return Matching(graph, _cover_left(wide).matching.edge_indices)
+    return Matching(graph, [parent[e] for piece, parent in _pieces(graph)
+                            for e in _cover_left(piece).matching.edge_indices])
 
 
 def optimal_edges_general(graph: WeightedBipartiteGraph) -> EdgeSet:
-    """All edges occurring in some optimum matching: the optimal edges of
-    the reduction ``choose_strategy`` picks, intersected with the original
-    edges."""
-    strategy = choose_strategy(graph)
-    transformed = (first_doubling(graph) if strategy == FULL_DOUBLING
-                   else second_doubling(graph) if strategy == HALF_DOUBLING
-                   else artificial_vertices(graph))
-    result = solve_exact(transformed.graph)
-    lifted = optimal_edges(transformed.graph, result.prices, result.matching)
-    return EdgeSet(graph, transformed.original_edge_indices(lifted.edge_indices))
+    """All edges occurring in some optimum matching, joined over the pieces
+    ``optimum_matching`` solves. A piece's optima are the matchings of
+    tight edges that cover its left side and every right vertex priced
+    below P, the price of its free right vertices (Ramshaw and Tarjan,
+    2012), so its optimal edges are labelled with the vertices priced P as
+    the hub (see ``allowed``)."""
+    edges: list[int] = []
+    for piece, parent in _pieces(graph):
+        result = _cover_left(piece)
+        right = result.prices.right_num
+        top = max(right, default=0)
+        hub = [v for v, price in enumerate(right) if price == top]
+        tight = build_gcs(piece, result.prices).edge_indices
+        edges += [parent[e] for e in _cycle_or_matched(piece, tight, result.matching, hub)]
+    return EdgeSet(graph, edges)

@@ -44,6 +44,27 @@ class TestAllowedEdges:
         assert labels == [-1, -1, -1]
         assert peak < 64 * 1024
 
+    def test_scc_labels_path_through_hub(self):
+        # Right vertex 2 is free and v0, matched to u0, is priced P too: the
+        # even alternating path v0 u0 v1 u1 v2 swaps in edges 2 and 3. No
+        # alternating cycle holds them, so only the hub H labels them, with
+        # the cycle u0 -> u1 -> H -> u0.
+        g = WeightedBipartiteGraph(2, 3, [(0, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 0)])
+        mate_left = Matching(g, (0, 1))._mate_left
+        assert _scc_labels(g, range(4), mate_left) == [-1, -1, -1, -1]
+        labels = _scc_labels(g, range(4), mate_left, hub=[0, 2])
+        assert labels[2] >= 0 and labels[2:] == [labels[2]] * 2
+        assert labels[:2] == [labels[2]] * 2  # u0 and u1 share H's component
+
+    @pytest.mark.parametrize("hub, optimal", [([0, 1], True), ([1], False)])
+    def test_scc_labels_hub_keeps_cheaper_vertices_covered(self, hub, optimal):
+        # u0 is matched to v0 and has a tight edge to the free v1. Taking it
+        # uncovers v0, which an optimum may do only when v0 is priced P,
+        # that is, when v0 is in the hub.
+        g = WeightedBipartiteGraph(1, 2, [(0, 0, 0), (0, 1, 0)])
+        labels = _scc_labels(g, range(2), Matching(g, (0,))._mate_left, hub)
+        assert (labels[1] >= 0) is optimal
+
     def test_disjoint_perfect_matching(self):
         g = WeightedBipartiteGraph(4, 4, [(u, u, 1) for u in range(4)])
         assert allowed_edges(g).edge_indices == (0, 1, 2, 3)

@@ -26,7 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (FULL_DOUBLING, MAX_ABS_WEIGHT, EdgeSet, Infeasible,  # noqa: E402
-                      WeightedBipartiteGraph, choose_strategy,
+                      WeightedBipartiteGraph, choose_strategy, first_doubling,
                       iter_min_weight_perfect_matchings, optimal_edges,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact,
                       solve_via_rounding)
@@ -167,6 +167,8 @@ def test_auto_matches_rectangular_assignment(kind, n, s, cover, seed):
         m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected
+        oracle = reduced_optimal_edges(REDUCTIONS[choose_strategy(g)](g))
+        assert optimal_edges_general(g) == oracle
 
 
 def hall_violator(rng, n: int, s: int, weight) -> WeightedBipartiteGraph:
@@ -189,7 +191,8 @@ def hall_violator(rng, n: int, s: int, weight) -> WeightedBipartiteGraph:
 
 def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None:
     """AUTO on the graph and on its transposed copy, which violates Hall's
-    condition as well, gives the expected (cardinality, weight)."""
+    condition as well, gives the expected (cardinality, weight), and the
+    optimal edges those of the full doubling."""
     flipped = WeightedBipartiteGraph(graph.n_right, graph.n_left,
                                      [(v, u, w) for u, v, w in graph.edges])
     for g in (graph, flipped):
@@ -197,6 +200,7 @@ def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None
         m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected
+        assert optimal_edges_general(g) == reduced_optimal_edges(first_doubling(g))
 
 
 # 3 x 500 examples against brute force and 3 x 300 against scipy: AUTO's
@@ -208,7 +212,9 @@ def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None
 @given(n=st.integers(1, 6), s=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_auto_on_hall_violators_matches_brute_force(kind, n, s, seed):
     graph = hall_violator(random.Random(seed), n, s, RANDOM_WEIGHTS[kind])
-    check_auto_on_hall_violator(graph, brute_force_optimum(graph))
+    optima = brute_force_optimum_matchings(graph)
+    assert set(optimal_edges_general(graph).edge_indices) == set().union(*optima)
+    check_auto_on_hall_violator(graph, (len(optima[0]), sum(map(graph.weight, optima[0]))))
 
 
 @KINDS

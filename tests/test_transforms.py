@@ -21,6 +21,9 @@ from conftest import (REDUCTIONS, brute_force_optimum, brute_force_optimum_match
 WIDE = [(0, 0, 5), (1, 0, 3)]  # two left vertices, one right vertex
 GOLDEN = Path(__file__).parent / "golden"
 TRANSFORMS = ("first_doubling", "second_doubling", "artificial_vertices")
+# The two questions answered on the pieces of ``_pieces``.
+BOTH_ROUTES = pytest.mark.parametrize("run", [optimum_matching, optimal_edges_general],
+                                      ids=lambda run: run.__name__)
 
 
 def _golden(name):
@@ -265,15 +268,17 @@ class TestOptimumMatching:
             with pytest.raises(error):
                 REDUCTIONS[strategy](g, k)
 
-    def test_one_coverage_check_per_call(self, hk_calls):
-        # One Hopcroft-Karp run decides coverage and the reduction; the
-        # exact solver's start runs one more, on the graph itself or on the
-        # feasible transformed graph, and no feasibility check.
+    @BOTH_ROUTES
+    def test_one_coverage_check_per_call(self, run, hk_calls, monkeypatch):
+        # One Hopcroft-Karp run decides coverage; the start of the exact
+        # solver's loop runs one more, both on the wide copy of the graph,
+        # and no feasibility check runs.
         g = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
-        for run in (optimum_matching, optimal_edges_general):
-            hk_calls.clear()
-            run(g)
-            assert len(hk_calls) == 2
+        _forbid_transforms(monkeypatch)
+        hk_calls.clear()
+        run(g)
+        assert len(hk_calls) == 2
+        assert all(h.n_left <= h.n_right for h in hk_calls)
 
     def test_full_doubling_matches_oracle(self):
         rng = random.Random(1234)
@@ -326,19 +331,25 @@ class TestAutoSolvesDirectly:
         assert m.cardinality == min(g.n_left, g.n_right)
         assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
 
-    def test_uncoverable_graph_is_split_not_transformed(self, hk_calls, monkeypatch):
+    @BOTH_ROUTES
+    def test_uncoverable_graph_is_split_not_transformed(self, run, hk_calls, monkeypatch):
         g = _golden("uncovered")
         doubled = reduced_optimum(first_doubling(g))
+        oracle = reduced_optimal_edges(first_doubling(g))
         _forbid_transforms(monkeypatch)
         hk_calls.clear()
-        m = optimum_matching(g)
+        answer = run(g)
         # The coverage check, the split's maximum matching and the start of
         # the solver's loop on each piece, each from its smaller side.
         assert len(hk_calls) == 4
         assert all(h.n_left <= h.n_right for h in hk_calls)
-        assert m.graph is g
-        assert m.cardinality < min(g.n_left, g.n_right)
-        assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
+        assert answer.graph is g
+        if run is optimal_edges_general:
+            assert answer == oracle
+        else:
+            assert answer.cardinality < min(g.n_left, g.n_right)
+            assert (answer.cardinality, answer.weight()) == (doubled.cardinality,
+                                                             doubled.weight())
 
     def test_square_graph_gets_solve_exact(self, monkeypatch):
         _forbid_transforms(monkeypatch)
