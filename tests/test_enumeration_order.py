@@ -19,6 +19,9 @@ edges. ``OPTIMUM_DIGESTS`` pin ``optimum_matching``'s matching on tall,
 wide and square graphs, with and without a matching that covers the
 smaller side, in two weight families; they were recorded while every
 Hopcroft-Karp run of ``optimum_matching`` still read the graph as given.
+Seeds 8-15 of those two sets were added while each search still scanned
+its left vertices' edges in input order, to pin the same outputs once a
+search may stop a scan at its bound.
 Print them again with
 ``PYTHONPATH=src python tests/test_enumeration_order.py``, and only
 replace them when a new order is intended.
@@ -103,6 +106,14 @@ SOLVE_EXACT_DENSE_DIGESTS = {
     5: "993c26a3c0cbb22a38a5af6031a3bd65fa77e6f26e11e5208be89042dc400973",
     6: "4e7cf03f716d73e5d9ed0271ec101cc8703f9d69525dc3a7c817bd7aea126f2a",
     7: "e49d9c2a8d2a61bf045f40400dc92f42f8be6f2c4a0682c62b50d00bb634a1a0",
+    8: "f7db913aa455dfbe54da2b2f42a5b81cee43ae932dcd2ec9d211b3dd11083c8c",
+    9: "6e7d76a992eb89dc4daf0c5bc73681335e48b7ab95e78c10c72d8459a457f514",
+    10: "6b5becf4ca8ba7cde1b0f798224e1cccd4540c9968989d5cac844f68270ff27d",
+    11: "8558c072ae6e3409e4aefbb4d2c1e03f59e92560695a204a9c7b718b711ab4d7",
+    12: "dc10674fa9508be886e350be5aae4144fefa309a7be359de1889aafb15487f3d",
+    13: "221992b22db5d5eca0c012e060fd198c4b2c90d2033e2399aaa37e802db1bd93",
+    14: "59bc6624948b2d356a4b8b7558b6315941206d2cfc65423f2b116015605d619b",
+    15: "78debe42cd476cdb7378b70c80ea93fa47694842fac11ca7bf44d90df8c7c92e",
 }
 
 OPTIMUM_DIGESTS = {
@@ -114,6 +125,14 @@ OPTIMUM_DIGESTS = {
     5: "5ddbabc65c4c3f985b4eb3de590fde15b90deea4cfcbddce87d4094ce5041138",
     6: "83fffdc5290eb1085e0d8a7cbf48cd26507a1afa745bbaa7a33a16cf14150ceb",
     7: "1cd1f540f45a787b97ee13f7ee92e358457b0b455350c53cab7a9edb39f4079f",
+    8: "f649841511d4c3ef328e10f9b6d83f0c0b9d91679bc0ce7248db935876a5c7b9",
+    9: "89f1a037455544085b7d1b7d264ed26a0d81d79fd4c4f87bdb0face9627ca922",
+    10: "1953d46916b55a35c7f9bbee24901048db897875da412714d1f0062392283da6",
+    11: "791c32b2b2eaea0c27dddfb5a5c700a40cbcc92c16c93534971f2fbd13cf7d03",
+    12: "3fa3ba5a5cf206a50d5c72ef32c14b11bbda6292bacba2c33f91f360e8929d31",
+    13: "4e0cdbc95d62806db364b9621d9ef3471f5e6e5aa2dc19d15622419d683d1dd3",
+    14: "20aa35dbc0dfb1c1366b32f9befda035a14153194f590e5127d998cac2bb4285",
+    15: "4126497da6ec53a953cbcad6849b7fed1e70574333b94ca7cbf61a3eb21ec40c",
 }
 
 

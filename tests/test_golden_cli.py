@@ -24,7 +24,7 @@ from bipmatch.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
 
-SQUARE = ("ties", "negative", "huge")
+SQUARE = ("ties", "negative", "huge", "dense")
 UNBALANCED = ("swapped", "wide", "near_square", "uncovered")
 
 
