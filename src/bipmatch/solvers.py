@@ -31,13 +31,14 @@ free right vertex has the largest right price (Ramshaw and Tarjan, 2012).
 The column pass would give the free right vertices unequal prices, and
 the loop never moves the price of a free vertex apart from the others.
 
-``solve_exact`` begins with one O(m) pass that looks for a vertex without
-edges and, on finding one, lets Hopcroft-Karp word the Infeasible message
-before any search. Past that pass, it is its own feasibility check: when a
-perfect matching exists, an augmenting path starts at every free left
-vertex, so a search that empties its heap proves there is none. On an
-infeasible instance the auction's prices would rise forever, so
-``solve_auction`` runs Hopcroft-Karp once, before its first bid.
+A vertex without edges has no row or column minimum: ``solve_exact``
+looks for one before its row pass and after its column pass, and lets
+Hopcroft-Karp word the Infeasible message before any search. Past that,
+it is its own feasibility check: when a perfect matching exists, an
+augmenting path starts at every free left vertex, so a search that
+empties its heap proves there is none. On an infeasible instance the
+auction's prices would rise forever, so ``solve_auction`` runs
+Hopcroft-Karp once, before its first bid.
 
 Cost of the exact solver: each search costs time proportional to what it
 touched -- the vertices it reached, the edges it scanned and its heap
@@ -48,9 +49,15 @@ a search reaches is scanned once, when its mate settles. A search skips
 each relaxation beyond its bound, the least distance of a free right
 vertex it has reached (Jonker and Volgenant, 1987): it ends at a free
 vertex no farther than the bound, so a skipped entry could neither pop
-nor move a potential, and every output and count is as without it. One
-O(n) pass at the end turns the stored potentials into prices. Both
-solvers read the graph's own edge columns.
+nor move a potential. Apart from one shared offset, right potentials
+only fall, so an edge's floor, its weight less its right potential after
+the start, bounds from below what it gives in any later search. A search
+scans each left vertex's edges by floor, cheapest first (sorted on its
+first scan in a call), and stops at the first edge whose floor lies
+beyond the bound. A right vertex appears once in a row, so row order
+only decides which entries beyond the bound are pushed: every output and
+count is as in input order. One O(n) pass at the end turns the stored
+potentials into prices. Both solvers read the graph's own edge columns.
 """
 
 from __future__ import annotations
@@ -122,10 +129,9 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     square = n == n_right
     adj_left = graph._adj_left
     left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of
-    # A left vertex without edges has no row minimum, and on a square graph
-    # a right vertex without edges has no column minimum: one O(m) pass
-    # finds either and lets Hopcroft-Karp word the refusal before the start.
-    if n and (min(map(len, adj_left)) == 0 or square and len(set(right_of)) < n):
+    # A left vertex without edges has no row minimum: let Hopcroft-Karp
+    # word the refusal before the start.
+    if n and min(map(len, adj_left)) == 0:
         _perfect_matching(graph)
     stats = SolveStats(phases=0, iterations=0)
 
@@ -140,21 +146,27 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     # keep right base 0, the largest.
     # Row pass: left potentials at the row minimums absorb negative
     # weights. Column pass, on a square graph only: every right potential
-    # rises to the least reduced cost into its vertex (finite: no vertex is
-    # isolated), so each right vertex gains a tight edge. On a wide graph
-    # it would leave the free right vertices at unequal prices. Every
-    # reduced cost stays non-negative, and a maximum matching of the tight
-    # edges is tight, as the loop below requires of its matching.
+    # rises to the least reduced cost into its vertex (one it leaves at
+    # infinity has no edges), so each right vertex gains a tight edge. On a
+    # wide graph it would leave the free right vertices at unequal prices.
+    # Every reduced cost stays non-negative, and a maximum matching of the
+    # tight edges is tight, as the loop below requires of its matching.
+    # floor[e] = w - right_base[v] now; right bases only fall, so it bounds
+    # w - right_base[v] from below in every search. On a wide graph it is w.
     left_base = [min(map(wt.__getitem__, adj)) for adj in adj_left]
-    reduced = [w - left_base[u] for w, u in zip(wt, left_of)]
     right_base = [0] * n_right
+    floor = wt
     if square:
         right_base = [math.inf] * n
-        for r, v in zip(reduced, right_of):
+        for w, u, v in zip(wt, left_of, right_of):
+            r = w - left_base[u]
             if r < right_base[v]:
                 right_base[v] = r
+        if math.inf in right_base:
+            _perfect_matching(graph)
+        floor = [w - right_base[v] for w, v in zip(wt, right_of)]
     offset = 0
-    tight = [e for e, r, v in zip(count(), reduced, right_of) if r == right_base[v]]
+    tight = [e for e, f, u in zip(count(), floor, left_of) if f == left_base[u]]
     mate_left = list(max_cardinality_matching(graph, tight)._mate_left)
     mate_right: list[int | None] = [None] * n_right
     for e in mate_left:
@@ -166,6 +178,7 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     # follows right vertices its own search reached.
     dist_right: list[int | None] = [None] * n_right
     reach_edge: list[int] = [-1] * n_right  # edge that reached each right vertex
+    rows: list[list[int] | None] = [None] * n  # edges by floor, on first scan
 
     for source in [u for u in range(n) if mate_left[u] is None]:
         reached_left = [(source, 0)]  # (left vertex, distance) per scan
@@ -180,12 +193,18 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
             # edge lowers the distance of a settled right vertex; the
             # matched edge, tight and back to the vertex that reached u,
             # fails the same test. An entry beyond the bound would pop after
-            # the search ends and move no potential: skip it, keep ties.
+            # the search ends and move no potential: skip it, keep ties. Once
+            # base + floor[e] passes the bound, so does every later edge.
             base = d - left_base[u]
-            for e in adj_left[u]:
+            row = rows[u]
+            if row is None:
+                row = rows[u] = sorted(adj_left[u], key=floor.__getitem__)
+            for e in row:
                 v = right_of[e]
                 nd = base + wt[e] - right_base[v]
                 if nd > bound:
+                    if base + floor[e] > bound:
+                        break
                     continue
                 dv = dist_right[v]
                 if dv is None:
