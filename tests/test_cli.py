@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import sys
 from heapq import heappush
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import bipmatch.cli
 import bipmatch.solvers
-from bipmatch import artificial_vertices, parse_instance, second_doubling, serialize_instance
+from bipmatch import (WeightedBipartiteGraph, artificial_vertices, iter_min_weight_perfect_matchings,
+                      parse_instance, second_doubling, serialize_instance, solve_exact)
 from bipmatch.cli import main
 
 from conftest import FIG1_TEXT
@@ -242,6 +244,45 @@ class TestEnumerate:
         assert code == 0
         assert with_prices == out
         assert len(hk_calls) == 1
+
+
+class TestEnumerateRendering:
+    """The full ``enumerate`` stream, line by line, is the JSON of the
+    matchings the library yields, in the library's order: edges sorted by
+    their label pairs whatever the file's edge order, and each line's
+    weight the sum of its edges' weights."""
+
+    @staticmethod
+    def shuffled_graph(rng: random.Random) -> WeightedBipartiteGraph:
+        # Sides up to 12, so some labels have two digits; a hidden perfect
+        # matching, weights in {0, 1, 2}, mostly 0 so that optima tie, and
+        # the edge lines shuffled.
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells = {(u, perm[u]) for u in range(n)}
+        for _ in range(rng.randint(n, 3 * n)):
+            cells.add((rng.randrange(n), rng.randrange(n)))
+        edges = [(u, v, rng.choice((0, 0, 0, 0, 0, 0, 1, 2))) for u, v in sorted(cells)]
+        rng.shuffle(edges)
+        return WeightedBipartiteGraph(n, n, edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lines_are_the_library_stream(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "shuffled.bip"
+        for _ in range(12):
+            graph = self.shuffled_graph(rng)
+            path.write_text(serialize_instance(graph))
+            code, out, _ = run(capsys, "enumerate", str(path))
+            assert code == 0
+            stream = iter_min_weight_perfect_matchings(graph, solve_exact(graph).prices)
+            assert out.splitlines() == [json.dumps(m.to_json(), sort_keys=True)
+                                        for m in stream]
+            for line in out.splitlines():
+                payload = json.loads(line)
+                assert payload["weight"] == sum(
+                    graph.weight(graph.original_edge_index(i, j)) for i, j in payload["edges"])
 
 
 class TestPreallocate:

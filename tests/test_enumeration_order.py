@@ -6,6 +6,10 @@ even when the set of matchings stays correct. ``ENUMERATION_DIGESTS``
 and ``BLOCK_DIGESTS`` were recorded when the branch frames began to flip
 alternating cycles, with the lowest edge of any block as the pivot, so
 they pin an order that no choice of perfect matching can move.
+``CYCLE_DIGESTS`` and ``CYCLE_DENSE_DIGESTS`` pin disjoint unions of
+alternating cycles, without and with one denser block; they were recorded
+while every branch node still ran a Tarjan trim and a cycle search, to pin
+the same order once a block that is one cycle is split without them.
 ``HOPCROFT_KARP_DIGESTS`` were recorded when every graph was stored with
 its larger side on the left, and pin that view, ``transforms._tall``;
 ``HOPCROFT_KARP_AS_GIVEN_DIGESTS`` pin the graphs as given.
@@ -72,6 +76,44 @@ BLOCK_DIGESTS = {
         "544da3230e212e4f52c15ed6bcf4b6a8dc65281f008fc8d53984d0da4b676ff0"),
     7: ("5db6c230700b9a62fed129ab085cc3d6e58f7b6fcf24239b1f0932cb21fd7c28",
         "710a980afeb2d12000771cf1dd38774c94254bcf899f919d0824257a8d352df8"),
+}
+
+CYCLE_DIGESTS = {
+    0: ("3400fb56b9aafb01e9e96b285ffd87389dcc21dfa4b400c7dbe05d7107d556f5",
+        "18e2ddc17fbe9157912b47324b80ef257ad264bcf4c3d04e8c330a540351cb40"),
+    1: ("9f47b1f8439f11bb4fcc11051782054f3a70366d606eb96a461d10f0d4f2a286",
+        "9f47b1f8439f11bb4fcc11051782054f3a70366d606eb96a461d10f0d4f2a286"),
+    2: ("25aa3f41d8f43c2186ffc2a832a78f75dc88670d8f3d333996c85776a9f17a86",
+        "0cb3596873c599497172641ecca1d773f510e9b83763e1b7eadbea01abca6fbf"),
+    3: ("d19d602810f5940aca2e87b9ec9941be41567786d7772cd7ec748c00aa2ae75a",
+        "9a6962d110b814fa4ce1c11b100a6b984f84db1827a06803a6409eb8f5c968ee"),
+    4: ("916052ebf3f7dcb46a337b846d60754d182ebea4cbf428f11493d560aeb67f88",
+        "7410aa97c5951c240ed9478ed307ccad7530173a24e3831de1ca689a53258616"),
+    5: ("588061cc24f0492c00a9a3c692cf6b1f0f2c9f3a24b44695d79ab5b5576f3a95",
+        "417a9c7a16d664408be953e2793e1cd35f51a795de6e124b9a0ff929e3d876be"),
+    6: ("1b8f8db9b6357c5a61a0f0038d3527b921f55eef9d2131bcb6e8fce62499b133",
+        "e39c7a2a0c4a9576a8e88bc8e8bbd45bb7d3a2d5d6e1278e90ab2ef8981f0da7"),
+    7: ("e136b9a7d66546bbe33f82948c2fba04764cbcf112a146f80bca6f93bfcc6413",
+        "9cfe8507c10979d077c45f4c946178718280fb3bd61a154f4c48f426f3c7d828"),
+}
+
+CYCLE_DENSE_DIGESTS = {
+    0: ("f75942b1f5f8f7d6f1cfe14f32753f759cd0fa1fc7d705642e8c865c53d0ac83",
+        "0f0f26582cf683b56291a1f24d4eb3e4f159051e94b01fb056485a4f27ec1a45"),
+    1: ("844ea405806a49ff72e26858ef678b4cb6fb1e88eb0079b1a7623ebd99c97860",
+        "01d058babe5dae82ea70a0c5000c61dc7de10fa9fd0ce5be3c40decebeb8ece3"),
+    2: ("2ed61a2518ac98044a0f35b3f30b847444001b78c2cd93e2003ca680eba74f6f",
+        "31209da9bb326ed9bea907aa8d512c9f90eba1921d3b211c7da6cee5044fc03e"),
+    3: ("e57b30440232394afbcd18a905ab0c47d3dc05cd38ebd022b6a04a6c994b7314",
+        "2ea5cb5fb27dbb7432377b98d5dbcfef7e0b244305686d6a8242ab38cba12802"),
+    4: ("598d09b3c4ecc5b10d39efc3946fc85156d549b33fac47732cbdef53d292e549",
+        "1adf824b742d59c535de4ce68d3f242658bd7dbd8b04f41a9ac78bbfbc980d50"),
+    5: ("8cd48cff4fea260bd44e2b64d1c5a7b866ff494d5d25b718366f0064c838609d",
+        "06633330629fc396953c0c9ff02424f5a09d0a8749114fbe19658407ca85d937"),
+    6: ("bb392a40e2e2d24ddd7b62acc2e61a20c64a0de5ffaa1ea293e618b29131028b",
+        "1e5acb582d5a53a264d9048889766c62aa6259a472a3e309f42114f739d3248c"),
+    7: ("1c919ade111fcaeabf2e3a93dc89e9b1eabbb7234d8f03241c06bbcb80ad0014",
+        "a9788e7db5b43d4ecbbd4447d03fe051d64cd9b48107078b947d0239ae00e52b"),
 }
 
 HOPCROFT_KARP_DIGESTS = {
@@ -221,6 +263,41 @@ def block_tie_graph(seed: int) -> WeightedBipartiteGraph:
     return WeightedBipartiteGraph(n, n, edges)
 
 
+def cycle_graph(seed: int, dense: bool = False) -> WeightedBipartiteGraph:
+    """Disjoint union of 2-8 alternating cycles of 4, 6 or 8 edges, the
+    cycle on k left and k right vertices joining u_i to v_i and to
+    v_(i+1 mod k), and with ``dense`` one more block of side 3-6 with a
+    hidden perfect matching and extra edges inside. Weights in {0, 1, 2},
+    mostly 0, so that many cycles tie; vertex labels and edge order
+    shuffled."""
+    rng = random.Random(seed)
+    cells = set()
+    start = 0
+    for k in [rng.choice((2, 3, 4)) for _ in range(rng.randint(2, 8))]:
+        for i in range(k):
+            cells |= {(start + i, start + i), (start + i, start + (i + 1) % k)}
+        start += k
+    if dense:
+        k = rng.randint(3, 6)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        cells |= {(start + u, start + perm[u]) for u in range(k)}
+        for _ in range(rng.randint(k, k * k // 2)):
+            cells.add((start + rng.randrange(k), start + rng.randrange(k)))
+        start += k
+    left, right = list(range(start)), list(range(start))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = [(left[u], right[v], rng.choice((0, 0, 0, 0, 0, 0, 1, 2)))
+             for u, v in sorted(cells)]
+    rng.shuffle(edges)
+    return WeightedBipartiteGraph(start, start, edges)
+
+
+def cycle_dense_graph(seed: int) -> WeightedBipartiteGraph:
+    return cycle_graph(seed, dense=True)
+
+
 def enumeration_digests(seed: int, make=tie_graph) -> tuple[str, str]:
     g = make(seed)
     every = islice(iter_perfect_matchings(g), LIMIT)
@@ -338,6 +415,16 @@ def test_block_triangular_order_pinned(seed):
     assert enumeration_digests(seed, block_tie_graph) == BLOCK_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(CYCLE_DIGESTS))
+def test_cycle_union_order_pinned(seed):
+    assert enumeration_digests(seed, cycle_graph) == CYCLE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CYCLE_DENSE_DIGESTS))
+def test_cycle_union_with_dense_block_order_pinned(seed):
+    assert enumeration_digests(seed, cycle_dense_graph) == CYCLE_DENSE_DIGESTS[seed]
+
+
 @pytest.mark.parametrize("seed", sorted(HOPCROFT_KARP_DIGESTS))
 def test_hopcroft_karp_matchings_pinned(seed):
     assert hopcroft_karp_digest(seed, _tall) == HOPCROFT_KARP_DIGESTS[seed]
@@ -372,6 +459,13 @@ if __name__ == "__main__":
     for seed in sorted(BLOCK_DIGESTS):
         every, optima = enumeration_digests(seed, block_tie_graph)
         print(f'    {seed}: ("{every}",\n        "{optima}"),')
+    for name, digests, make in (("CYCLE_DIGESTS", CYCLE_DIGESTS, cycle_graph),
+                                ("CYCLE_DENSE_DIGESTS", CYCLE_DENSE_DIGESTS,
+                                 cycle_dense_graph)):
+        print(f"}}\n\n{name} = {{")
+        for seed in sorted(digests):
+            every, optima = enumeration_digests(seed, make)
+            print(f'    {seed}: ("{every}",\n        "{optima}"),')
     print("}\n\nHOPCROFT_KARP_DIGESTS = {")
     for seed in sorted(HOPCROFT_KARP_DIGESTS):
         print(f'    {seed}: "{hopcroft_karp_digest(seed, _tall)}",')
