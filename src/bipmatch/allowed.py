@@ -141,9 +141,10 @@ def _cycle_or_matched(graph: WeightedBipartiteGraph, subset: tuple[int, ...],
     """The edges of ``subset`` that lie in some perfect matching of it,
     given one perfect matching of it: the matched edges and those on an
     alternating cycle, or with a ``hub`` on a cycle through H."""
-    labels = _scc_labels(graph, subset, matching._mate_left, hub)
+    mate_left, left_of = matching._mate_left, graph._left_of
+    labels = _scc_labels(graph, subset, mate_left, hub)
     return EdgeSet(graph, [e for e, label in zip(subset, labels)
-                           if label >= 0 or e in matching])
+                           if label >= 0 or mate_left[left_of[e]] == e])
 
 
 def allowed_edges(graph: WeightedBipartiteGraph,

@@ -168,20 +168,25 @@ def _cmd_opt_edges(args) -> int:
 
 def _json_lines(graph: WeightedBipartiteGraph) -> Callable[[Matching], str]:
     """A writer of ``json.dumps(matching.to_json(), sort_keys=True)`` for
-    matchings of ``graph``, which renders each edge's ``[i, j]`` text once
-    rather than on every line. Edges are listed by their rank in sorted
-    label order, as ``to_json`` lists them."""
-    pairs = list(zip(map((1).__add__, graph._left_of), map((1).__add__, graph._right_of)))
-    order = sorted(range(len(pairs)), key=pairs.__getitem__)
-    rank = sorted(range(len(pairs)), key=order.__getitem__)  # inverse of order
-    label = list(map("[%d, %d]".__mod__, map(pairs.__getitem__, order)))
-    weight_of = graph._weight_of
+    the perfect matchings of one stream of ``graph`` that all have one
+    weight, as the minimum-weight perfect matchings do.
+
+    A perfect matching has one edge at each left vertex, so its matched
+    edges by left vertex are its edges in sorted label order, as
+    ``to_json`` lists them; each edge's ``[i, j]`` text is rendered once,
+    not on every line. The weight is read from the first matching written
+    and serves every later line.
+    """
+    label = list(map("[%d, %d]".__mod__, zip(map((1).__add__, graph._left_of),
+                                             map((1).__add__, graph._right_of))))
+    head = f'{{"cardinality": {graph.n_left}, "edges": ['
+    tail = None
 
     def line(matching: Matching) -> str:
-        edges = matching.edge_indices
-        listed = ", ".join(map(label.__getitem__, sorted(map(rank.__getitem__, edges))))
-        return (f'{{"cardinality": {len(edges)}, "edges": [{listed}], '
-                f'"weight": {sum(map(weight_of.__getitem__, edges))}}}')
+        nonlocal tail
+        if tail is None:
+            tail = f'], "weight": {matching.weight()}}}'
+        return head + ", ".join(map(label.__getitem__, matching._mate_left)) + tail
     return line
 
 
@@ -201,7 +206,7 @@ def _cmd_preallocate(args) -> int:
     prefs = parse_preferences(_read(args.prefs), graph)
     matching = preallocate(optimal_edges(graph, *_certificate(graph, args.prices)), prefs)
     payload = matching.to_json()
-    payload["preferred"] = sum(1 for e in matching if e in prefs)
+    payload["preferred"] = len(set(prefs.edge_indices).intersection(matching.edge_indices))
     _emit(payload)
     return EXIT_OK
 

@@ -26,6 +26,18 @@ block emits its forced edges. Otherwise:
 * The search is depth-first, and the "with pivot" child comes first:
   every matching that contains the pivot comes before every matching
   that avoids it.
+* Only the child whose matching is M xor C needs the search. When the
+  pivot is unmatched that is the "with pivot" child, reached next; when
+  it is matched, the "without pivot" child runs the search only once it
+  is reached, so a frame that a capped stream never reaches costs
+  nothing.
+* Every vertex of a block has degree at least 2: a left vertex has its
+  matched edge and an arc of some cycle, and a right vertex its matched
+  edge and the arc into its mate. So a block with k left vertices and 2k
+  edges has every degree exactly 2 and, being connected, is one
+  alternating cycle, with exactly two perfect matchings: M and its other
+  k edges. Its two children are those two matchings, forced whole, so
+  such a block splits with no search and leaves nothing to trim.
 
 The trimmed subset, its forced edges and its blocks do not depend on the
 perfect matching used to find them, and neither does the pivot, so the
@@ -94,29 +106,38 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
     n = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of
     # A frame is (forced edges, blocks, edges to trim, their perfect
-    # matching); a block is (edges, its perfect matching by left vertex).
+    # matching, flip); a block is (edges, its perfect matching by left
+    # vertex). A frame whose flip is an edge is a deferred "without pivot"
+    # child: its edges are still its parent block's, that pivot first, and
+    # its matching is the block's, to be flipped on the cycle through the
+    # pivot when the frame is popped.
     stack: list[tuple[tuple[int, ...], tuple, Sequence[int],
-                      Sequence[int | None] | Mapping[int, int]]] = [((), (), subset, mate_left)]
+                      Sequence[int | None] | Mapping[int, int], int | None]] = [
+        ((), (), subset, mate_left, None)]
     while stack:
-        forced, blocks, edges, mate = stack.pop()
-        # Trim: matched edges on no alternating cycle are forced, the edges
-        # of one component form a block, and the other edges lie in no
-        # perfect matching.
-        parts: dict[int, tuple[list[int], dict[int, int]]] = {}
-        kept = []
-        for e, label in zip(edges, _scc_labels(graph, edges, mate)):
-            u = left_of[e]
-            if label >= 0:
-                part = parts.get(label)
-                if part is None:
-                    part = parts[label] = ([], {})
-                part[0].append(e)
-                if mate[u] == e:
-                    part[1][u] = e
-            elif mate[u] == e:
-                kept.append(e)
-        forced += tuple(kept)
-        blocks += tuple(parts.values())
+        forced, blocks, edges, mate, flip = stack.pop()
+        if flip is not None:
+            mate = _flip_cycle(graph, edges, mate, flip)
+            edges = edges[1:]
+        if edges:
+            # Trim: matched edges on no alternating cycle are forced, the
+            # edges of one component form a block, and the other edges lie
+            # in no perfect matching.
+            parts: dict[int, tuple[list[int], dict[int, int]]] = {}
+            kept = []
+            for e, label in zip(edges, _scc_labels(graph, edges, mate)):
+                u = left_of[e]
+                if label >= 0:
+                    part = parts.get(label)
+                    if part is None:
+                        part = parts[label] = ([], {})
+                    part[0].append(e)
+                    if mate[u] == e:
+                        part[1][u] = e
+                elif mate[u] == e:
+                    kept.append(e)
+            forced += tuple(kept)
+            blocks += tuple(parts.values())
         if not blocks:
             emitted: list[int | None] = [None] * n
             for e in forced:
@@ -128,12 +149,26 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
         rest = tuple(b for b in blocks if b is not block)
         edges, mate = block
         pivot = edges[0]
-        flipped = _flip_cycle(graph, edges, mate, pivot)
         u, v = left_of[pivot], right_of[pivot]
-        with_mate, without_mate = (mate, flipped) if mate[u] == pivot else (flipped, mate)
-        stack.append((forced, rest, edges[1:], without_mate))
-        stack.append((forced + (pivot,), rest,
-                      [e for e in edges if left_of[e] != u and right_of[e] != v], with_mate))
+        if len(edges) == 2 * len(mate):
+            # Every vertex of a block has degree at least 2, so a block
+            # with twice as many edges as left vertices is one alternating
+            # cycle: its perfect matchings are M and the other edges, and
+            # each child is forced whole, with nothing left to trim.
+            matched = tuple(mate.values())
+            other = tuple(e for e in edges if mate[left_of[e]] != e)
+            with_pivot, without = (matched, other) if mate[u] == pivot else (other, matched)
+            stack.append((forced + without, rest, (), mate, None))
+            stack.append((forced + with_pivot, rest, (), mate, None))
+            continue
+        away = [e for e in edges if left_of[e] != u and right_of[e] != v]
+        if mate[u] == pivot:
+            stack.append((forced, rest, edges, mate, pivot))
+            stack.append((forced + (pivot,), rest, away, mate, None))
+        else:
+            stack.append((forced, rest, edges[1:], mate, None))
+            stack.append((forced + (pivot,), rest, away,
+                          _flip_cycle(graph, edges, mate, pivot), None))
 
 
 def _flip_cycle(graph: WeightedBipartiteGraph, edges: Sequence[int],

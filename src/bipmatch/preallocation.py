@@ -53,9 +53,10 @@ def preallocate(edges: EdgeSet, prefs: EdgeSet) -> Matching:
     if prefs.graph is not graph:
         raise ValueError("preference set belongs to a different graph")
     kept = edges.edge_indices
+    preferred = set(prefs.edge_indices)
     sub = WeightedBipartiteGraph._trusted(
         graph.n_left, graph.n_right, [graph._left_of[e] for e in kept],
-        [graph._right_of[e] for e in kept], [0 if e in prefs else 1 for e in kept])
+        [graph._right_of[e] for e in kept], [0 if e in preferred else 1 for e in kept])
     result = solve_exact(sub)
     back = [kept[k] for k in result.matching.edge_indices]
     return Matching(graph, back)

@@ -63,7 +63,8 @@ def _tight_perfect_matching(graph: WeightedBipartiteGraph, prices: DualPrices,
                              "prices are not optimal for this instance") from exc
     if matching.graph is not graph or not matching.is_perfect:
         raise ValueError("a certificate matching must be a perfect matching of the graph")
-    loose = next((e for e in matching if e not in tight), None)
+    tight_edges = set(tight.edge_indices)
+    loose = next((e for e in matching if e not in tight_edges), None)
     if loose is not None:
         raise ValueError(f"matched edge {graph.original_pair(loose)} is not tight")
     return tight, matching

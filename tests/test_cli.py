@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bipmatch.cli
+import bipmatch.enumeration
 import bipmatch.solvers
 from bipmatch import (WeightedBipartiteGraph, artificial_vertices, iter_min_weight_perfect_matchings,
                       parse_instance, second_doubling, serialize_instance, solve_exact)
@@ -244,6 +245,25 @@ class TestEnumerate:
         assert code == 0
         assert with_prices == out
         assert len(hk_calls) == 1
+
+
+    @pytest.mark.parametrize("argv, flips, trims", [(["--limit", "1"], 0, 3), ([], 19, 39)])
+    def test_branch_work_on_ties(self, capsys, monkeypatch, argv, flips, trims):
+        # A "without pivot" child flips its cycle only when it is popped,
+        # and a block that is one alternating cycle splits with no trim and
+        # no flip. While every branch node flipped a cycle and every child
+        # was trimmed, --limit 1 took 3 flips and 4 trims here, and the 33
+        # matchings of the full stream 32 flips and 65 trims.
+        calls = {"_flip_cycle": 0, "_scc_labels": 0}
+        for name in calls:
+            def counting(*args, _name=name, _run=getattr(bipmatch.enumeration, name)):
+                calls[_name] += 1
+                return _run(*args)
+            monkeypatch.setattr(bipmatch.enumeration, name, counting)
+        code, out, _ = run(capsys, "enumerate", TIES_PATH, *argv)
+        assert code == 0
+        assert out.count("\n") == (1 if argv else 33)
+        assert calls == {"_flip_cycle": flips, "_scc_labels": trims}
 
 
 class TestEnumerateRendering:
