@@ -107,10 +107,9 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
     left_of, right_of = graph._left_of, graph._right_of
     # A frame is (forced edges, blocks, edges to trim, their perfect
     # matching, flip); a block is (edges, its perfect matching by left
-    # vertex). A frame whose flip is an edge is a deferred "without pivot"
-    # child: its edges are still its parent block's, that pivot first, and
-    # its matching is the block's, to be flipped on the cycle through the
-    # pivot when the frame is popped.
+    # vertex). A frame whose flip is a pivot is a "without pivot" child
+    # still holding its parent block's edges and matching: it flips the
+    # cycle through the pivot and drops the pivot when it is popped.
     stack: list[tuple[tuple[int, ...], tuple, Sequence[int],
                       Sequence[int | None] | Mapping[int, int], int | None]] = [
         ((), (), subset, mate_left, None)]
@@ -151,10 +150,9 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
         pivot = edges[0]
         u, v = left_of[pivot], right_of[pivot]
         if len(edges) == 2 * len(mate):
-            # Every vertex of a block has degree at least 2, so a block
-            # with twice as many edges as left vertices is one alternating
-            # cycle: its perfect matchings are M and the other edges, and
-            # each child is forced whole, with nothing left to trim.
+            # One alternating cycle, as every vertex of a block has degree
+            # at least 2: its two perfect matchings are M and its other
+            # edges, and each child takes one whole, with nothing to trim.
             matched = tuple(mate.values())
             other = tuple(e for e in edges if mate[left_of[e]] != e)
             with_pivot, without = (matched, other) if mate[u] == pivot else (other, matched)

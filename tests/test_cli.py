@@ -251,9 +251,7 @@ class TestEnumerate:
     def test_branch_work_on_ties(self, capsys, monkeypatch, argv, flips, trims):
         # A "without pivot" child flips its cycle only when it is popped,
         # and a block that is one alternating cycle splits with no trim and
-        # no flip. While every branch node flipped a cycle and every child
-        # was trimmed, --limit 1 took 3 flips and 4 trims here, and the 33
-        # matchings of the full stream 32 flips and 65 trims.
+        # no flip, so the first matching here takes no flip at all.
         calls = {"_flip_cycle": 0, "_scc_labels": 0}
         for name in calls:
             def counting(*args, _name=name, _run=getattr(bipmatch.enumeration, name)):
