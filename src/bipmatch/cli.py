@@ -166,6 +166,19 @@ def _cmd_opt_edges(args) -> int:
     return EXIT_OK
 
 
+class _EdgeLabels(dict):
+    """Edge index -> its ``[i, j]`` label text, rendered on first read."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: WeightedBipartiteGraph):
+        self._graph = graph
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = "[%d, %d]" % self._graph.original_pair(e)
+        return text
+
+
 def _json_lines(graph: WeightedBipartiteGraph) -> Callable[[Matching], str]:
     """A writer of ``json.dumps(matching.to_json(), sort_keys=True)`` for
     the perfect matchings of one stream of ``graph`` that all have one
@@ -173,12 +186,12 @@ def _json_lines(graph: WeightedBipartiteGraph) -> Callable[[Matching], str]:
 
     A perfect matching has one edge at each left vertex, so its matched
     edges by left vertex are its edges in sorted label order, as
-    ``to_json`` lists them; each edge's ``[i, j]`` text is rendered once,
-    not on every line. The weight is read from the first matching written
-    and serves every later line.
+    ``to_json`` lists them; each edge's ``[i, j]`` text is rendered the
+    first time a line prints it, and never for an edge no line prints. The
+    weight is read from the first matching written and serves every later
+    line.
     """
-    label = list(map("[%d, %d]".__mod__, zip(map((1).__add__, graph._left_of),
-                                             map((1).__add__, graph._right_of))))
+    label = _EdgeLabels(graph)
     head = f'{{"cardinality": {graph.n_left}, "edges": ['
     tail = None
 

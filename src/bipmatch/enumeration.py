@@ -10,9 +10,11 @@ A trimmed subset falls apart into vertex-disjoint pieces: edges in every
 perfect matching of it, which are *forced*, and its elementary
 components, the *blocks*, in which every edge lies in some perfect
 matching. ``allowed._scc_labels`` finds both from any one perfect matching.
-A branch frame holds its forced edges and its blocks, each block with its
-edges in increasing order and a perfect matching M of it. A frame with no
-block emits its forced edges. Otherwise:
+A branch frame holds the edges it forces and its blocks, each block with
+its edges in increasing order and a perfect matching M of it. The edges
+forced on the current path live in one mate array per stream, indexed by
+left vertex, which a frame writes its edges into when it is reached. A
+frame with no block emits a copy of that array. Otherwise:
 
 * The pivot is the lowest-index edge of any block.
 * One breadth-first search inside that block finds an alternating cycle C
@@ -38,6 +40,13 @@ block emits its forced edges. Otherwise:
   alternating cycle, with exactly two perfect matchings: M and its other
   k edges. Its two children are those two matchings, forced whole, so
   such a block splits with no search and leaves nothing to trim.
+
+The mate array needs no undo. A frame's forced edges and blocks cover
+disjoint sets of vertices, so each left vertex is forced exactly once on
+any path from the root to a frame with no block, and no frame below the
+one that forces it writes to it. Every entry left by an earlier branch is
+thus written over before the next emit, and the array then holds exactly
+the forced edges of the path, one per left vertex.
 
 The trimmed subset, its forced edges and its blocks do not depend on the
 perfect matching used to find them, and neither does the pivot, so the
@@ -103,9 +112,12 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
     """The depth-first search of the module docstring over the perfect
     matchings of ``subset``, given one of them as the matched edge at each
     left vertex."""
-    n = graph.n_left
     left_of, right_of = graph._left_of, graph._right_of
-    # A frame is (forced edges, blocks, edges to trim, their perfect
+    # The mate array of the module docstring: the edge forced at each left
+    # vertex on the path to the frame being run. A frame writes into it
+    # the edges it forces and those its trim forces.
+    chosen: list[int | None] = [None] * graph.n_left
+    # A frame is (edges it forces, blocks, edges to trim, their perfect
     # matching, flip); a block is (edges, its perfect matching by left
     # vertex). A frame whose flip is a pivot is a "without pivot" child
     # still holding its parent block's edges and matching: it flips the
@@ -114,7 +126,9 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
                       Sequence[int | None] | Mapping[int, int], int | None]] = [
         ((), (), subset, mate_left, None)]
     while stack:
-        forced, blocks, edges, mate, flip = stack.pop()
+        added, blocks, edges, mate, flip = stack.pop()
+        for e in added:
+            chosen[left_of[e]] = e
         if flip is not None:
             mate = _flip_cycle(graph, edges, mate, flip)
             edges = edges[1:]
@@ -123,7 +137,6 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
             # edges of one component form a block, and the other edges lie
             # in no perfect matching.
             parts: dict[int, tuple[list[int], dict[int, int]]] = {}
-            kept = []
             for e, label in zip(edges, _scc_labels(graph, edges, mate)):
                 u = left_of[e]
                 if label >= 0:
@@ -134,14 +147,10 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
                     if mate[u] == e:
                         part[1][u] = e
                 elif mate[u] == e:
-                    kept.append(e)
-            forced += tuple(kept)
+                    chosen[u] = e
             blocks += tuple(parts.values())
         if not blocks:
-            emitted: list[int | None] = [None] * n
-            for e in forced:
-                emitted[left_of[e]] = e
-            yield Matching._trusted(graph, emitted)
+            yield Matching._trusted(graph, chosen)
             continue
 
         block = min(blocks, key=lambda b: b[0][0])
@@ -156,16 +165,16 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
             matched = tuple(mate.values())
             other = tuple(e for e in edges if mate[left_of[e]] != e)
             with_pivot, without = (matched, other) if mate[u] == pivot else (other, matched)
-            stack.append((forced + without, rest, (), mate, None))
-            stack.append((forced + with_pivot, rest, (), mate, None))
+            stack.append((without, rest, (), mate, None))
+            stack.append((with_pivot, rest, (), mate, None))
             continue
         away = [e for e in edges if left_of[e] != u and right_of[e] != v]
         if mate[u] == pivot:
-            stack.append((forced, rest, edges, mate, pivot))
-            stack.append((forced + (pivot,), rest, away, mate, None))
+            stack.append(((), rest, edges, mate, pivot))
+            stack.append(((pivot,), rest, away, mate, None))
         else:
-            stack.append((forced, rest, edges[1:], mate, None))
-            stack.append((forced + (pivot,), rest, away,
+            stack.append(((), rest, edges[1:], mate, None))
+            stack.append(((pivot,), rest, away,
                           _flip_cycle(graph, edges, mate, pivot), None))
 
 

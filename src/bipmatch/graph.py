@@ -240,7 +240,7 @@ class EdgeSet:
     """A set of edges of a fixed parent graph, kept as its distinct edge
     indices in increasing order. The tight subgraph, the edges in some
     perfect or optimal matching, a preference set and a matching are edge
-    sets."""
+    sets. Every read of the indices goes through ``edge_indices``."""
 
     __slots__ = ("_graph", "_edge_indices")
 
@@ -258,22 +258,22 @@ class EdgeSet:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_indices)
+        return len(self.edge_indices)
 
     def pairs(self) -> list[tuple[int, int]]:
         """The edges as 0-based (left, right) input pairs, in index order."""
-        return [self._graph.endpoints(e) for e in self._edge_indices]
+        return [self._graph.endpoints(e) for e in self.edge_indices]
 
     def __contains__(self, e: int) -> bool:
-        indices = self._edge_indices
+        indices = self.edge_indices
         k = bisect_left(indices, e)
         return k < len(indices) and indices[k] == e
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._edge_indices)
+        return iter(self.edge_indices)
 
     def __len__(self) -> int:
-        return len(self._edge_indices)
+        return len(self.edge_indices)
 
     def __eq__(self, other) -> bool:
         # Equal edges of one graph, and the same type: a matching never
@@ -281,13 +281,13 @@ class EdgeSet:
         if not isinstance(other, EdgeSet):
             return NotImplemented
         return (type(self) is type(other) and self._graph is other._graph
-                and self._edge_indices == other._edge_indices)
+                and self.edge_indices == other.edge_indices)
 
     def __repr__(self) -> str:
-        return f"EdgeSet({self._edge_indices})"
+        return f"EdgeSet({self.edge_indices})"
 
     def to_json(self) -> dict:
-        return {"edges": self._graph.original_pairs(self._edge_indices)}
+        return {"edges": self._graph.original_pairs(self.edge_indices)}
 
 
 class Matching(EdgeSet):
@@ -300,7 +300,7 @@ class Matching(EdgeSet):
         mate_left: list[int | None] = [None] * graph.n_left
         right_taken = [False] * graph.n_right
         left_of, right_of = graph._left_of, graph._right_of
-        for e in self._edge_indices:
+        for e in self.edge_indices:
             u, v = left_of[e], right_of[e]
             if mate_left[u] is not None or right_taken[v]:
                 raise ValueError(f"matching edge {graph.original_pair(e)} shares a vertex "
@@ -314,16 +314,28 @@ class Matching(EdgeSet):
                  mate_left: list[int | None]) -> "Matching":
         """A matching from the matched edge at each left vertex (None where
         unmatched), already known to be vertex-disjoint edges of ``graph``.
-        Runs no checks."""
+        Runs no checks, and copies ``mate_left``, so the caller may reuse
+        it. The sorted edge list is built on its first read, so a matching
+        that is only printed by left vertex never sorts its edges."""
         matching = cls.__new__(cls)
         matching._graph = graph
-        matching._edge_indices = tuple(sorted([e for e in mate_left if e is not None]))
+        matching._edge_indices = None
         matching._mate_left = tuple(mate_left)
         return matching
 
     @property
+    def edge_indices(self) -> tuple[int, ...]:
+        """The matched edges in increasing order; for a matching from
+        ``_trusted``, sorted from the mate list on the first read."""
+        indices = self._edge_indices
+        if indices is None:
+            indices = self._edge_indices = tuple(sorted([e for e in self._mate_left
+                                                         if e is not None]))
+        return indices
+
+    @property
     def cardinality(self) -> int:
-        return len(self._edge_indices)
+        return len(self.edge_indices)
 
     @property
     def is_perfect(self) -> bool:
@@ -335,13 +347,13 @@ class Matching(EdgeSet):
         return self._mate_left[u]
 
     def weight(self) -> int:
-        return sum(self._graph.weight(e) for e in self._edge_indices)
+        return sum(self._graph.weight(e) for e in self.edge_indices)
 
     def __hash__(self) -> int:
-        return hash((id(self._graph), self._edge_indices))
+        return hash((id(self._graph), self.edge_indices))
 
     def __repr__(self) -> str:
-        return f"Matching(cardinality={self.cardinality}, edges={self._edge_indices})"
+        return f"Matching(cardinality={self.cardinality}, edges={self.edge_indices})"
 
     def to_json(self) -> dict:
         return {"cardinality": self.cardinality, "weight": self.weight(),

@@ -1,7 +1,7 @@
 """Exhaustive, duplicate-free streaming of (optimal) perfect matchings."""
 
 import random
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -56,6 +56,62 @@ class TestPerfectMatchings:
         runs = [[m.edge_indices for m in iter_perfect_matchings(fig1)]
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestCollectedStream:
+    """The whole stream is collected before any matching in it is read, so
+    a matching that shared state with the search, or built its edge list
+    wrongly, shows here: each must be the checked ``Matching`` of its
+    edges in everything a caller can read, and the stream must hold every
+    perfect matching once."""
+
+    @staticmethod
+    def tie_heavy(seed: int) -> WeightedBipartiteGraph:
+        # A hidden perfect matching plus random cells, weights mostly 0,
+        # edge lines shuffled so that edge order is not left-vertex order.
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells = {(u, perm[u]) for u in range(n)}
+        cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2 * n, n * n))}
+        edges = [(u, v, rng.choice((0, 0, 0, 1, 2))) for u, v in sorted(cells)]
+        rng.shuffle(edges)
+        return WeightedBipartiteGraph(n, n, edges)
+
+    @staticmethod
+    def check(g: WeightedBipartiteGraph) -> None:
+        n = g.n_left
+        streamed = list(iter_perfect_matchings(g))
+        # Each matching's first read is a different one of its readers.
+        readers = [len, hash, Matching.weight, Matching.to_json,
+                   lambda m: [e for e in range(g.edge_count) if e in m],
+                   lambda m: m.edge_indices]
+        for k, m in enumerate(streamed):
+            ref = Matching(g, [m.left_edge(u) for u in range(n)])
+            first = readers[k % len(readers)]
+            assert first(m) == first(ref)
+            assert m == Matching(g, m.edge_indices) == ref and ref == m
+            assert hash(m) == hash(ref)
+            assert m.weight() == ref.weight()
+            assert m.to_json() == ref.to_json()
+            assert len(m) == len(ref) == n
+            assert [e for e in range(g.edge_count) if e in m] == list(ref.edge_indices)
+        oracle = set()
+        for perm in permutations(range(n)):
+            edges = [g.edge_index(u, v) for u, v in enumerate(perm)]
+            if None not in edges:
+                oracle.add(Matching(g, edges))
+        assert len(streamed) == len(set(streamed))
+        assert set(streamed) == oracle
+
+    def test_complete_4x4(self):
+        self.check(WeightedBipartiteGraph(4, 4, [(u, v, (u * v) % 2)
+                                                 for u in range(4) for v in range(4)]))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tie_heavy(self, seed):
+        self.check(self.tie_heavy(seed))
 
 
 class TestSink:

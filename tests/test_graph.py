@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 
 from bipmatch import (MAX_ABS_WEIGHT, EdgeSet, Matching, ParseError,
-                      WeightedBipartiteGraph, matching_from_json, parse_instance,
-                      serialize_instance)
+                      WeightedBipartiteGraph, matching_from_json, max_cardinality_matching,
+                      parse_instance, serialize_instance)
 from bipmatch.graph import SIDE_BOUND, _parse_canonical, _parse_lines
 
 from conftest import FIG1_EDGES, FIG1_TEXT, M_OTHER, M_STAR
@@ -255,6 +255,29 @@ class TestMatching:
         assert hash(m) == hash((id(fig1), (0, 2, 5))) == hash(Matching(fig1, M_STAR))
         assert repr(m) == "Matching(cardinality=3, edges=(0, 2, 5))"
         assert repr(EdgeSet(fig1, [5, 2, 0])) == "EdgeSet((0, 2, 5))"
+
+    def test_trusted_matching_builds_its_edge_list_lazily(self):
+        # Edges listed against left-vertex order, so a perfect matching's
+        # edges by left vertex are not its sorted edge list. A trusted
+        # matching sorts its edges on first read; each check below takes a
+        # fresh one, so each reader is the first read.
+        g = WeightedBipartiteGraph(3, 3, [(2, 2, 1), (1, 0, 2), (0, 1, 3), (2, 1, 0), (0, 2, 5)])
+        mates = max_cardinality_matching(g)._mate_left
+        edges = tuple(sorted(mates))
+        assert list(mates) != list(edges)
+        checked = Matching(g, mates)
+        assert max_cardinality_matching(g) == checked
+        assert checked == max_cardinality_matching(g)
+        assert hash(max_cardinality_matching(g)) == hash(checked)
+        assert repr(max_cardinality_matching(g)) == repr(checked)
+        assert repr(checked) == f"Matching(cardinality=3, edges={edges})"
+        assert max_cardinality_matching(g) != EdgeSet(g, edges)
+        assert EdgeSet(g, edges) != max_cardinality_matching(g)
+        before = max_cardinality_matching(g)
+        assert before.edge_indices == edges
+        assert before._mate_left == mates and before.edge_indices == edges
+        after = max_cardinality_matching(g)
+        assert after._mate_left == mates and after.edge_indices == edges
 
     @pytest.mark.parametrize("kind", [Matching, EdgeSet])
     def test_membership_of_any_int(self, fig1, kind):
