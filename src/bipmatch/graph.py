@@ -11,11 +11,19 @@ Instance file format (line oriented):
     e <i> <j> <w>        # 1-based left index, 1-based right index, weight
 
 ``parse_instance`` reads a canonical file (the header first, then only
-edge lines) by a strided pass over blocks of whole lines, and any other
-file, comments, blank lines or CRLF included, by the line-by-line pass,
-which defines the format and words every error. Both give the same graph.
-A side may have more vertices than the header's edge count only up to
-``SIDE_BOUND``; a larger one is an error on the header line.
+edge lines) by a strided pass over blocks of whole lines, run on its ASCII
+bytes, and any other file, comments, blank lines or CRLF included, by the
+line-by-line pass, which defines the format and words every error. Both
+give the same graph. A side may have more vertices than the header's edge
+count only up to ``SIDE_BOUND``; a larger one is an error on the header
+line.
+
+A graph makes one layout decision, on the first read of its edges by left
+vertex. Its edges are grouped when its left column is non-decreasing, as in
+a file written left vertex by left vertex; each left vertex's edges are
+then one ``range`` of edge indices, and its per-row passes (the left
+adjacency, the row minima, the parser's duplicate check) take one slice of
+a column per row. Any other graph keeps a tuple of edge indices per row.
 
 An ``EdgeSet`` is a set of edges of a parent graph, named by edge index:
 the tight subgraph, the edges of some optimal matching, a preference set.
@@ -28,7 +36,7 @@ matchings add ``"cardinality"`` and ``"weight"``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator
 
@@ -67,7 +75,7 @@ class WeightedBipartiteGraph:
     """
 
     __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
-                 "_adj", "_max_abs")
+                 "_starts", "_adj", "_max_abs")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
@@ -117,26 +125,67 @@ class WeightedBipartiteGraph:
         weight, indexed by edge). The matching, enumeration and solver
         loops read these columns directly.
 
-        The edges by left vertex and the largest |weight| are built on
-        their first read, so a graph that is only transposed or printed,
-        such as a tall input of ``optimum``, never builds them.
+        The layout, the edges by left vertex and the largest |weight| are
+        built on their first read, so a graph that is only transposed or
+        printed, such as a tall input of ``optimum``, never builds them.
         """
         self._n_left = n_left
         self._n_right = n_right
         self._left_of = tuple(left)
         self._right_of = tuple(right)
         self._weight_of = tuple(weight)
-        self._adj = self._max_abs = None
+        self._starts = self._adj = self._max_abs = None
 
     @property
-    def _adj_left(self) -> tuple[tuple[int, ...], ...]:
-        """The edge indices at each left vertex, in input order."""
+    def _row_starts(self) -> list[int]:
+        """The layout decision (see the module docstring): for a grouped
+        graph, the first edge of each left vertex followed by the edge
+        count, so that left vertex u has edges ``starts[u]`` up to
+        ``starts[u + 1]``; empty for any other graph.
+
+        The order check compares chunks of the left column, each twice as
+        long as the last and overlapping it by one edge, with their sorted
+        copies: ``sorted`` passes a sorted chunk in one C loop, and the
+        check stops at the first chunk with a descent, so an ungrouped
+        column costs about twice the length of its sorted prefix. A
+        grouped one then costs one bisection per left vertex.
+        """
+        if self._starts is None:
+            left = self._left_of
+            grouped, a, k = True, 0, 16
+            while grouped and a + 1 < len(left):
+                chunk = list(left[a:a + k + 1])
+                grouped = chunk == sorted(chunk)
+                a, k = a + k, 2 * k
+            self._starts = (list(map(bisect_left, repeat(left), range(self._n_left + 1)))
+                            if grouped else [])
+        return self._starts
+
+    @property
+    def _adj_left(self) -> tuple[range, ...] | tuple[tuple[int, ...], ...]:
+        """The edge indices at each left vertex, in input order: a range
+        per left vertex on a grouped graph, built in O(n), and a tuple
+        per left vertex, one append per edge, on any other."""
         if self._adj is None:
-            adj_left: list[list[int]] = [[] for _ in range(self._n_left)]
-            for e, u in enumerate(self._left_of):
-                adj_left[u].append(e)
-            self._adj = tuple(map(tuple, adj_left))
+            starts = self._row_starts
+            if starts:
+                self._adj = tuple(map(range, starts, islice(starts, 1, None)))
+            else:
+                adj_left: list[list[int]] = [[] for _ in range(self._n_left)]
+                for e, u in enumerate(self._left_of):
+                    adj_left[u].append(e)
+                self._adj = tuple(map(tuple, adj_left))
         return self._adj
+
+    def _row_minima(self) -> list[int | None]:
+        """The least weight at each left vertex, None at one without
+        edges: one ``min`` per slice of the weight column on a grouped
+        graph."""
+        wt = self._weight_of
+        starts = self._row_starts
+        if starts:
+            return [min(wt[a:b], default=None) for a, b in zip(starts, islice(starts, 1, None))]
+        return [min(map(wt.__getitem__, row), default=None) for row in self._adj_left]
 
     # -- basic shape -------------------------------------------------------
 
@@ -173,7 +222,7 @@ class WeightedBipartiteGraph:
 
     def left_edges(self, u: int) -> tuple[int, ...]:
         """Edge indices incident to left vertex u, in input order."""
-        return self._adj_left[u]
+        return tuple(self._adj_left[u])
 
     def edge_index(self, u: int, v: int) -> int | None:
         """Index of the edge joining left u and right v, or None."""
@@ -392,68 +441,74 @@ def parse_instance(text: str) -> WeightedBipartiteGraph:
     header or edge line, out-of-range indices, duplicate edges, or weights
     beyond the admissible bound.
 
-    A canonical text is read by the strided ``_parse_canonical``; any other
-    text, and every invalid one, by the line pass ``_parse_lines``, which
-    defines the format and words every error. Both give the same graph.
+    A canonical text is read by the strided ``_parse_canonical``, on its
+    ASCII bytes; any other text, and every invalid one, by the line pass
+    ``_parse_lines``, which defines the format and words every error. Both
+    give the same graph.
     """
-    graph = _parse_canonical(text)
+    graph = _parse_canonical(text.encode("ascii")) if text.isascii() else None
     return graph if graph is not None else _parse_lines(text)
 
 
-# Line breaks of ``str.splitlines`` other than "\n". A text holding none of
-# them has exactly the lines that "\n" separates.
-_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Line breaks of ``str.splitlines`` other than "\n" that are ASCII; the
+# others are not, so no canonical text holds them. A text holding none of
+# these has exactly the lines that "\n" separates.
+_OTHER_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 
-# Characters of text tokenised at a time: the tokens of one block are alive
-# at once, those of the whole text never are.
+# Bytes of text tokenised at a time: the tokens of one block are alive at
+# once, those of the whole text never are.
 _BLOCK_CHARS = 1 << 16
 
 
-def _parse_canonical(text: str) -> WeightedBipartiteGraph | None:
-    """The graph of a canonical instance text, or None for any other text.
+def _parse_canonical(data: bytes) -> WeightedBipartiteGraph | None:
+    """The graph of a canonical instance file, or None for any other.
 
     Canonical means: the header is the first line, every later line is
-    ``e <i> <j> <w>`` starting at its first character, with both labels
-    written as plain decimals, the text ends with "\n" and holds no other
-    line break, no side has more vertices than there are edges, and the
-    edges are valid. Such a text has the graph ``_parse_lines`` gives it.
-    The lines are checked by counts over blocks of whole lines and the
-    edges column by column, so no Python code runs per line.
+    ``e <i> <j> <w>`` starting at its first byte, with both labels written
+    as plain decimals, the file ends with "\n" and holds no other line
+    break, no side has more vertices than there are edges, and the edges
+    are valid. Every byte of such a file is ASCII: a space, a line end or
+    part of a token that converts, so its text has the graph
+    ``_parse_lines`` gives it. The lines are checked by counts over blocks
+    of whole lines and the edges column by column, so no Python code runs
+    per line.
     """
-    if not text.endswith("\n") or any(br in text for br in _OTHER_LINE_BREAKS):
+    if not data.endswith(b"\n") or any(map(data.__contains__, _OTHER_LINE_BREAKS)):
         return None
-    start = text.index("\n") + 1
-    header = text[:start].split()
-    if len(header) != 5 or header[0] != "p" or header[1] != "bip":
+    start = data.index(b"\n") + 1
+    header = data[:start].split()
+    if len(header) != 5 or header[0] != b"p" or header[1] != b"bip":
         return None
     try:
         n, s, m = map(int, header[2:])
     except ValueError:
         return None
-    # An edge line takes at least 8 characters, so the label tables below
-    # are never larger than the text.
-    if min(n, s) < 0 or max(n, s) > m or 8 * m > len(text):
+    # An edge line takes at least 8 bytes, so the label tables below are
+    # never larger than the file.
+    if min(n, s) < 0 or max(n, s) > m or 8 * m > len(data):
         return None
-    # Label text -> 0-based index: the conversion and the range check of a
+    # Label bytes -> 0-based index: the conversion and the range check of a
     # label in one lookup. An out-of-range label or any other spelling
     # ("+1", "01") is a KeyError.
-    left_index = dict(zip(map(str, range(1, n + 1)), range(n)))
-    right_index = left_index if s == n else dict(zip(map(str, range(1, s + 1)), range(s)))
+    left_index = dict(zip(map(b"%d".__mod__, range(1, n + 1)), range(n)))
+    right_index = left_index if s == n else dict(zip(map(b"%d".__mod__, range(1, s + 1)),
+                                                     range(s)))
     left: list[int] = []
     right: list[int] = []
     weight: list[int] = []
     try:
-        while start < len(text):
-            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-            block = text[start:end]
+        while start < len(data):
+            end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
+            block = data[start:end]
             start = end
             # Every line starts with the token "e" and every 4th token is
             # one. No other token is, as the rest convert to integers: so
             # every line has exactly the four tokens of an edge line.
-            lines = block.count("\n")
+            lines = block.count(b"\n")
             tokens = block.split()
-            if (len(tokens) != 4 * lines or not block.startswith("e ")
-                    or block.count("\ne ") != lines - 1 or tokens[::4].count("e") != lines):
+            if (len(tokens) != 4 * lines or not block.startswith(b"e ")
+                    or block.count(b"\ne ") != lines - 1
+                    or tokens[::4].count(b"e") != lines):
                 return None
             left.extend(map(left_index.__getitem__, tokens[1::4]))
             right.extend(map(right_index.__getitem__, tokens[2::4]))
@@ -463,11 +518,18 @@ def _parse_canonical(text: str) -> WeightedBipartiteGraph | None:
     if len(left) != m or (weight and not (-MAX_ABS_WEIGHT <= min(weight)
                                           and max(weight) <= MAX_ABS_WEIGHT)):
         return None
-    # u*s + v is one integer per vertex pair, so equal keys mean a
-    # duplicate edge.
-    if len(set(map(add, map(mul, left, repeat(s)), right))) != m:
-        return None
-    return WeightedBipartiteGraph._trusted(n, s, left, right, weight)
+    graph = WeightedBipartiteGraph._trusted(n, s, left, right, weight)
+    del left, right, weight  # the graph holds its own columns
+    # No pair of vertices twice: on a grouped graph, no right vertex twice
+    # in a row; on any other, no key u*s + v, one integer per vertex pair,
+    # twice.
+    starts = graph._row_starts
+    right_of = graph._right_of
+    if starts:
+        distinct = sum(len(set(right_of[a:b])) for a, b in zip(starts, islice(starts, 1, None)))
+    else:
+        distinct = len(set(map(add, map(mul, graph._left_of, repeat(s)), right_of)))
+    return graph if distinct == m else None
 
 
 def _parse_lines(text: str) -> WeightedBipartiteGraph:

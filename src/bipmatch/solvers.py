@@ -129,9 +129,12 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     square = n == n_right
     adj_left = graph._adj_left
     left_of, right_of, wt = graph._left_of, graph._right_of, graph._weight_of
-    # A left vertex without edges has no row minimum: let Hopcroft-Karp
-    # word the refusal before the start.
-    if n and min(map(len, adj_left)) == 0:
+    # Row pass: left potentials at the row minimums absorb negative
+    # weights. The graph takes them by its layout, one ``min`` per slice of
+    # the weight column on a grouped graph. A left vertex without edges has
+    # no row minimum: let Hopcroft-Karp word the refusal before the start.
+    left_base = graph._row_minima()
+    if None in left_base:
         _perfect_matching(graph)
     stats = SolveStats(phases=0, iterations=0)
 
@@ -144,8 +147,7 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     # search reached at a smaller distance. No free right vertex is nearer
     # than the target, so none is adjusted: on a wide graph all of them
     # keep right base 0, the largest.
-    # Row pass: left potentials at the row minimums absorb negative
-    # weights. Column pass, on a square graph only: every right potential
+    # Column pass, on a square graph only: every right potential
     # rises to the least reduced cost into its vertex (one it leaves at
     # infinity has no edges), so each right vertex gains a tight edge. On a
     # wide graph it would leave the free right vertices at unequal prices.
@@ -153,7 +155,6 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
     # tight edges is tight, as the loop below requires of its matching.
     # floor[e] = w - right_base[v] now; right bases only fall, so it bounds
     # w - right_base[v] from below in every search. On a wide graph it is w.
-    left_base = [min(map(wt.__getitem__, adj)) for adj in adj_left]
     right_base = [0] * n_right
     floor = wt
     if square:
@@ -306,7 +307,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
     scale = math.lcm(n + 1, eps.denominator)
     eps_scaled = int(eps * scale)
 
-    left_edges = graph.left_edges
+    adj_left = graph._adj_left
     right_of, wt = graph._right_of, graph._weight_of
     # Benefits: auction maximizes, we minimize.
     benefit = [-w * scale for w in wt]
@@ -331,7 +332,7 @@ def solve_auction(graph: WeightedBipartiteGraph,
             best_e = -1
             best_val: int | None = None
             second_val: int | None = None
-            for e in left_edges(u):
+            for e in adj_left[u]:
                 val = benefit[e] - price[right_of[e]]
                 if best_val is None or val > best_val:
                     second_val = best_val

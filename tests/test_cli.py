@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import os
 import random
 import sys
+import threading
 from heapq import heappush
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import bipmatch.solvers
 from bipmatch import (WeightedBipartiteGraph, artificial_vertices, iter_min_weight_perfect_matchings,
                       parse_instance, second_doubling, serialize_instance, solve_exact)
 from bipmatch.cli import main
+from bipmatch.graph import _parse_canonical, _parse_lines
 
 from conftest import FIG1_TEXT
 
@@ -746,3 +749,72 @@ class TestParserReuse:
                      ["optimum", WIDE_PATH, "--k", "0"], ["enumerate", TIES_PATH]):
             run(capsys, *argv)
         assert built == []
+
+
+def _instance_files(tmp_path):
+    """Every golden instance, the canonical and the grouped (edges sorted
+    by left, right) text of each, and files whose bytes are not their
+    text: a BOM copy, a CRLF copy, an undecodable file and one with a
+    non-ASCII comment."""
+    files = {}
+    for path in sorted(GOLDEN.glob("*.bip")):
+        graph = parse_instance(path.read_text())
+        canonical = serialize_instance(graph)
+        rows = canonical.splitlines(keepends=True)
+        files[path.name] = path.read_bytes()
+        files[f"canonical-{path.name}"] = canonical.encode()
+        files[f"grouped-{path.name}"] = "".join(
+            rows[:1] + sorted(rows[1:], key=lambda row: tuple(map(int, row.split()[1:3])))).encode()
+    ties = files["canonical-ties.bip"]
+    files.update({"bom.bip": "\ufeff".encode() + ties, "crlf.bip": ties.replace(b"\n", b"\r\n"),
+                  "undecodable.bip": ties.replace(b"e 1 ", b"e 1\xff ", 1),
+                  "non-ascii-comment.bip": "c poids égaux\n".encode() + ties})
+    paths = {}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+def test_instance_files_load_as_the_line_pass_reads_them(tmp_path):
+    """The CLI loads every instance file as the line pass reads its text,
+    or refuses it with the same message, whichever parser takes it."""
+    def outcome(load, path):
+        try:
+            return load(path)
+        except bipmatch.cli.ParseError as exc:
+            return str(exc)
+
+    paths = _instance_files(tmp_path)
+    for name in ("canonical-ties.bip", "grouped-dense.bip"):
+        assert _parse_canonical(Path(paths[name]).read_bytes()) is not None
+    loaded = {name: outcome(bipmatch.cli._load_instance, path) for name, path in paths.items()}
+    assert loaded == {name: outcome(lambda p: _parse_lines(bipmatch.cli._read(p)), path)
+                      for name, path in paths.items()}
+    assert loaded["undecodable.bip"].startswith(f"{paths['undecodable.bip']} is not UTF-8 text")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_instance_read_once_from_a_pipe(capsys, tmp_path):
+    """An instance the CLI reads from a pipe, which can be read only once,
+    gives the output a regular file gives, or the same exit code and
+    message: a byte-order mark and CRLF line ends included."""
+    def write(fd, content):
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(content)
+        except BrokenPipeError:
+            pass  # the CLI stopped before reading it all
+
+    for path in _instance_files(tmp_path).values():
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=write, args=(write_end, Path(path).read_bytes()))
+        writer.start()
+        pipe = f"/dev/fd/{read_end}"
+        try:
+            piped = run(capsys, "duals", pipe)
+        finally:
+            os.close(read_end)
+            writer.join()
+        code, out, err = run(capsys, "duals", path)
+        assert piped == (code, out, err.replace(path, pipe))

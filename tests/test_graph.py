@@ -198,7 +198,7 @@ class TestParsing:
         text = "p bip 200 200 40000\n" + "".join(
             f"e {i} {j} {rng.randint(0, 1000)}\n"
             for i in range(1, 201) for j in range(1, 201))
-        assert _parse_canonical(text) is not None
+        assert _parse_canonical(text.encode()) is not None
         peaks = []
         for parse in (parse_instance, _parse_lines):
             tracemalloc.start()

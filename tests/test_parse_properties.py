@@ -14,6 +14,10 @@ missing final newline, headers with sides or edge counts of 2^16 + 1 and
 long takes the same mutations near its start, its end and its block
 boundaries.
 
+Grouped texts, with their edge lines sorted by (i, j) as a file written
+left vertex by left vertex has them, take the same mutations, and also an
+edge repeated inside its row or a row moved out of order.
+
 The constructor and the parser also accept and reject the same edge
 lists, and give equal graphs where both accept.
 """
@@ -121,6 +125,49 @@ def small_texts(draw):
     return "".join(row + end for row, end in zip(rows, ends))
 
 
+def mutate_grouped(draw, rows: list[str]) -> None:
+    """One mutation of a grouped text: an edge line repeated, with another
+    weight, inside its row, or a row (the edge lines of one left label)
+    moved to the front of the edges, out of order."""
+    edges = [k for k, row in enumerate(rows) if row.startswith("e ")]
+    if not edges:
+        return
+    k = draw(st.sampled_from(edges))
+    label = rows[k].split()[1]
+    if draw(st.booleans()):
+        rows.insert(k + draw(st.integers(0, 1)), rows[k].rsplit(" ", 1)[0] + " 9")
+    else:
+        row = [r for r in rows if r.startswith(f"e {label} ")]
+        rest = [r for r in rows if not r.startswith(f"e {label} ")]
+        rows[:] = rest[:1] + row + rest[1:]
+
+
+@st.composite
+def grouped_texts(draw):
+    """Canonical texts whose cells are sorted by (i, j), so their left
+    column is grouped, after the mutations of ``small_texts`` and of
+    ``mutate_grouped``."""
+    n = draw(st.integers(0, 6))
+    s = draw(st.integers(0, 6))
+    cells = sorted(draw(st.lists(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(s, 1))),
+                                 unique=True, min_size=min(max(n, s), n * s),
+                                 max_size=n * s + 1)))
+    weight = st.integers(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
+    rows = canonical_rows(n, s, [(i, j, draw(weight)) for i, j in cells])
+    for _ in range(draw(st.integers(0, 2))):
+        mutate_grouped(draw, rows)
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        mutate(draw, rows, ends, list(range(len(rows))))
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(grouped_texts())
+def test_grouped_texts_agree_with_line_pass(text):
+    assert outcome(parse_instance, text) == outcome(_parse_lines, text)
+
+
 def _long_rows() -> list[str]:
     rng = random.Random(8)
     n = 100
@@ -174,8 +221,8 @@ def test_long_texts_agree_with_line_pass(text):
 
 def test_long_text_crosses_blocks_on_the_strided_path():
     assert len(LONG_TEXT) > 2 * _BLOCK_CHARS
-    assert _parse_canonical(LONG_TEXT) == _parse_lines(LONG_TEXT)
-    assert _parse_canonical(LONG_TEXT) is not None
+    assert _parse_canonical(LONG_TEXT.encode()) == _parse_lines(LONG_TEXT)
+    assert _parse_canonical(LONG_TEXT.encode()) is not None
 
 
 @st.composite
@@ -231,4 +278,4 @@ def test_serialized_graphs_take_the_strided_path(sides, data):
     weight = st.integers(-MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
     graph = WeightedBipartiteGraph(n, s, [(u, v, data.draw(weight)) for u, v in cells])
     text = serialize_instance(graph)
-    assert _parse_canonical(text) == graph == _parse_lines(text)
+    assert _parse_canonical(text.encode()) == graph == _parse_lines(text)
