@@ -3,8 +3,9 @@
 Exact primal-dual solvers for the assignment problem, the tight subgraph
 induced by a price certificate, and everything it unlocks: all edges in
 some optimal matching, streaming enumeration of all optimal matchings,
-preference-maximizing optimal matchings, and reductions that handle
-unbalanced or infeasible instances.
+preference-maximizing optimal matchings, and optimum matchings and their
+optimal edges on unbalanced or infeasible instances, answered directly
+rather than through the paper's reductions.
 """
 
 from .allowed import allowed_edges, optimal_edges
@@ -19,10 +20,8 @@ from .prices import (DualPrices, SlackViolation, check_complementary_slackness,
                      prices_from_json, prices_to_json, round_to_optimal)
 from .solvers import SolveResult, SolveStats, solve_auction, solve_exact, solve_via_rounding
 from .tight import build_gcs, gcs_to_json
-from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING,
-                         TransformedInstance, artificial_vertices,
-                         choose_strategy, first_doubling, optimal_edges_general,
-                         optimum_matching, restrict_back, second_doubling)
+from .transforms import (AUTO, FULL_DOUBLING, HALF_DOUBLING, PADDING, choose_strategy,
+                         optimal_edges_general, optimum_matching)
 
 __version__ = "0.1.0"
 
@@ -43,17 +42,14 @@ __all__ = [
     "SlackViolation",
     "SolveResult",
     "SolveStats",
-    "TransformedInstance",
     "WeightedBipartiteGraph",
     "allowed_edges",
-    "artificial_vertices",
     "build_gcs",
     "check_complementary_slackness",
     "check_dual_feasible",
     "check_eps_optimal",
     "choose_strategy",
     "dual_objective",
-    "first_doubling",
     "gcs_to_json",
     "iter_min_weight_perfect_matchings",
     "iter_perfect_matchings",
@@ -67,9 +63,7 @@ __all__ = [
     "preallocate",
     "prices_from_json",
     "prices_to_json",
-    "restrict_back",
     "round_to_optimal",
-    "second_doubling",
     "serialize_instance",
     "solve_auction",
     "solve_exact",

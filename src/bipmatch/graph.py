@@ -42,9 +42,10 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 
-# Largest admissible |weight| of an input edge. Graphs derived from valid
-# input (the doubling's link edges, say) may exceed it; every computation
-# here is in Python ints, so nothing overflows.
+# Largest admissible |weight| of an input edge. Prices and the auction's
+# scaled costs may exceed it, as may the link edges of the full doubling
+# in tests/reductions.py; every computation here is in Python ints, so
+# nothing overflows.
 MAX_ABS_WEIGHT = 2**40
 
 # A side may have more vertices than the graph has edges only up to this

@@ -12,9 +12,11 @@ import bipmatch.matching
 import bipmatch.solvers
 import bipmatch.transforms
 from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING, DualPrices, EdgeSet, Matching,
-                      TransformedInstance, WeightedBipartiteGraph, artificial_vertices,
-                      check_eps_optimal, first_doubling, max_cardinality_matching,
-                      optimal_edges, restrict_back, second_doubling, solve_exact)
+                      WeightedBipartiteGraph, check_eps_optimal, max_cardinality_matching,
+                      optimal_edges, solve_exact)
+
+from reductions import (TransformedInstance, artificial_vertices, first_doubling,
+                        restrict_back, second_doubling)
 
 # Canonical 3x3 fixture used throughout: two optimal price systems with
 # different tight subgraphs but the same (unique) optimal matching.

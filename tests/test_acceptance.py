@@ -8,14 +8,15 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from bipmatch import (DualPrices, WeightedBipartiteGraph, artificial_vertices, build_gcs,
-                      check_complementary_slackness, check_eps_optimal, first_doubling,
+from bipmatch import (DualPrices, WeightedBipartiteGraph, build_gcs,
+                      check_complementary_slackness, check_eps_optimal,
                       iter_min_weight_perfect_matchings, iter_perfect_matchings,
                       max_cardinality_matching, optimal_edges, optimum_matching,
-                      round_to_optimal, second_doubling, solve_auction, solve_exact)
+                      round_to_optimal, solve_auction, solve_exact)
 
 from conftest import (FIG1_EDGES, M_STAR, brute_force_min_weight_pms, brute_force_optimum,
                       make_any_graph, make_feasible_square, reduced_optimum)
+from reductions import artificial_vertices, first_doubling, second_doubling
 
 
 @contextmanager

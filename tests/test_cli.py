@@ -14,12 +14,13 @@ import pytest
 import bipmatch.cli
 import bipmatch.enumeration
 import bipmatch.solvers
-from bipmatch import (WeightedBipartiteGraph, artificial_vertices, iter_min_weight_perfect_matchings,
-                      parse_instance, second_doubling, serialize_instance, solve_exact)
+from bipmatch import (WeightedBipartiteGraph, iter_min_weight_perfect_matchings, parse_instance,
+                      serialize_instance, solve_exact)
 from bipmatch.cli import main
 from bipmatch.graph import _parse_canonical, _parse_lines
 
 from conftest import FIG1_TEXT
+from reductions import artificial_vertices, second_doubling
 
 GOLDEN = Path(__file__).parent / "golden"
 TIES_PATH = str(GOLDEN / "ties.bip")

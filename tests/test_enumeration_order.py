@@ -11,7 +11,7 @@ alternating cycles, without and with one denser block; they were recorded
 while every branch node still ran a Tarjan trim and a cycle search, to pin
 the same order once a block that is one cycle is split without them.
 ``HOPCROFT_KARP_DIGESTS`` were recorded when every graph was stored with
-its larger side on the left, and pin that view, ``transforms._tall``;
+its larger side on the left, and pin that view, ``reductions._tall``;
 ``HOPCROFT_KARP_AS_GIVEN_DIGESTS`` pin the graphs as given.
 ``SOLVE_EXACT_DIGESTS`` pin the exact solver's matching, prices and work
 counts on square graphs of four weight families and on the three
@@ -40,7 +40,8 @@ import pytest
 from bipmatch import (MAX_ABS_WEIGHT, WeightedBipartiteGraph, iter_min_weight_perfect_matchings,
                       iter_perfect_matchings, max_cardinality_matching, optimum_matching,
                       solve_exact)
-from bipmatch.transforms import _tall, artificial_vertices, first_doubling, second_doubling
+
+from reductions import _tall, artificial_vertices, first_doubling, second_doubling
 
 LIMIT = 300
 

@@ -26,7 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (FULL_DOUBLING, MAX_ABS_WEIGHT, EdgeSet, Infeasible,  # noqa: E402
-                      WeightedBipartiteGraph, choose_strategy, first_doubling,
+                      WeightedBipartiteGraph, choose_strategy,
                       iter_min_weight_perfect_matchings, optimal_edges,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact,
                       solve_via_rounding)
@@ -35,6 +35,7 @@ from bipmatch.cli import _json_lines  # noqa: E402
 from conftest import (REDUCTIONS, brute_force_optimum,  # noqa: E402
                       brute_force_optimum_matchings, networkx_cardinality,
                       reduced_optimal_edges, reduced_optimum)
+from reductions import first_doubling  # noqa: E402
 
 WEIGHTS = {
     "ties": st.integers(0, 2),

@@ -1,5 +1,6 @@
-"""Optimum matchings: the reductions to perfect matchings, and
-``optimum_matching``'s direct run (AUTO)."""
+"""Optimum matchings: the paper's reductions to perfect matchings, kept
+in ``reductions`` as the oracle, and ``optimum_matching``'s direct run
+(AUTO)."""
 
 import random
 from pathlib import Path
@@ -8,19 +9,21 @@ import pytest
 
 import bipmatch.transforms
 from bipmatch import (FULL_DOUBLING, HALF_DOUBLING, PADDING, Infeasible, Matching,
-                      WeightedBipartiteGraph, artificial_vertices, choose_strategy,
-                      first_doubling, max_cardinality_matching, optimal_edges,
-                      optimal_edges_general, optimum_matching, parse_instance,
-                      restrict_back, second_doubling, solve_exact)
+                      WeightedBipartiteGraph, choose_strategy, max_cardinality_matching,
+                      optimal_edges, optimal_edges_general, optimum_matching, parse_instance,
+                      solve_exact)
 from bipmatch.transforms import _reached, _transposed
 
 from conftest import (REDUCTIONS, brute_force_optimum, brute_force_optimum_matchings,
                       make_any_graph, make_feasible_square, reduced_optimal_edges,
                       reduced_optimum)
+from reductions import artificial_vertices, first_doubling, restrict_back, second_doubling
 
 WIDE = [(0, 0, 5), (1, 0, 3)]  # two left vertices, one right vertex
 GOLDEN = Path(__file__).parent / "golden"
-TRANSFORMS = ("first_doubling", "second_doubling", "artificial_vertices")
+# What ``reductions`` holds; none of it is in the library.
+REDUCTION_NAMES = ("TransformedInstance", "_tall", "_mirrored", "first_doubling",
+                   "second_doubling", "artificial_vertices", "restrict_back")
 # The two questions answered on the pieces of ``_pieces``.
 BOTH_ROUTES = pytest.mark.parametrize("run", [optimum_matching, optimal_edges_general],
                                       ids=lambda run: run.__name__)
@@ -28,14 +31,6 @@ BOTH_ROUTES = pytest.mark.parametrize("run", [optimum_matching, optimal_edges_ge
 
 def _golden(name):
     return parse_instance((GOLDEN / f"{name}.bip").read_text())
-
-
-def _forbid_transforms(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("AUTO built a transformed graph")
-
-    for name in TRANSFORMS:
-        monkeypatch.setattr(bipmatch.transforms, name, refuse)
 
 
 def _links(t):
@@ -269,12 +264,11 @@ class TestOptimumMatching:
                 REDUCTIONS[strategy](g, k)
 
     @BOTH_ROUTES
-    def test_one_coverage_check_per_call(self, run, hk_calls, monkeypatch):
+    def test_one_coverage_check_per_call(self, run, hk_calls):
         # One Hopcroft-Karp run decides coverage; the start of the exact
         # solver's loop runs one more, both on the wide copy of the graph,
         # and no feasibility check runs.
         g = WeightedBipartiteGraph(3, 2, [(0, 0, 1), (1, 1, 2), (2, 0, 3)])
-        _forbid_transforms(monkeypatch)
         hk_calls.clear()
         run(g)
         assert len(hk_calls) == 2
@@ -316,11 +310,14 @@ class TestAutoSolvesDirectly:
     solver's loop run from the smaller side, and any other graph with one
     such run on each of the two pieces of its split."""
 
+    def test_library_holds_no_reduction(self):
+        for module in (bipmatch, bipmatch.transforms):
+            assert [name for name in REDUCTION_NAMES if hasattr(module, name)] == []
+
     @pytest.mark.parametrize("name", ["wide", "near_square", "swapped"])
-    def test_coverable_graph_is_not_transformed(self, name, hk_calls, monkeypatch):
+    def test_coverable_graph_is_not_transformed(self, name, hk_calls):
         g = _golden(name)
         doubled = reduced_optimum(first_doubling(g))
-        _forbid_transforms(monkeypatch)
         hk_calls.clear()
         m = optimum_matching(g)
         # The coverage check and the start of the solver's loop, both from
@@ -332,11 +329,10 @@ class TestAutoSolvesDirectly:
         assert (m.cardinality, m.weight()) == (doubled.cardinality, doubled.weight())
 
     @BOTH_ROUTES
-    def test_uncoverable_graph_is_split_not_transformed(self, run, hk_calls, monkeypatch):
+    def test_uncoverable_graph_is_split_not_transformed(self, run, hk_calls):
         g = _golden("uncovered")
         doubled = reduced_optimum(first_doubling(g))
         oracle = reduced_optimal_edges(first_doubling(g))
-        _forbid_transforms(monkeypatch)
         hk_calls.clear()
         answer = run(g)
         # The coverage check, the split's maximum matching and the start of
@@ -351,8 +347,7 @@ class TestAutoSolvesDirectly:
             assert (answer.cardinality, answer.weight()) == (doubled.cardinality,
                                                              doubled.weight())
 
-    def test_square_graph_gets_solve_exact(self, monkeypatch):
-        _forbid_transforms(monkeypatch)
+    def test_square_graph_gets_solve_exact(self):
         rng = random.Random(2323)
         for _ in range(60):
             g = make_feasible_square(rng, n_max=7)
@@ -438,3 +433,22 @@ class TestOptimalEdgesGeneral:
                 union.update(edge_set)
             assert set(reduced_optimal_edges(first_doubling(g)).edge_indices) == union
             assert set(optimal_edges_general(g).edge_indices) == union
+
+
+def test_public_names():
+    # The package's whole public surface; the paper's reductions are not
+    # part of it.
+    assert sorted(bipmatch.__all__) == [
+        "AUTO", "DualPrices", "EdgeSet", "Error", "FULL_DOUBLING", "HALF_DOUBLING",
+        "Infeasible", "InfeasibleDual", "MAX_ABS_WEIGHT", "Matching", "NotSquare",
+        "PADDING", "ParseError", "SlackViolation", "SolveResult", "SolveStats",
+        "WeightedBipartiteGraph", "allowed_edges", "build_gcs",
+        "check_complementary_slackness", "check_dual_feasible", "check_eps_optimal",
+        "choose_strategy", "dual_objective", "gcs_to_json",
+        "iter_min_weight_perfect_matchings", "iter_perfect_matchings",
+        "matching_from_json", "max_cardinality_matching", "optimal_edges",
+        "optimal_edges_general", "optimum_matching", "parse_instance",
+        "parse_preferences", "preallocate", "prices_from_json", "prices_to_json",
+        "round_to_optimal", "serialize_instance", "solve_auction", "solve_exact",
+        "solve_via_rounding"]
+    assert [name for name in bipmatch.__all__ if not hasattr(bipmatch, name)] == []
