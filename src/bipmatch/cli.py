@@ -3,6 +3,7 @@
 One verb per pipeline, JSON on stdout (deterministic: sorted keys, one
 object per line), diagnostics on stderr. Exit codes: 0 success,
 1 infeasible instance (or failed check), 2 bad input, 3 internal error.
+The command dies of SIGPIPE, with no message, when its reader leaves.
 
     bipmatch solve instance.bip [--solver exact|auction|rounding]
     bipmatch duals instance.bip [--solver ...]
@@ -204,12 +205,15 @@ def _json_lines(graph: WeightedBipartiteGraph) -> Callable[[Matching], str]:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ParseError("--limit must be non-negative")
+    limit = args.limit
+    if limit is not None:
+        if limit < 0:
+            raise ParseError("--limit must be non-negative")
+        limit = min(limit, sys.maxsize)  # islice's largest stop; no stream is longer
     graph = _load_instance(args.instance)
     matchings = iter_min_weight_perfect_matchings(graph, *_certificate(graph, args.prices))
     render = _json_lines(graph)
-    for matching in islice(matchings, args.limit):
+    for matching in islice(matchings, limit):
         print(render(matching))
     return EXIT_OK
 
@@ -291,8 +295,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    """The ``bipmatch`` command: ``main`` with the default SIGPIPE action,
+    so a reader that stops early ends the process as it ends ``cat``, with
+    no message, rather than as bad input."""
+    import signal  # only the command needs it, and it costs about 1 ms to import
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -4,11 +4,12 @@ An optimum matching is a maximum-cardinality matching of minimum weight.
 ``optimum_matching`` builds no transformed graph, and it runs every
 search from the smaller side, so its work depends on that side (Ramshaw
 and Tarjan, 2012): it reads the graph through its wide copy, the graph
-itself or its transposed copy, in which edge e is still edge e. The
-coverage check, a maximum-matching run, runs on that copy. On a graph
-whose smaller side can be covered, the exact solver's shortest-path loop
-runs on it too, with every free vertex of the larger side at one shared,
-largest price. On a square graph that run is ``solve_exact``.
+itself or its transposed copy, in which edge e is still edge e. One
+maximum-matching run on that copy is the coverage check, and a split
+reads the same matching. On a graph whose smaller side can be covered,
+the exact solver's shortest-path loop runs on that copy too, with every
+free vertex of the larger side at one shared, largest price. On a square
+graph that run is ``solve_exact``.
 
 A graph whose smaller side cannot be covered is split in two (Dulmage
 and Mendelsohn, 1958). The vertices X that alternating paths reach from
@@ -48,17 +49,19 @@ def _transposed(graph: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
                                            graph._right_of, graph._left_of, graph._weight_of)
 
 
-def choose_strategy(graph: WeightedBipartiteGraph) -> str:
-    """Name the paper's reduction for the graph: full doubling when the
-    smaller side cannot be covered, padding on a square graph, and half
-    doubling on every other graph.
+def choose_strategy(matching: Matching) -> str:
+    """Name the paper's reduction for ``matching.graph``, given one of its
+    maximum matchings: full doubling when the matching leaves a vertex of
+    the smaller side free, padding on a square graph, and half doubling on
+    every other graph. It runs no search.
 
     ``_pieces`` reads the answer only as a coverage verdict: it splits a
     graph when full doubling is named and keeps every other graph whole.
     No reduction is built here (``tests/reductions.py`` has them). The
     function and its three names stay because the benchmark's trace wraps
     it by name and counts its verdicts per workload."""
-    if max_cardinality_matching(graph).cardinality < min(graph.n_left, graph.n_right):
+    graph = matching.graph
+    if matching.cardinality < min(graph.n_left, graph.n_right):
         return FULL_DOUBLING
     return PADDING if graph.n_left == graph.n_right else HALF_DOUBLING
 
@@ -108,9 +111,10 @@ def _pieces(graph: WeightedBipartiteGraph) -> list[tuple[WeightedBipartiteGraph,
     copy, its vertices renumbered in index order and its edges in parent
     order, transposed for the reached piece."""
     wide = graph if graph.n_left <= graph.n_right else _transposed(graph)
-    if choose_strategy(wide) != FULL_DOUBLING:  # the one coverage check
+    matching = max_cardinality_matching(wide)  # the one search: coverage check and split
+    if choose_strategy(matching) != FULL_DOUBLING:
         return [(wide, range(graph.edge_count))]
-    reached_left, reached_right = _reached(graph, max_cardinality_matching(wide))
+    reached_left, reached_right = _reached(graph, matching)
     left_of, right_of, weight_of = graph._left_of, graph._right_of, graph._weight_of
     pieces = []
     for reached in (True, False):
@@ -137,10 +141,10 @@ def optimum_matching(graph: WeightedBipartiteGraph) -> Matching:
     copy, the graph itself or, when the left side is the larger, its
     transposed copy. A graph whose smaller side can be covered it solves
     with one run of the exact solver's loop on that copy; on a square
-    graph that run is ``solve_exact``. Any other graph it splits, with
-    one more maximum-cardinality matching run, into two pieces that can
-    be covered, one from each side, and it joins one such run on each
-    (see the module docstring and ``_pieces``).
+    graph that run is ``solve_exact``. Any other graph it splits, by the
+    maximum matching that showed it cannot be covered, into two pieces
+    that can be covered, one from each side, and it joins one such run on
+    each (see the module docstring and ``_pieces``).
     """
     return Matching(graph, [parent[e] for piece, parent in _pieces(graph)
                             for e in _cover_left(piece).matching.edge_indices])

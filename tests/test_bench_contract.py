@@ -83,3 +83,8 @@ def test_every_bench_verb_records_its_counts(tmp_path):
     assert 0 < metrics["allowed.optimal_edge_ratio"] <= 1
     assert metrics["enumeration.outputs"] > 0
     assert metrics["solvers.solve_auction.bids"] > 0
+    # swapped.bip is coverable and not square, and uncovered.bip is split:
+    # one verdict each, read off the coverage check's matching.
+    assert metrics["transforms.strategy.half-doubling.jobs"] == 1
+    assert metrics["transforms.strategy.doubling.jobs"] == 1
+    assert metrics["transforms.strategy.artificial.jobs"] == 0

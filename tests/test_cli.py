@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import random
+import signal
+import subprocess
 import sys
 import threading
 from heapq import heappush
@@ -216,6 +218,30 @@ class TestEnumerate:
     def test_negative_limit_exit_2(self, capsys, fig1_path):
         code, _, _ = run(capsys, "enumerate", fig1_path, "--limit", "-1")
         assert code == 2
+
+    def test_limit_beyond_maxsize_is_no_limit(self, capsys):
+        unlimited = run(capsys, "enumerate", TIES_PATH)
+        assert run(capsys, "enumerate", TIES_PATH, "--limit", str(10**20)) == unlimited
+        assert unlimited[0] == 0
+        assert unlimited[1].count("\n") == 33
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+    def test_reader_leaving_ends_the_command_as_it_ends_cat(self, tmp_path):
+        # 3000 lines of an all-zero K10,10 are about 360 KB, more than a
+        # pipe holds, so the command is still writing when its reader leaves.
+        path = tmp_path / "k10.bip"
+        path.write_text("p bip 10 10 100\n" + "".join(
+            f"e {u} {v} 0\n" for u in range(1, 11) for v in range(1, 11)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(bipmatch.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "bipmatch.cli", "enumerate", str(path), "--limit", "3000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as command:
+            assert command.stdout.readline().startswith(b'{"cardinality": 10, ')
+            command.stdout.close()
+            err = command.stderr.read()
+        assert (command.returncode, err) == (-signal.SIGPIPE, b"")
 
     def test_prices_from_duals_change_nothing(self, capsys, tmp_path):
         # The exact solver's prices make a larger tight subgraph here than

@@ -27,7 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bipmatch import (FULL_DOUBLING, MAX_ABS_WEIGHT, EdgeSet, Infeasible,  # noqa: E402
                       WeightedBipartiteGraph, choose_strategy,
-                      iter_min_weight_perfect_matchings, optimal_edges,
+                      iter_min_weight_perfect_matchings, max_cardinality_matching, optimal_edges,
                       optimal_edges_general, optimum_matching, preallocate, solve_exact,
                       solve_via_rounding)
 from bipmatch.cli import _json_lines  # noqa: E402
@@ -168,7 +168,7 @@ def test_auto_matches_rectangular_assignment(kind, n, s, cover, seed):
         m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected
-        oracle = reduced_optimal_edges(REDUCTIONS[choose_strategy(g)](g))
+        oracle = reduced_optimal_edges(REDUCTIONS[choose_strategy(max_cardinality_matching(g))](g))
         assert optimal_edges_general(g) == oracle
 
 
@@ -197,7 +197,7 @@ def check_auto_on_hall_violator(graph: WeightedBipartiteGraph, expected) -> None
     flipped = WeightedBipartiteGraph(graph.n_right, graph.n_left,
                                      [(v, u, w) for u, v, w in graph.edges])
     for g in (graph, flipped):
-        assert choose_strategy(g) == FULL_DOUBLING
+        assert choose_strategy(max_cardinality_matching(g)) == FULL_DOUBLING
         m = optimum_matching(g)
         assert m.graph is g
         assert (m.cardinality, m.weight()) == expected

@@ -145,8 +145,9 @@ class TestRightLarger:
             g = make_any_graph(rng)
             mirror = WeightedBipartiteGraph(g.n_right, g.n_left,
                                             [(v, u, w) for u, v, w in g.edges])
-            seen.add(choose_strategy(g))
-            assert choose_strategy(mirror) == choose_strategy(g)
+            verdict = choose_strategy(max_cardinality_matching(g))
+            seen.add(verdict)
+            assert choose_strategy(max_cardinality_matching(mirror)) == verdict
         assert seen == {FULL_DOUBLING, HALF_DOUBLING, PADDING}
 
 
@@ -235,7 +236,7 @@ class TestOptimumMatching:
 
     def test_auto_falls_back_to_full_doubling(self):
         g = WeightedBipartiteGraph(2, 2, [(0, 0, 1), (1, 0, 2)])
-        assert choose_strategy(g) == FULL_DOUBLING
+        assert choose_strategy(max_cardinality_matching(g)) == FULL_DOUBLING
         assert optimum_matching(g).cardinality == 1
 
     def test_auto_pads_square_graphs_only(self):
@@ -246,11 +247,12 @@ class TestOptimumMatching:
         uncovered = WeightedBipartiteGraph(9, 8, tall.edges[:-2])
         assert max_cardinality_matching(tall).cardinality == 8
         assert max_cardinality_matching(uncovered).cardinality == 7
-        assert choose_strategy(square) == PADDING
-        assert choose_strategy(tall) == choose_strategy(wide) == HALF_DOUBLING
-        assert choose_strategy(uncovered) == FULL_DOUBLING
+        assert choose_strategy(max_cardinality_matching(square)) == PADDING
+        assert choose_strategy(max_cardinality_matching(tall)) == HALF_DOUBLING
+        assert choose_strategy(max_cardinality_matching(wide)) == HALF_DOUBLING
+        assert choose_strategy(max_cardinality_matching(uncovered)) == FULL_DOUBLING
         for g in (square, tall, wide, uncovered):
-            chosen = reduced_optimum(REDUCTIONS[choose_strategy(g)](g))
+            chosen = reduced_optimum(REDUCTIONS[choose_strategy(max_cardinality_matching(g))](g))
             assert optimum_matching(g).edge_indices == chosen.edge_indices
 
     @pytest.mark.parametrize("strategy", [HALF_DOUBLING, PADDING])
@@ -335,9 +337,10 @@ class TestAutoSolvesDirectly:
         oracle = reduced_optimal_edges(first_doubling(g))
         hk_calls.clear()
         answer = run(g)
-        # The coverage check, the split's maximum matching and the start of
-        # the solver's loop on each piece, each from its smaller side.
-        assert len(hk_calls) == 4
+        # One maximum matching, the coverage check that the split reads, and
+        # the start of the solver's loop on each piece, each from its
+        # smaller side.
+        assert len(hk_calls) == 3
         assert all(h.n_left <= h.n_right for h in hk_calls)
         assert answer.graph is g
         if run is optimal_edges_general:
@@ -366,7 +369,7 @@ class TestSplit:
             g = make_any_graph(rng, n_max=4)
             for h in (g, WeightedBipartiteGraph(g.n_right, g.n_left,
                                                 [(v, u, w) for u, v, w in g.edges])):
-                split += choose_strategy(h) == FULL_DOUBLING
+                split += choose_strategy(max_cardinality_matching(h)) == FULL_DOUBLING
                 several += self.check(h)
         assert split > 50
         assert several > 200
