@@ -20,7 +20,7 @@ matched right vertex priced P to a free one is a cycle through H.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import EdgeSet, Matching, WeightedBipartiteGraph
 from .matching import _perfect_matching
@@ -29,14 +29,14 @@ from .tight import _tight_perfect_matching
 
 
 def _scc_labels(graph: WeightedBipartiteGraph, edge_indices: Sequence[int],
-                mate_left: Sequence[int | None] | Mapping[int, int],
+                mate_left: Sequence[int | None],
                 hub: Sequence[int] = ()) -> list[int]:
     """Alternating-cycle labels of the edges of a subset: one label per
     edge, in the order of ``edge_indices``.
 
     ``mate_left`` is a matching of the subset, given as the matched edge at
-    each left vertex (None where unmatched); only the left vertices of the
-    subset are read, so a dict of those will do. Matched edges are oriented
+    each left vertex (None where unmatched), of which only the entries at
+    the subset's left vertices are read. Matched edges are oriented
     right-to-left, unmatched left-to-right. An edge on an alternating cycle
     gets the label (>= 0) of the strongly connected component holding that
     cycle, so two edges share a label exactly when they share a component;

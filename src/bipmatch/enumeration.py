@@ -10,48 +10,49 @@ A trimmed subset falls apart into vertex-disjoint pieces: edges in every
 perfect matching of it, which are *forced*, and its elementary
 components, the *blocks*, in which every edge lies in some perfect
 matching. ``allowed._scc_labels`` finds both from any one perfect matching.
-A branch frame holds the edges it forces and its blocks, each block with
-its edges in increasing order and a perfect matching M of it. The edges
-forced on the current path live in one mate array per stream, indexed by
-left vertex, which a frame writes its edges into when it is reached. A
-frame with no block emits a copy of that array. Otherwise:
+A branch frame holds its blocks, each just its edges in increasing order,
+and no matching. The stream keeps one mate array, indexed by left vertex,
+that starts as the root's perfect matching; while a frame runs, the array
+holds a perfect matching of the edges forced on its path and of its
+blocks. A forced edge is a matched edge, so it is in the array already,
+and a trim only groups the other edges by label. A frame with no block
+emits a copy of the array. Otherwise, with M the array's matching on the
+chosen block:
 
 * The pivot is the lowest-index edge of any block.
 * One breadth-first search inside that block finds an alternating cycle C
-  through the pivot; of M and M xor C, one holds the pivot and the other
-  does not.
+  through the pivot and writes M xor C into the array; of M and M xor C,
+  one holds the pivot and the other does not.
 * The "with pivot" child keeps the block's edges away from the pivot's
-  endpoints, with the matching that holds the pivot; the "without pivot"
-  child keeps every edge but the pivot, with the other matching. Each
-  child is trimmed again when it is reached; every other block is handed
-  on unchanged.
+  endpoints; the "without pivot" child keeps every edge but the pivot.
+  Each child is trimmed again when it is reached; every other block is
+  handed on unchanged.
 * The search is depth-first, and the "with pivot" child comes first:
   every matching that contains the pivot comes before every matching
   that avoids it.
-* Only the child whose matching is M xor C needs the search. When the
-  pivot is unmatched that is the "with pivot" child, reached next; when
-  it is matched, the "without pivot" child runs the search only once it
-  is reached, so a frame that a capped stream never reaches costs
-  nothing.
+* Only one child runs the search. When the pivot is unmatched, it runs at
+  the branch, just before the "with pivot" child, which is reached next;
+  when it is matched, the "without pivot" child runs it only once it is
+  reached, so a frame that a capped stream never reaches costs nothing.
 * Every vertex of a block has degree at least 2: a left vertex has its
   matched edge and an arc of some cycle, and a right vertex its matched
   edge and the arc into its mate. So a block with k left vertices and 2k
   edges has every degree exactly 2 and, being connected, is one
   alternating cycle, with exactly two perfect matchings: M and its other
-  k edges. Its two children are those two matchings, forced whole, so
-  such a block splits with no search and leaves nothing to trim.
-
-The mate array needs no undo. A frame's forced edges and blocks cover
-disjoint sets of vertices, so each left vertex is forced exactly once on
-any path from the root to a frame with no block, and no frame below the
-one that forces it writes to it. Every entry left by an earlier branch is
-thus written over before the next emit, and the array then holds exactly
-the forced edges of the path, one per left vertex.
+  k edges. Each child writes one of them whole into the array, so such a
+  block splits with no search and leaves nothing to trim.
 
 The trimmed subset, its forced edges and its blocks do not depend on the
-perfect matching used to find them, and neither does the pivot, so the
-output order is a function of the edge subset alone: the same for any
-optimal price certificate and any perfect matching given at the root.
+perfect matching used to find them, and neither does the pivot, so
+siblings share the array. When the "without pivot" child is reached, the
+"with pivot" subtree has left the array at its last output: on the
+pivot's block a perfect matching that holds the pivot, and on every other
+block a perfect matching of it. After a matched pivot, the child flips a
+cycle through the pivot in it, as above; after an unmatched one, it writes
+back M, saved at the branch as the block's k matched edges, and so spares
+a search. No frame copies a matching, and the array needs no undo. The
+output order is thus a function of the edge subset alone: the same for
+any optimal price certificate and any perfect matching given at the root.
 Hopcroft-Karp runs at most once, at the root, and not at all when the
 caller supplies a perfect matching. ``tests/test_enumeration_order.py``
 pins this order. Results stream from a generator (cap it with
@@ -61,7 +62,8 @@ at once.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections import defaultdict
+from typing import Iterable, Iterator, Sequence
 
 from .allowed import _scc_labels
 from .graph import Matching, WeightedBipartiteGraph
@@ -113,75 +115,67 @@ def _branch(graph: WeightedBipartiteGraph, subset: Sequence[int],
     matchings of ``subset``, given one of them as the matched edge at each
     left vertex."""
     left_of, right_of = graph._left_of, graph._right_of
-    # The mate array of the module docstring: the edge forced at each left
-    # vertex on the path to the frame being run. A frame writes into it
-    # the edges it forces and those its trim forces.
-    chosen: list[int | None] = [None] * graph.n_left
-    # A frame is (edges it forces, blocks, edges to trim, their perfect
-    # matching, flip); a block is (edges, its perfect matching by left
-    # vertex). A frame whose flip is a pivot is a "without pivot" child
-    # still holding its parent block's edges and matching: it flips the
-    # cycle through the pivot and drops the pivot when it is popped.
-    stack: list[tuple[tuple[int, ...], tuple, Sequence[int],
-                      Sequence[int | None] | Mapping[int, int], int | None]] = [
-        ((), (), subset, mate_left, None)]
+    # The mate array of the module docstring: while a frame runs, a perfect
+    # matching of the edges forced on its path and of its blocks.
+    mate = list(mate_left)
+    # A frame is (blocks, edges to trim, edges to write, flip); a block is
+    # its edges in increasing order. A frame whose flip is a pivot is a
+    # "without pivot" child still holding its parent block's edges: it
+    # flips the cycle through the pivot and drops the pivot when popped.
+    stack: list[tuple[tuple[list[int], ...], Sequence[int], Sequence[int], int | None]] = [
+        ((), subset, (), None)]
     while stack:
-        added, blocks, edges, mate, flip = stack.pop()
-        for e in added:
-            chosen[left_of[e]] = e
+        blocks, edges, write, flip = stack.pop()
+        for e in write:
+            mate[left_of[e]] = e
         if flip is not None:
-            mate = _flip_cycle(graph, edges, mate, flip)
+            _flip_cycle(graph, edges, flip, mate)
             edges = edges[1:]
         if edges:
-            # Trim: matched edges on no alternating cycle are forced, the
-            # edges of one component form a block, and the other edges lie
-            # in no perfect matching.
-            parts: dict[int, tuple[list[int], dict[int, int]]] = {}
+            # Trim: the edges of one component form a block. The matched
+            # edges on no alternating cycle are forced, and already in the
+            # array; the other edges lie in no perfect matching.
+            parts: defaultdict[int, list[int]] = defaultdict(list)
             for e, label in zip(edges, _scc_labels(graph, edges, mate)):
-                u = left_of[e]
                 if label >= 0:
-                    part = parts.get(label)
-                    if part is None:
-                        part = parts[label] = ([], {})
-                    part[0].append(e)
-                    if mate[u] == e:
-                        part[1][u] = e
-                elif mate[u] == e:
-                    chosen[u] = e
+                    parts[label].append(e)
             blocks += tuple(parts.values())
         if not blocks:
-            yield Matching._trusted(graph, chosen)
+            yield Matching._trusted(graph, mate)
             continue
 
-        block = min(blocks, key=lambda b: b[0][0])
+        block = min(blocks)  # disjoint sorted lists: the lowest first edge
         rest = tuple(b for b in blocks if b is not block)
-        edges, mate = block
-        pivot = edges[0]
+        pivot = block[0]
         u, v = left_of[pivot], right_of[pivot]
-        if len(edges) == 2 * len(mate):
+        matched = [e for e in block if mate[left_of[e]] == e]
+        if len(block) == 2 * len(matched):
             # One alternating cycle, as every vertex of a block has degree
             # at least 2: its two perfect matchings are M and its other
-            # edges, and each child takes one whole, with nothing to trim.
-            matched = tuple(mate.values())
-            other = tuple(e for e in edges if mate[left_of[e]] != e)
+            # edges, and each child writes one whole, with nothing to trim.
+            other = [e for e in block if mate[left_of[e]] != e]
             with_pivot, without = (matched, other) if mate[u] == pivot else (other, matched)
-            stack.append((without, rest, (), mate, None))
-            stack.append((with_pivot, rest, (), mate, None))
+            stack.append((rest, (), without, None))
+            stack.append((rest, (), with_pivot, None))
             continue
-        away = [e for e in edges if left_of[e] != u and right_of[e] != v]
+        away = [e for e in block if left_of[e] != u and right_of[e] != v]
         if mate[u] == pivot:
-            stack.append(((), rest, edges, mate, pivot))
-            stack.append(((pivot,), rest, away, mate, None))
+            # The "with pivot" child takes the array as it is; its sibling
+            # flips the last matching that child's subtree leaves.
+            stack.append((rest, block, (), pivot))
         else:
-            stack.append(((), rest, edges[1:], mate, None))
-            stack.append(((pivot,), rest, away,
-                          _flip_cycle(graph, edges, mate, pivot), None))
+            # Flip for the "with pivot" child, popped next; its sibling
+            # writes M back.
+            stack.append((rest, block[1:], matched, None))
+            _flip_cycle(graph, block, pivot, mate)
+        stack.append((rest, away, (), None))
 
 
-def _flip_cycle(graph: WeightedBipartiteGraph, edges: Sequence[int],
-                mate: Mapping[int, int], pivot: int) -> dict[int, int]:
-    """M xor C, for the perfect matching ``mate`` of an elementary component
-    and an alternating cycle C through its edge ``pivot``.
+def _flip_cycle(graph: WeightedBipartiteGraph, block: Sequence[int],
+                pivot: int, mate: list[int | None]) -> None:
+    """Write M xor C into ``mate``, for the perfect matching M that ``mate``
+    holds on an elementary component, given as its edges ``block``, and an
+    alternating cycle C through its edge ``pivot``.
 
     As in ``_scc_labels``, an unmatched edge (x, y) is the arc from left
     vertex x to the mate of y, so C is a cycle of arcs through the pivot's
@@ -192,11 +186,13 @@ def _flip_cycle(graph: WeightedBipartiteGraph, edges: Sequence[int],
     elementary component every edge lies on such a cycle.
     """
     left_of, right_of = graph._left_of, graph._right_of
-    partner = {right_of[e]: x for x, e in mate.items()}
+    partner: dict[int, int] = {}  # left mate of each right vertex
     arcs: dict[int, list[int]] = {}
-    for e in edges:
+    for e in block:
         x = left_of[e]
-        if mate[x] != e:
+        if mate[x] == e:
+            partner[right_of[e]] = x
+        else:
             arcs.setdefault(x, []).append(e)
     u = left_of[pivot]
     if mate[u] == pivot:
@@ -214,11 +210,10 @@ def _flip_cycle(graph: WeightedBipartiteGraph, edges: Sequence[int],
                 queue.append(y)
         if u in reach:
             break
-    flipped = dict(mate)
     x = u
     while True:
         e = reach[x]
         x = left_of[e]
-        flipped[x] = e
+        mate[x] = e
         if x == u:
-            return flipped
+            return

@@ -76,7 +76,7 @@ class WeightedBipartiteGraph:
     """
 
     __slots__ = ("_n_left", "_n_right", "_left_of", "_right_of", "_weight_of",
-                 "_starts", "_adj", "_max_abs")
+                 "_starts", "_adj")
 
     def __init__(self, n_left: int, n_right: int,
                  edges: Iterable[tuple[int, int, int]]):
@@ -126,16 +126,16 @@ class WeightedBipartiteGraph:
         weight, indexed by edge). The matching, enumeration and solver
         loops read these columns directly.
 
-        The layout, the edges by left vertex and the largest |weight| are
-        built on their first read, so a graph that is only transposed or
-        printed, such as a tall input of ``optimum``, never builds them.
+        The layout and the edges by left vertex are built on their first
+        read, so a graph that is only transposed or printed, such as a tall
+        input of ``optimum``, never builds them.
         """
         self._n_left = n_left
         self._n_right = n_right
         self._left_of = tuple(left)
         self._right_of = tuple(right)
         self._weight_of = tuple(weight)
-        self._starts = self._adj = self._max_abs = None
+        self._starts = self._adj = None
 
     @property
     def _row_starts(self) -> list[int]:
@@ -204,10 +204,9 @@ class WeightedBipartiteGraph:
 
     @property
     def max_abs_weight(self) -> int:
-        """Largest |weight| over all edges; 0 for edgeless graphs."""
-        if self._max_abs is None:
-            self._max_abs = max(map(abs, self._weight_of), default=0)
-        return self._max_abs
+        """Largest |weight| over all edges; 0 for edgeless graphs. One pass
+        over the weight column on each read."""
+        return max(map(abs, self._weight_of), default=0)
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:

@@ -264,10 +264,9 @@ def _cover_left(graph: WeightedBipartiteGraph) -> SolveResult:
             v = right_of[old] if old is not None else -1
         stats.iterations += 1
 
-    matched_edges = [e for e in mate_left if e is not None]
     prices = DualPrices([b - offset for b in left_base],
                         [b + offset for b in right_base], 1)
-    return SolveResult(Matching(graph, matched_edges), prices, stats)
+    return SolveResult(Matching._trusted(graph, mate_left), prices, stats)
 
 
 def solve_auction(graph: WeightedBipartiteGraph,
@@ -311,11 +310,12 @@ def solve_auction(graph: WeightedBipartiteGraph,
     right_of, wt = graph._right_of, graph._weight_of
     # Benefits: auction maximizes, we minimize.
     benefit = [-w * scale for w in wt]
-    big = 2 * scale * max(graph.max_abs_weight, 1) * (n + 1)
+    max_abs = graph.max_abs_weight
+    big = 2 * scale * max(max_abs, 1) * (n + 1)
 
     price = [0] * n  # auction price per right vertex, scaled integers
 
-    level = graph.max_abs_weight * scale
+    level = max_abs * scale
     levels = []
     while level > eps_scaled:
         levels.append(level)
@@ -357,8 +357,8 @@ def solve_auction(graph: WeightedBipartiteGraph,
     for u in range(n):
         e = assigned[u]
         left_num[u] = wt[e] * scale - right_num[right_of[e]]
-    matching = Matching(graph, [e for e in assigned if e is not None])
-    return SolveResult(matching, DualPrices(left_num, right_num, scale), stats)
+    return SolveResult(Matching._trusted(graph, assigned),
+                       DualPrices(left_num, right_num, scale), stats)
 
 
 def solve_via_rounding(graph: WeightedBipartiteGraph) -> SolveResult:

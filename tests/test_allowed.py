@@ -34,7 +34,8 @@ class TestAllowedEdges:
         # state is sized by the subset, not by a side.
         n = 1 << 16
         g = WeightedBipartiteGraph(n, n, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
-        mate = {0: 0, 1: 3}
+        mate = [None] * n
+        mate[0], mate[1] = 0, 3
         tracemalloc.start()
         try:
             labels = _scc_labels(g, (0, 1, 3), mate)

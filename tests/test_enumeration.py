@@ -198,6 +198,25 @@ class TestMinWeight:
                        for m in iter_min_weight_perfect_matchings(g, prices)}
             assert len(weights) == 1
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stream_does_not_depend_on_the_root_matching(self, seed):
+        # The stream's one mate array passes from a branch's "with pivot"
+        # subtree to its sibling, which is sound only if a frame's output
+        # does not depend on the perfect matching it starts from: every
+        # optimum, given as the root, must give the same stream in order.
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        cells = {(u, v) for u, v in enumerate(rng.sample(range(n), n))}
+        cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2 * n, n * n))}
+        edges = [(u, v, rng.choice((0, 0, 0, 0, 1))) for u, v in sorted(cells)]
+        rng.shuffle(edges)
+        g = WeightedBipartiteGraph(n, n, edges)
+        prices = solve_exact(g).prices
+        stream = list(iter_min_weight_perfect_matchings(g, prices))
+        order = [m.edge_indices for m in stream]
+        for m in stream:
+            assert [r.edge_indices for r in iter_min_weight_perfect_matchings(g, prices, m)] == order
+
     def test_sink_api_with_limit(self, fig1, fig1_p1):
         found = islice(iter_min_weight_perfect_matchings(fig1, fig1_p1), 10)
         assert len(list(found)) == 1
